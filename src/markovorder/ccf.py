@@ -14,6 +14,12 @@ Evaluations are convex combinations of unit-modulus numbers, so the modulus
 never exceeds 1 (up to rounding) and the value at zero frequency is exactly
 1.  Weights are computed with a log-space softmax, so evaluation points far
 from the data never under flow to 0/0.
+
+The lag test does not go through :class:`KernelCcf`:
+:func:`loo_window_residuals` computes its forward and backward leave-one-out
+residuals from one kernel matrix over the windows of the series, with one
+scalar bandwidth per (trajectory, lag) and leave-one-out as the zeroed
+diagonal.
 """
 
 from __future__ import annotations
@@ -122,15 +128,11 @@ class KernelCcf:
     def cond_dim(self) -> int:
         return self.cond.shape[1]
 
-    def weights(self, points: np.ndarray,
-                exclude: np.ndarray | None = None) -> np.ndarray:
+    def weights(self, points: np.ndarray) -> np.ndarray:
         """Kernel weights of every fitted pair at each evaluation point.
 
         Returns an (m, n) row-stochastic matrix (log-space softmax of the
         Gaussian product kernel), m being the number of evaluation points.
-        ``exclude[i]``, when given, names a fitted-pair index whose weight is
-        removed from row i before normalization (leave-one-out evaluation at
-        in-sample points; pass -1 to exclude nothing for that row).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.cond_dim:
@@ -141,25 +143,18 @@ class KernelCcf:
         c = self.cond / self.bandwidth
         sq = (u * u).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (u @ c.T)
         logits = -0.5 * np.maximum(sq, 0.0)
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=int)
-            rows = np.nonzero(exclude >= 0)[0]
-            logits[rows, exclude[rows]] = -np.inf
         logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
         return w
 
-    def evaluate_many(self, freqs: np.ndarray, points: np.ndarray,
-                      exclude: np.ndarray | None = None) -> np.ndarray:
+    def evaluate_many(self, freqs: np.ndarray, points: np.ndarray) -> np.ndarray:
         """CCF values for a batch of frequencies at a batch of points.
 
         Parameters
         ----------
         freqs : (M, d) array of frequency vectors (d = target dimension).
         points : (m, p) array of conditioning points.
-        exclude : optional (m,) int array of fitted-pair indices to leave
-            out per evaluation point (see :meth:`weights`).
 
         Returns
         -------
@@ -171,7 +166,7 @@ class KernelCcf:
             raise DimensionMismatchError(
                 f"frequencies have dimension {freqs.shape[1]}, targets have {self.target_dim}"
             )
-        w = self.weights(points, exclude=exclude)
+        w = self.weights(points)
         phases = self.targets @ freqs.T                       # (n, M)
         values = (w @ np.exp(1j * phases)).T                  # (M, m)
         zero = ~freqs.any(axis=1)
@@ -234,6 +229,73 @@ def fit_backward_window(states: np.ndarray, window: int = 1,
     h = _resolve_bandwidth(bandwidth, cond)
     return KernelCcf(direction="backward", cond=_frozen(cond),
                      targets=_frozen(targets), bandwidth=_frozen(h), window=window)
+
+
+def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
+                         nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out forward and backward kernel CCF residuals at lag k.
+
+    ``states`` is a standardized (T, d) series and ``mus``/``nus`` are
+    (M, d) frequencies.  Returns two (M, n) complex tables, n = T - k:
+    column s of the first is ``exp(i mu . X_{s+k})`` minus its CCF given the
+    window X_s..X_{s+k-1}; column t of the second is ``exp(i nu . X_t)``
+    minus its CCF given the window X_{t+1}..X_{t+k}.
+
+    Both fits are Nadaraya-Watson regressions over the windows of one
+    series, so they share one Gaussian kernel matrix over windows 0..n: the
+    forward fit is its block [0:n, 0:n], the backward fit its block
+    [1:n+1, 1:n+1], and leaving pair i out of the evaluation at window i is
+    a zero diagonal.  The bandwidth is one scalar, Silverman's rule at unit
+    scale ``1.06 * n^(-1/(4 + k d))``, since the states are standardized.
+    """
+    T, d = states.shape
+    n = T - k
+    M = mus.shape[0]
+    u = window_embed(states, k) / (1.06 * n ** (-1.0 / (4.0 + k * d)))
+    half_sq = 0.5 * (u * u).sum(axis=1)[:, None]
+    ones = np.ones_like(half_sq)
+    # -|u_i - u_j|^2 / 2 as one product; rounding may leave a tiny positive
+    # value for coincident windows, which the row shift below absorbs.
+    logits = np.hstack([u, -half_sq, ones]) @ np.hstack([u, ones, -half_sq]).T
+    np.fill_diagonal(logits, -np.inf)
+
+    # One exp, shifted by each row's max over all n+1 windows.  A block row
+    # whose max lies in the column outside its block (column n forward,
+    # column 0 backward) is recomputed with its own shift; otherwise a far
+    # outlier's weights would underflow to 0/0.
+    inner = logits[:, 1:n].max(axis=1)
+    fwd_max = np.maximum(inner, logits[:, 0])
+    bwd_max = np.maximum(inner, logits[:, n])
+    row_max = np.maximum(fwd_max, bwd_max)
+    fix_f = np.flatnonzero(fwd_max < row_max)
+    fix_b = np.flatnonzero(bwd_max < row_max)
+    fwd_rows = np.exp(logits[fix_f, :n] - fwd_max[fix_f, None])
+    bwd_rows = np.exp(logits[fix_b, 1:] - bwd_max[fix_b, None])
+    logits -= row_max[:, None]
+    kern = np.exp(logits, out=logits)
+
+    # Forward targets X_{s+k} sit on rows 0..n-1 of the left half, backward
+    # targets X_t on rows 1..n of the right half; the zero row in each half
+    # drops the column outside that block from the product.
+    w = 2 * M + 1
+    basis = np.zeros((n + 1, 2 * w))
+    _phase_columns(basis[:n, :w], states[k:] @ mus.T)
+    _phase_columns(basis[1:, w:], states[:n] @ nus.T)
+    acc = kern @ basis
+    acc[fix_f, :w] = fwd_rows @ basis[:n, :w]
+    acc[fix_b, w:] = bwd_rows @ basis[1:, w:]
+    fwd_res = basis[:n, :w - 1] - acc[:n, :w - 1] / acc[:n, w - 1:w]
+    bwd_res = basis[1:, w:-1] - acc[1:, w:-1] / acc[1:, -1:]
+    return fwd_res.view(complex).T, bwd_res.view(complex).T
+
+
+def _phase_columns(out: np.ndarray, phase: np.ndarray) -> None:
+    """Fill ``out`` (n, 2M+1) with cos and sin of ``phase`` (n, M),
+    interleaved so that a row viewed as complex is exp(i phase), then 1."""
+    M = phase.shape[1]
+    out[:, 0:2 * M:2] = np.cos(phase)
+    out[:, 1:2 * M:2] = np.sin(phase)
+    out[:, 2 * M] = 1.0
 
 
 def fit_forward(traj: Trajectory, bandwidth="auto") -> KernelCcf:

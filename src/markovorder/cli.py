@@ -473,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SystemExit:
         raise
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a program bug, not a data error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

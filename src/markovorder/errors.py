@@ -17,7 +17,7 @@ class DimensionMismatchError(MarkovOrderError):
 
 
 class NonFiniteValueError(MarkovOrderError):
-    """A state, action or parameter contains NaN or infinity."""
+    """A state, action, parameter or test statistic contains NaN or infinity."""
 
 
 class LengthMismatchError(MarkovOrderError):

@@ -21,6 +21,14 @@ frequencies and separations.  The product form is doubly robust: the
 population cross-moment vanishes if either the forward or the backward CCF
 estimate is correct.
 
+With the default kernel estimator both residual tables come from one
+Gaussian kernel matrix over the length-k windows of the standardized
+series, with one scalar bandwidth per (trajectory, lag); each residual
+leaves its own pair out through the matrix's zeroed diagonal (see
+:func:`markovorder.ccf.loo_window_residuals`).  A statistic that is not
+finite raises :class:`~markovorder.errors.NonFiniteValueError` instead of
+being compared.
+
 Separations start at q = 2 because the adjacent product (q = 1) pairs a
 backward residual with a forward residual whose target state the backward
 fit conditions on; that cross-moment does not vanish under the null for
@@ -44,7 +52,7 @@ import numpy as np
 from . import ccf as _ccf
 from . import mdn as _mdn
 from .core import Trajectory, standardize
-from .errors import TrajectoryTooShortError
+from .errors import MarkovOrderError, NonFiniteValueError, TrajectoryTooShortError
 
 __all__ = [
     "TestConfig",
@@ -204,11 +212,6 @@ def sample_frequencies(d: int, M: int, rng: np.random.Generator) -> list:
     return [(mus[i], nus[i]) for i in range(M)]
 
 
-def _exp_table(states: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """(M, T) table of exp(i freq_m . X_t)."""
-    return np.exp(1j * (freqs @ states.T))
-
-
 def lag_statistic(traj: Trajectory, k: int, mu: np.ndarray, nu: np.ndarray,
                   forward, backward) -> complex:
     """Single-shift doubly-robust cross-residual statistic at lag k.
@@ -261,37 +264,30 @@ def sup_lag_statistic(traj: Trajectory, k: int, freq_pairs: Sequence,
                for mu, nu in freq_pairs)
 
 
-def _fit_window_estimators(states: np.ndarray, window: int, cfg: TestConfig,
-                           rng: np.random.Generator):
-    if cfg.estimator == "kernel":
-        fwd = _ccf.fit_forward_window(states, window=window)
-        bwd = _ccf.fit_backward_window(states, window=window)
-    else:
-        train = _mdn.MdnTrainConfig(components=cfg.mdn_components,
-                                    hidden=cfg.mdn_hidden,
-                                    epochs=cfg.mdn_epochs, lr=cfg.mdn_lr)
-        fwd = _mdn.fit_window(states, window=window, direction="forward",
-                              train=train, rng=rng.spawn(1)[0])
-        bwd = _mdn.fit_window(states, window=window, direction="backward",
-                              train=train, rng=rng.spawn(1)[0])
-    return fwd, bwd
-
-
 def _residual_tables(states: np.ndarray, k: int, mus: np.ndarray,
-                     nus: np.ndarray, fwd, bwd) -> tuple[np.ndarray, np.ndarray]:
+                     nus: np.ndarray, cfg: TestConfig,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward CCF residuals, both of shape (M, T - k).
 
     Column s of the forward table is the residual of state X_{s+k} given the
     window X_s..X_{s+k-1}; column t of the backward table is the residual of
-    X_t given the window X_{t+1}..X_{t+k}.  Each in-sample evaluation leaves
-    its own fitted pair out; without that, the kernel fit memorizes its own
+    X_t given the window X_{t+1}..X_{t+k}.  Kernel evaluations leave their
+    own fitted pair out; without that, the kernel fit memorizes its own
     target (completely so for long windows) and the residuals collapse.
     """
-    T = states.shape[0]
+    if cfg.estimator == "kernel":
+        return _ccf.loo_window_residuals(states, k, mus, nus)
+    train = _mdn.MdnTrainConfig(components=cfg.mdn_components,
+                                hidden=cfg.mdn_hidden,
+                                epochs=cfg.mdn_epochs, lr=cfg.mdn_lr)
+    fwd = _mdn.fit_window(states, window=k, direction="forward",
+                          train=train, rng=rng.spawn(1)[0])
+    bwd = _mdn.fit_window(states, window=k, direction="backward",
+                          train=train, rng=rng.spawn(1)[0])
+    n = states.shape[0] - k
     emb = _ccf.window_embed(states, k)
-    loo = np.arange(T - k)
-    fwd_res = _exp_table(states[k:], mus) - fwd.evaluate_many(mus, emb[:-1], exclude=loo)
-    bwd_res = _exp_table(states[:T - k], nus) - bwd.evaluate_many(nus, emb[1:], exclude=loo)
+    fwd_res = np.exp(1j * (mus @ states[k:].T)) - fwd.evaluate_many(mus, emb[:-1])
+    bwd_res = np.exp(1j * (nus @ states[:n].T)) - bwd.evaluate_many(nus, emb[1:])
     return fwd_res, bwd_res
 
 
@@ -330,8 +326,7 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     mus = np.stack([p[0] for p in pairs])
     nus = np.stack([p[1] for p in pairs])
 
-    fwd, bwd = _fit_window_estimators(states, k, cfg, rng)
-    fwd_res, bwd_res = _residual_tables(states, k, mus, nus, fwd, bwd)
+    fwd_res, bwd_res = _residual_tables(states, k, mus, nus, cfg, rng)
 
     shifts = [q for q in _shift_range(k, cfg.n_shifts)
               if n_eff - q + 1 >= _MIN_CELL_LENGTH]
@@ -354,8 +349,12 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     sup_obs = float(np.max(np.abs(col_sums) / np.sqrt(lengths)))
 
     mult = rng.standard_normal((cfg.n_bootstrap, n_pad))
-    boot = (mult @ summands.real) + 1j * (mult @ summands.imag)
+    boot = (mult @ summands.view(float)).view(complex)
     sup_boot = np.max(np.abs(boot) / np.sqrt(lengths), axis=1)
+    if not (np.isfinite(sup_obs) and np.isfinite(sup_boot).all()):
+        raise NonFiniteValueError(
+            f"lag {k} test statistic is not finite (observed sup {sup_obs})"
+        )
 
     n_ge = int(np.count_nonzero(sup_boot >= sup_obs))
     p_value = (1 + n_ge) / (cfg.n_bootstrap + 1)
@@ -399,7 +398,7 @@ def _batch_worker(args) -> BatchItem:
     try:
         est = estimate_order(traj, cfg)
         return BatchItem(trajectory_id=traj.id, estimate=est)
-    except Exception as exc:  # failures are recorded, never abort the batch
+    except MarkovOrderError as exc:  # data errors are recorded per item
         return BatchItem(trajectory_id=traj.id, estimate=None,
                          error=f"{type(exc).__name__}: {exc}")
 
@@ -410,7 +409,8 @@ def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig,
 
     Per-trajectory seeds derive from ``(cfg.rng_seed, trajectory id)``, so
     the results are identical regardless of input order or parallelism.
-    Individual failures are recorded in the returned items.
+    Data errors (:class:`MarkovOrderError`) are recorded in the returned
+    items; any other exception is a program bug and propagates.
     """
     work = [(t, cfg) for t in trajs]
     if jobs <= 1 or len(work) <= 1:

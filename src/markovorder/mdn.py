@@ -148,14 +148,8 @@ class MdnCcf:
                                                 self.components, self.target_dim)
         return np.exp(_log_softmax(logits)), means, np.exp(log_scales)
 
-    def evaluate_many(self, freqs: np.ndarray, points: np.ndarray,
-                      exclude=None) -> np.ndarray:
-        """(M, m) complex table of CCF values; exact 1 at zero frequency.
-
-        ``exclude`` is accepted for interface parity with the kernel
-        estimator and ignored: a global parametric fit has no per-pair
-        weight to leave out.
-        """
+    def evaluate_many(self, freqs: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """(M, m) complex table of CCF values; exact 1 at zero frequency."""
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
         if freqs.shape[1] != self.target_dim:
             raise DimensionMismatchError(

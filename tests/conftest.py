@@ -60,6 +60,19 @@ def skip_order2_trajectory(coeff: float, T: int, seed: int, warmup: int = 400):
     return make_trajectory(x[warmup:][:, None], dt=1.0, id=f"skip2_{seed}")
 
 
+def var1_trajectory(coeffs, T: int, seed: int, burn_in: int = 300):
+    """VAR(1) trajectory x_t = A x_{t-1} + e_t, e ~ N(0, I), burn-in dropped."""
+    A = np.asarray(coeffs, dtype=float)
+    rng = np.random.default_rng(seed)
+    n = T + burn_in
+    e = rng.standard_normal((n, A.shape[0]))
+    x = np.empty_like(e)
+    x[0] = e[0]
+    for t in range(1, n):
+        x[t] = A @ x[t - 1] + e[t]
+    return make_trajectory(x[burn_in:], dt=1.0, id=f"var1_{seed}")
+
+
 def iid_trajectory(T: int, d: int, seed: int):
     rng = np.random.default_rng(seed)
     return make_trajectory(rng.standard_normal((T, d)), dt=1.0, id=f"iid_{seed}")

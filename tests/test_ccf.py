@@ -8,7 +8,13 @@ from markovorder import (
     fit_forward,
     make_trajectory,
 )
-from markovorder.ccf import fit_backward_window, fit_forward_window, window_embed
+from markovorder.ccf import (
+    KernelCcf,
+    fit_backward_window,
+    fit_forward_window,
+    loo_window_residuals,
+    window_embed,
+)
 from markovorder.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -144,6 +150,34 @@ def test_windowed_fits_reduce_to_plain_at_window_one():
     np.testing.assert_array_equal(a.cond, b.cond)
     np.testing.assert_array_equal(a.targets, b.targets)
     np.testing.assert_array_equal(a.bandwidth, b.bandwidth)
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_loo_window_residuals_match_refit_without_pair(k, outlier):
+    # brute-force reference: refit each pair's estimator without that pair
+    rng = np.random.default_rng(31 + k)
+    T, d, M = 40, 2, 4
+    states = rng.standard_normal((T, d))
+    if outlier:   # at k=1 the forward block lacks window T-2's only near neighbour
+        states[-2:] = 25.0
+    mus, nus = rng.standard_normal((M, d)), rng.standard_normal((M, d))
+    fwd, bwd = loo_window_residuals(states, k, mus, nus)
+    n = T - k
+    h = np.full(k * d, 1.06 * n ** (-1.0 / (4.0 + k * d)))
+    emb = window_embed(states, k)
+    cases = (("forward", emb[:-1], states[k:], mus, fwd),
+             ("backward", emb[1:], states[:n], nus, bwd))
+    for direction, cond, targets, freqs, table in cases:
+        ref = np.empty((M, n), dtype=complex)
+        for i in range(n):
+            keep = np.arange(n) != i
+            fit = KernelCcf(direction=direction, cond=cond[keep],
+                            targets=targets[keep], bandwidth=h, window=k)
+            ref[:, i] = (np.exp(1j * (freqs @ targets[i]))
+                         - fit.evaluate_many(freqs, cond[i][None, :])[:, 0])
+        assert table.shape == (M, n)
+        np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-12)
 
 
 class TestExactDiscrete:

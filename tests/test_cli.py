@@ -247,6 +247,15 @@ class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path):
         assert run(["test", tmp_path / "missing_dir_x", "--out", tmp_path / "o"]) == 2
 
+    def test_program_bug_is_internal_error(self, corpus, tmp_path, monkeypatch, capsys):
+        from markovorder import markov
+
+        def broken(traj, cfg, rng=None):
+            raise IndexError("slicing slip")
+        monkeypatch.setattr(markov, "estimate_order", broken)
+        assert run(["test", corpus, "--out", tmp_path / "o"]) == 3
+        assert "internal error: IndexError" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ar1_trajectory, iid_trajectory
+from conftest import ar1_trajectory, iid_trajectory, var1_trajectory
 
 from markovorder import (
     TestConfig,
@@ -20,9 +20,12 @@ from markovorder import (
     trajectory_rng,
 )
 from markovorder import markov as markov_mod
-from markovorder.errors import TrajectoryTooShortError
+from markovorder.errors import NonFiniteValueError, TrajectoryTooShortError
 
 FAST = TestConfig(k_max=3, n_freqs=8, n_bootstrap=49, rng_seed=5)
+
+# the canonical VAR(1) of acceptance criterion 8
+VAR1_COEFFS = [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]]
 
 
 class TestSampleFrequencies:
@@ -187,6 +190,42 @@ class TestLagTest:
             rejections += lag_test(traj, 2, cfg, np.random.default_rng(7500 + i)).reject
         assert 0.0 <= rejections / reps <= 0.15
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("process", ["ar1", "var1"])
+    def test_size_on_dependent_null(self, process, k):
+        # first-order Markov nulls with strong serial dependence; 400
+        # replications, since blocks of 200 spread widely around the size
+        cfg = TestConfig(alpha=0.05, rng_seed=7)
+        reps, rejections = 400, 0
+        for i in range(reps):
+            if process == "ar1":
+                traj = ar1_trajectory(0.9, 300, seed=20000 + i)
+            else:
+                traj = var1_trajectory(VAR1_COEFFS, 120, seed=20000 + i)
+            rejections += lag_test(traj, k, cfg, np.random.default_rng(30000 + i)).reject
+        assert 0.01 <= rejections / reps <= 0.12
+
+    def test_far_outlier_pair_stays_finite(self):
+        # the last two states coincide far from the rest: the forward fit's
+        # only near neighbour of window T-2 is the window it cannot use
+        x = np.random.default_rng(0).standard_normal((600, 3))
+        x[-2:] = 25.0
+        traj = make_trajectory(x, dt=1.0, id="outlier")
+        res = lag_test(traj, 1, TestConfig(), np.random.default_rng(1))
+        assert np.isfinite(res.sup_stat)
+        assert not res.reject
+        assert res.p_value > 0.5
+
+    def test_non_finite_statistic_raises(self, monkeypatch):
+        def nan_tables(states, k, mus, nus):
+            n = states.shape[0] - k
+            table = np.full((mus.shape[0], n), np.nan, dtype=complex)
+            return table, table
+        monkeypatch.setattr(markov_mod._ccf, "loo_window_residuals", nan_tables)
+        traj = iid_trajectory(100, 1, seed=6)
+        with pytest.raises(NonFiniteValueError):
+            lag_test(traj, 1, FAST, np.random.default_rng(3))
+
 
 class TestEstimateOrder:
     def test_cap_rule(self, monkeypatch):
@@ -252,6 +291,13 @@ class TestBatch:
         assert items[0].error is None
         assert items[1].error is not None
         assert "Degenerate" in items[1].error
+
+    def test_program_bug_propagates(self, monkeypatch):
+        def broken(traj, cfg, rng=None):
+            raise IndexError("slicing slip")
+        monkeypatch.setattr(markov_mod, "estimate_order", broken)
+        with pytest.raises(IndexError):
+            batch_test([iid_trajectory(80, 1, seed=21)], FAST, jobs=1)
 
     def test_parallel_matches_serial(self):
         trajs = [iid_trajectory(80, 1, seed=s) for s in range(22, 26)]
