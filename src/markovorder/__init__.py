@@ -9,7 +9,6 @@ summarize and compare cohorts with pooled t and variance-ratio F tests.
 from .core import ScalingParams, Trajectory, make_trajectory, standardize, unstandardize
 from .ccf import (
     KernelCcf,
-    empirical_cf,
     exact_ccf_discrete,
     fit_backward,
     fit_forward,
@@ -24,7 +23,6 @@ from .markov import (
     batch_test,
     estimate_order,
     lag_statistic,
-    lag_statistic_marginal,
     lag_test,
     sample_frequencies,
     sup_lag_statistic,
@@ -47,13 +45,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Trajectory", "ScalingParams", "make_trajectory", "standardize", "unstandardize",
-    "KernelCcf", "fit_forward", "fit_backward", "exact_ccf_discrete",
-    "empirical_cf", "silverman_bandwidth",
+    "KernelCcf", "fit_forward", "fit_backward", "exact_ccf_discrete", "silverman_bandwidth",
     "MdnCcf", "MdnTrainConfig", "fit_mixture_density",
     "TestConfig", "MarkovTestResult", "OrderEstimate", "BatchItem",
-    "sample_frequencies", "lag_statistic", "lag_statistic_marginal",
-    "sup_lag_statistic", "lag_test", "estimate_order", "batch_test",
-    "trajectory_rng",
+    "sample_frequencies", "lag_statistic", "sup_lag_statistic", "lag_test",
+    "estimate_order", "batch_test", "trajectory_rng",
     "CohortSummary", "TTestResult", "FTestResult", "summarize_orders",
     "pooled_t_test", "pooled_t_test_from_stats", "f_test", "f_test_from_stats",
     "reg_inc_beta", "t_cdf", "f_cdf",

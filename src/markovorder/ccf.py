@@ -25,14 +25,13 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import Trajectory
 from .errors import (
     DimensionMismatchError,
-    EmptyInputError,
     InsufficientDataError,
     NonPositiveBandwidthError,
     NotStochasticError,
@@ -47,7 +46,6 @@ __all__ = [
     "silverman_bandwidth",
     "window_embed",
     "exact_ccf_discrete",
-    "empirical_cf",
 ]
 
 
@@ -349,18 +347,3 @@ def exact_ccf_discrete(
             f"embedding shape {points.shape} incompatible with {S} states of dimension {freq.shape[0]}"
         )
     return complex(P[state_index] @ np.exp(1j * (points @ freq)))
-
-
-def empirical_cf(samples: np.ndarray | Sequence, freq: np.ndarray) -> complex:
-    """Empirical characteristic function ``mean(exp(i freq . sample))``."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise EmptyInputError("empirical_cf needs at least one sample")
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    freq = np.atleast_1d(np.asarray(freq, dtype=float))
-    if samples.shape[1] != freq.shape[0]:
-        raise DimensionMismatchError(
-            f"samples have dimension {samples.shape[1]}, freq has {freq.shape[0]}"
-        )
-    return complex(np.exp(1j * (samples @ freq)).mean())

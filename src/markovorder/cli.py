@@ -21,6 +21,7 @@ import json
 import logging
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .cohorts import f_test, pooled_t_test, summarize_orders
 from .core import Trajectory
 from .errors import EmptyCohortError, MarkovOrderError
 from .ingest import IngestConfig, ingest_file, read_trajectory, write_trajectory
-from .markov import TestConfig, batch_test, estimate_order, trajectory_rng
+from .markov import BatchItem, TestConfig, batch_test, estimate_order, trajectory_rng
 from .report import render_summary, write_report_files
 from .synthetic import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
 
@@ -229,19 +230,28 @@ def cmd_test(args: argparse.Namespace) -> int:
     cfg = _test_config(args)
     jobs = int(_merged(args, "jobs", 1))
     files = [p for p in _collect_csvs(args.trajectories) if not p.name.endswith(".json")]
-    trajs = [read_trajectory(p) for p in files]
-    items = batch_test(trajs, cfg, jobs=jobs)
-    items = sorted(items, key=lambda it: it.trajectory_id)
+    trajs, items = [], []
+    for path in files:
+        try:
+            trajs.append(read_trajectory(path))
+        except MarkovOrderError as exc:  # an unreadable file fails its item only
+            items.append(BatchItem(trajectory_id=path.stem, estimate=None,
+                                   error=f"{type(exc).__name__}: {exc}"))
+    items = sorted(items + batch_test(trajs, cfg, jobs=jobs),
+                   key=lambda it: it.trajectory_id)
     out_dir = Path(_merged(args, "out", "results"))
+    n_failed = sum(1 for it in items if it.error is not None)
     _write_json(out_dir / "results.json",
                 {"config": cfg.to_dict(), "results": [it.to_dict() for it in items]})
     _write_manifest(out_dir, "test", cfg.to_dict(), files, t0, extra={
         "jobs": jobs,
         "n_trajectories": len(items),
-        "n_failed": sum(1 for it in items if it.error is not None),
+        "n_failed": n_failed,
     })
     log.info("tested %d trajectories (%d failed) -> %s", len(items),
-             sum(1 for it in items if it.error), out_dir / "results.json")
+             n_failed, out_dir / "results.json")
+    if items and n_failed == len(items):
+        return 2
     return 0
 
 
@@ -474,6 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         raise
     except Exception as exc:  # a program bug, not a data error
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

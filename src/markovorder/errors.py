@@ -76,10 +76,6 @@ class NotStochasticError(MarkovOrderError):
     """Transition probabilities are negative or do not sum to one."""
 
 
-class EmptyInputError(MarkovOrderError):
-    """An operation received an empty sample."""
-
-
 class TrainingDivergedError(MarkovOrderError):
     """Likelihood optimisation produced a non-finite loss."""
 

@@ -9,6 +9,11 @@ Turns raw leader/follower position files into analysis-ready trajectories:
 5. speeds and the follower acceleration are derived by differencing,
 6. the result is trimmed and cut into segments.
 
+Stages 1-3 pass plain arrays: time stamps ``t`` of shape (n,) and positions
+``pos`` of shape (n, 4) with columns lead a, lead b, follow a, follow b,
+where (a, b) is (x, y) in meters or (lat, lon) in degrees and NaN marks a
+missing coordinate.
+
 The pipeline is deterministic: identical inputs produce bit-identical
 trajectories, and noiseless uniform motion yields exactly constant speeds
 and exactly zero accelerations.
@@ -20,6 +25,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +43,6 @@ from .errors import (
 )
 
 __all__ = [
-    "RawRecord",
     "CsvSchema",
     "IngestConfig",
     "PLANAR_SCHEMA",
@@ -61,22 +66,6 @@ EARTH_RADIUS_M = 6_371_000.0
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One time-stamped sample of the leader/follower pair.
-
-    Positions are (x, y) meters for planar sources or (lat, lon) degrees for
-    geodetic ones; NaN marks a missing coordinate.  Speeds are optional and
-    only carried through.
-    """
-
-    t: float
-    lead: tuple[float, float]
-    follow: tuple[float, float]
-    lead_speed: float = math.nan
-    follow_speed: float = math.nan
-
-
-@dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for raw files; ``kind`` is "planar" or "geodetic"."""
 
@@ -86,8 +75,6 @@ class CsvSchema:
     lead_b: str
     follow_a: str
     follow_b: str
-    lead_speed: str | None = None
-    follow_speed: str | None = None
 
     def required(self) -> list[str]:
         return [self.time, self.lead_a, self.lead_b, self.follow_a, self.follow_b]
@@ -113,7 +100,6 @@ class IngestConfig:
     min_length: float = 70.0
     trim_head: float = 0.0
     trim_tail: float = 0.0
-    earth_radius: float = EARTH_RADIUS_M
     segment_mode: str = "fixed"
 
     def __post_init__(self):
@@ -132,8 +118,7 @@ class IngestConfig:
     def to_dict(self) -> dict:
         return {"resample_dt": self.resample_dt, "segment_length": self.segment_length,
                 "min_length": self.min_length, "trim_head": self.trim_head,
-                "trim_tail": self.trim_tail, "earth_radius": self.earth_radius,
-                "segment_mode": self.segment_mode}
+                "trim_tail": self.trim_tail, "segment_mode": self.segment_mode}
 
 
 def detect_schema(header: Sequence[str]) -> CsvSchema:
@@ -147,116 +132,125 @@ def detect_schema(header: Sequence[str]) -> CsvSchema:
     )
 
 
-def parse_csv(path: str | Path, schema: CsvSchema | None = None) -> list[RawRecord]:
-    """Read raw records from a CSV file.
+def _check_increasing(t: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(t[1:] <= t[:-1])
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise NonMonotonicTimestampsError(
+            f"{name}: row {i + 1}: timestamp {t[i]} not after {t[i - 1]}"
+        )
+
+
+def _parse_row(row: list[str], cols: list[int], names: list[str], idx: int,
+               name: str, earlier: list[float]) -> list[float]:
+    """Cell-by-cell parse of a data row with blank, absent or bad cells.
+
+    A blank or absent position cell is NaN; a blank time stamp or any
+    non-numeric cell raises, unless an earlier row already breaks the
+    time order, so the first bad row in file order decides the error.
+    """
+    vals: list[float] = []
+    for j, col in zip(cols, names):
+        text = row[j] if j < len(row) else ""
+        if text == "" and vals:
+            vals.append(math.nan)
+            continue
+        try:
+            vals.append(float(text))
+        except ValueError:
+            _check_increasing(np.array(earlier[::5] + vals[:1]), name)
+            what = f"cannot parse {col}={text!r}" if text else f"missing {col}"
+            raise UnparsableRowError(idx, f"{name}: row {idx}: {what}") from None
+    return vals
+
+
+def parse_csv(path: str | Path,
+              schema: CsvSchema | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read time stamps ``t`` (n,) and positions ``pos`` (n, 4) from a CSV file.
 
     Empty cells become NaN (missing); non-numeric cells raise
     :class:`UnparsableRowError` with the 1-based data row index.  Timestamps
-    must be present and strictly increasing.
+    must be present and strictly increasing.  Blank lines are skipped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         if schema is None:
             schema = detect_schema(header)
-        missing = [c for c in schema.required() if c not in header]
+        names = schema.required()
+        missing = [c for c in names if c not in header]
         if missing:
             raise SchemaMismatchError(f"{path.name}: header lacks columns {missing}")
-
-        def cell(row: dict, col: str | None, idx: int, required: bool = False) -> float:
-            if col is None or row.get(col) in (None, ""):
-                if required:
-                    raise UnparsableRowError(idx, f"{path.name}: row {idx}: missing {col}")
-                return math.nan
+        where = {c: j for j, c in enumerate(header)}   # a repeated name maps to its last column
+        cols = [where[c] for c in names]
+        cells = itemgetter(*cols)
+        flat: list[float] = []
+        n = 0
+        for row in reader:
+            if not row:
+                continue
+            n += 1
             try:
-                return float(row[col])
-            except ValueError:
-                raise UnparsableRowError(
-                    idx, f"{path.name}: row {idx}: cannot parse {col}={row[col]!r}"
-                ) from None
-
-        records = []
-        last_t = None
-        for idx, row in enumerate(reader, start=1):
-            t = cell(row, schema.time, idx, required=True)
-            if last_t is not None and t <= last_t:
-                raise NonMonotonicTimestampsError(
-                    f"{path.name}: row {idx}: timestamp {t} not after {last_t}"
-                )
-            last_t = t
-            records.append(RawRecord(
-                t=t,
-                lead=(cell(row, schema.lead_a, idx), cell(row, schema.lead_b, idx)),
-                follow=(cell(row, schema.follow_a, idx), cell(row, schema.follow_b, idx)),
-                lead_speed=cell(row, schema.lead_speed, idx),
-                follow_speed=cell(row, schema.follow_speed, idx),
-            ))
-    return records
+                flat.extend([float(c) for c in cells(row)])
+            except (ValueError, IndexError):
+                flat.extend(_parse_row(row, cols, names, n, path.name, flat))
+    table = np.array(flat, dtype=float).reshape(n, 5)
+    t = table[:, 0]
+    _check_increasing(t, path.name)
+    return t, table[:, 1:]
 
 
-def latlon_to_local(lat: float, lon: float, origin_lat: float, origin_lon: float,
-                    earth_radius: float = EARTH_RADIUS_M) -> tuple[float, float]:
+def latlon_to_local(lat: float | np.ndarray, lon: float | np.ndarray,
+                    origin_lat: float, origin_lon: float,
+                    earth_radius: float = EARTH_RADIUS_M) -> tuple:
     """Equirectangular projection of geodetic degrees to local meters.
 
     ``x = R * (lon - lon0) * pi/180 * cos(lat0 * pi/180)`` and
-    ``y = R * (lat - lat0) * pi/180``.  Adequate for tracks spanning a few
-    kilometers away from the poles.
+    ``y = R * (lat - lat0) * pi/180``, for scalars or arrays; NaN maps to
+    NaN.  Adequate for tracks spanning a few kilometers away from the poles.
     """
-    if abs(lat) >= 89.0 or abs(origin_lat) >= 89.0:
-        raise PolarLatitudeError(f"latitude too close to a pole: {lat}, {origin_lat}")
+    polar = np.abs(lat) >= 89.0
+    if polar.any() or abs(origin_lat) >= 89.0:
+        worst = np.asarray(lat)[polar][0] if polar.any() else origin_lat
+        raise PolarLatitudeError(f"latitude too close to a pole: {worst}, {origin_lat}")
     rad = math.pi / 180.0
     x = earth_radius * (lon - origin_lon) * rad * math.cos(origin_lat * rad)
     y = earth_radius * (lat - origin_lat) * rad
     return x, y
 
 
-def _positions(records: Sequence[RawRecord]) -> tuple[np.ndarray, np.ndarray]:
-    t = np.array([r.t for r in records], dtype=float)
-    pos = np.array([[r.lead[0], r.lead[1], r.follow[0], r.follow[1]]
-                    for r in records], dtype=float)
-    return t, pos
+def project_records(t: np.ndarray, pos: np.ndarray,
+                    earth_radius: float = EARTH_RADIUS_M) -> tuple[np.ndarray, np.ndarray]:
+    """Convert geodetic positions (lat, lon) to planar meters (x, y).
 
-
-def _rebuild(t: np.ndarray, pos: np.ndarray) -> list[RawRecord]:
-    return [RawRecord(t=float(ti), lead=(float(p[0]), float(p[1])),
-                      follow=(float(p[2]), float(p[3])))
-            for ti, p in zip(t, pos)]
-
-
-def project_records(records: Sequence[RawRecord],
-                    earth_radius: float = EARTH_RADIUS_M) -> list[RawRecord]:
-    """Convert geodetic records (lat, lon) to planar meters.
-
-    The origin is the first finite follower position.
+    The origin is the first finite follower position.  A vehicle's position
+    with either coordinate missing is missing in both.
     """
-    t, pos = _positions(records)
     known = np.isfinite(pos[:, 2]) & np.isfinite(pos[:, 3])
     if not known.any():
         raise InsufficientDataError("no finite follower position to anchor the projection")
-    o_lat, o_lon = pos[known][0, 2], pos[known][0, 3]
-    out = np.full_like(pos, math.nan)
-    for i in range(len(records)):
-        for veh, (a, b) in ((0, (pos[i, 0], pos[i, 1])), (2, (pos[i, 2], pos[i, 3]))):
-            if math.isfinite(a) and math.isfinite(b):
-                x, y = latlon_to_local(a, b, o_lat, o_lon, earth_radius)
-                out[i, veh], out[i, veh + 1] = x, y
-    return _rebuild(t, out)
+    o_lat, o_lon = pos[np.argmax(known), 2:]
+    lat, lon = pos[:, 0::2], pos[:, 1::2]
+    both = np.isfinite(lat) & np.isfinite(lon)
+    x, y = latlon_to_local(np.where(both, lat, math.nan), np.where(both, lon, math.nan),
+                           o_lat, o_lon, earth_radius)
+    out = np.empty_like(pos)
+    out[:, 0::2], out[:, 1::2] = x, y
+    return t, out
 
 
-def interpolate_gaps(records: Sequence[RawRecord]) -> list[RawRecord]:
+def interpolate_gaps(t: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fill missing position samples by linear interpolation in time.
 
-    Each coordinate is interpolated between its known samples; records that
-    remain partially missing (leading/trailing gaps) are dropped.  A single
-    fully-known record passes through unchanged; zero known records raise
-    :class:`InsufficientDataError`.
+    Each coordinate is interpolated between its known samples; rows that
+    remain partially missing (leading/trailing gaps) are dropped.  Zero
+    fully-known rows raise :class:`InsufficientDataError`.
     """
-    if len(records) == 0:
+    if t.shape[0] == 0:
         raise InsufficientDataError("no records")
-    t, pos = _positions(records)
     filled = pos.copy()
     for j in range(4):
         known = np.isfinite(pos[:, j])
@@ -268,30 +262,28 @@ def interpolate_gaps(records: Sequence[RawRecord]) -> list[RawRecord]:
     keep = np.isfinite(filled).all(axis=1)
     if not keep.any():
         raise InsufficientDataError("fewer than 1 fully-known record after gap filling")
-    if keep.all() and np.isfinite(pos).all():
-        return list(records)
-    return _rebuild(t[keep], filled[keep])
+    return t[keep], filled[keep]
 
 
-def resample(records: Sequence[RawRecord], dt: float) -> list[RawRecord]:
+def resample(t: np.ndarray, pos: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Resample onto the uniform grid t0, t0+dt, ... by linear interpolation.
 
-    Records must be gap-free (run :func:`interpolate_gaps` first).  Raises
-    :class:`InsufficientSpanError` when the records span less than ``dt``.
+    Positions must be gap-free (run :func:`interpolate_gaps` first); input
+    already on the grid passes through.  Raises
+    :class:`InsufficientSpanError` when the samples span less than ``dt``.
     """
-    t, pos = _positions(records)
-    if len(records) < 2 or t[-1] - t[0] < dt:
+    if t.shape[0] < 2 or t[-1] - t[0] < dt:
         raise InsufficientSpanError(
-            f"records span {0.0 if len(records) == 0 else t[-1] - t[0]:.6g} s < dt = {dt}"
+            f"records span {0.0 if t.shape[0] == 0 else t[-1] - t[0]:.6g} s < dt = {dt}"
         )
     n = int(math.floor((t[-1] - t[0]) / dt + 1e-9)) + 1
     grid = t[0] + dt * np.arange(n)
+    if n == t.shape[0] and np.allclose(grid, t, rtol=0, atol=1e-12):
+        return t, pos
     out = np.empty((n, 4))
     for j in range(4):
         out[:, j] = np.interp(grid, t, pos[:, j])
-    if n == len(records) and np.allclose(grid, t, rtol=0, atol=1e-12):
-        return list(records)
-    return _rebuild(grid, out)
+    return grid, out
 
 
 def differentiate(values: Sequence[float], dt: float) -> np.ndarray:
@@ -393,15 +385,14 @@ def ingest_file(path: str | Path, cfg: IngestConfig,
                 metadata: dict | None = None) -> list[Trajectory]:
     """Full pipeline for one raw file; returns the analysis-ready segments."""
     path = Path(path)
-    records = parse_csv(path, schema)
+    t, pos = parse_csv(path, schema)
     if schema is None:
         with path.open(newline="") as fh:
             schema = detect_schema(next(csv.reader(fh)))
     if schema.kind == "geodetic":
-        records = project_records(records, cfg.earth_radius)
-    records = interpolate_gaps(records)
-    records = resample(records, cfg.resample_dt)
-    _, pos = _positions(records)
+        t, pos = project_records(t, pos)
+    t, pos = interpolate_gaps(t, pos)
+    t, pos = resample(t, pos, cfg.resample_dt)
     lead_s, follow_s = project_longitudinal(pos[:, :2], pos[:, 2:])
     meta = {"source": path.name}
     meta.update(metadata or {})
@@ -419,18 +410,20 @@ def write_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Write the canonical trajectory CSV plus its JSON metadata sidecar.
 
     Columns are ``time_s, v0, v1, gap, a1`` for 3-dimensional states and
-    ``time_s, x0, x1, ..., a1`` otherwise; the sidecar carries id, dt and
-    metadata.  Output is byte-deterministic.
+    ``time_s, x0, x1, ..., a1`` otherwise, with ``repr`` floats, an empty
+    ``a1`` cell when there are no actions, and ``\\r\\n`` line ends; the
+    sidecar carries id, dt and metadata.  Output is byte-deterministic.
     """
     path = Path(path)
     cols = list(_CANONICAL_COLUMNS) if traj.dim == 3 else [f"x{j}" for j in range(traj.dim)]
+    table = [np.arange(traj.length) * traj.dt, traj.states]
+    if traj.actions is not None:
+        table.append(traj.actions)
+    end = "\r\n" if traj.actions is not None else ",\r\n"
+    lines = [",".join(["time_s", *cols, "a1"]) + "\r\n"]
+    lines += [",".join(map(repr, row)) + end for row in np.column_stack(table).tolist()]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", *cols, "a1"])
-        for i in range(traj.length):
-            a = repr(float(traj.actions[i])) if traj.actions is not None else ""
-            writer.writerow([repr(i * traj.dt),
-                             *[repr(float(v)) for v in traj.states[i]], a])
+        fh.writelines(lines)
     sidecar = path.with_suffix(".json")
     sidecar.write_text(json.dumps(
         {"id": traj.id, "dt": traj.dt, "metadata": dict(traj.metadata)},
@@ -438,21 +431,42 @@ def write_trajectory(traj: Trajectory, path: str | Path) -> Path:
     return path
 
 
+def _first_bad_row(rows: list[list[str]], width: int) -> int:
+    """1-based index of the first row that is not ``width`` numeric cells."""
+    for i, row in enumerate(rows, start=1):
+        try:
+            np.array(row, dtype=float).reshape(width)
+        except ValueError:
+            return i
+    return 0
+
+
 def read_trajectory(path: str | Path) -> Trajectory:
-    """Read a canonical trajectory CSV (and its sidecar, when present)."""
+    """Read a canonical trajectory CSV (and its sidecar, when present).
+
+    ``a1`` is read as the actions only when every row has one.  A row that
+    is not one number per column raises :class:`UnparsableRowError`.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = list(reader)
-    if header[0] != "time_s" or header[-1] != "a1":
+    if header[:1] != ["time_s"] or header[-1:] != ["a1"]:
         raise SchemaMismatchError(f"{path.name}: not a canonical trajectory file")
-    state_cols = header[1:-1]
-    states = np.array([[float(r[j + 1]) for j in range(len(state_cols))] for r in rows])
-    a_cells = [r[-1] for r in rows]
-    actions = np.array([float(a) for a in a_cells]) if all(a != "" for a in a_cells) else None
+    has_actions = all(r[-1:] != [""] for r in rows)
+    cells = rows if has_actions else [r[:-1] for r in rows]
+    width = len(header) if has_actions else len(header) - 1
+    try:
+        table = np.array(cells, dtype=float).reshape(len(cells), width)
+    except ValueError:
+        row = _first_bad_row(cells, width)
+        raise UnparsableRowError(
+            row, f"{path.name}: row {row}: expected {width} numeric cells") from None
+    states = table[:, 1:len(header) - 1]
+    actions = table[:, -1] if has_actions else None
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
@@ -461,5 +475,5 @@ def read_trajectory(path: str | Path) -> Trajectory:
         metadata = meta.get("metadata", {})
     else:
         traj_id, metadata = path.stem, {}
-        dt = float(rows[1][0]) - float(rows[0][0]) if len(rows) > 1 else 1.0
+        dt = float(table[1, 0] - table[0, 0]) if len(rows) > 1 else 1.0
     return make_trajectory(states, dt=dt, actions=actions, id=traj_id, metadata=metadata)

@@ -61,7 +61,6 @@ __all__ = [
     "BatchItem",
     "sample_frequencies",
     "lag_statistic",
-    "lag_statistic_marginal",
     "sup_lag_statistic",
     "lag_test",
     "estimate_order",
@@ -234,25 +233,6 @@ def lag_statistic(traj: Trajectory, k: int, mu: np.ndarray, nu: np.ndarray,
     return complex((first * second).mean())
 
 
-def lag_statistic_marginal(traj: Trajectory, k: int, mu: np.ndarray,
-                           nu: np.ndarray, forward) -> complex:
-    """Variant of :func:`lag_statistic` whose second factor subtracts the
-    unconditional empirical characteristic function instead of the backward
-    CCF.  Not doubly robust; kept for comparison.
-    """
-    states = traj.states
-    n_eff = traj.length - k
-    if n_eff < 1:
-        raise TrajectoryTooShortError(f"T - k = {n_eff} < 1")
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    fwd_vals = forward.evaluate_many(mu[None, :], states[k - 1:traj.length - 1])[0]
-    first = np.exp(1j * (states[k:] @ mu)) - fwd_vals
-    cf_bar = _ccf.empirical_cf(states, nu)
-    second = np.exp(1j * (states[:n_eff] @ nu)) - cf_bar
-    return complex((first * second).mean())
-
-
 def sup_lag_statistic(traj: Trajectory, k: int, freq_pairs: Sequence,
                       forward, backward) -> float:
     """``max over (mu, nu) pairs of sqrt(T-k) * |lag_statistic|``."""
@@ -304,11 +284,17 @@ def _shift_range(k: int, n_shifts: int) -> range:
     return range(k + 1, k + 1 + n_shifts)
 
 
+class _Standardized(Trajectory):
+    """A trajectory :func:`estimate_order` standardized once for all its
+    lags; :func:`lag_test` takes its states as they are."""
+
+
 def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
              rng: np.random.Generator) -> MarkovTestResult:
     """Multiplier-bootstrap test of the k-th order Markov null.
 
-    The trajectory is standardized internally (per trajectory).  Given the
+    The trajectory is standardized internally (per trajectory), except when
+    :func:`estimate_order` passes one it has already standardized.  Given the
     generator's initial state the result is bit-for-bit reproducible; the
     p-value follows the add-one rule ``(1 + #{sup_b >= sup_obs}) / (B + 1)``
     and never depends on ``cfg.alpha`` (only the reject flag does).
@@ -318,8 +304,9 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
         raise TrajectoryTooShortError(
             f"T - k = {n_eff} below min_effective_length = {cfg.min_effective_length}"
         )
-    std_traj, _ = standardize(traj)
-    states = std_traj.states
+    if not isinstance(traj, _Standardized):
+        traj, _ = standardize(traj)
+    states = traj.states
     d = states.shape[1]
 
     pairs = sample_frequencies(d, cfg.n_freqs, rng)
@@ -369,7 +356,9 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     Every lag in the (possibly length-reduced) search range is tested so the
     full p-value trace is available; each lag consumes an independent child
     generator, so per-lag p-values do not depend on alpha or on how many
-    lags a caller chooses to inspect.
+    lags a caller chooses to inspect.  The trajectory is standardized once
+    and every lag tests the same standardized states, so
+    ``per_lag[k - 1]`` equals ``lag_test(traj, k, cfg, children[k - 1])``.
 
     Raises
     ------
@@ -385,7 +374,8 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     if rng is None:
         rng = trajectory_rng(cfg.rng_seed, traj.id)
     children = rng.spawn(k_eff)
-    per_lag = tuple(lag_test(traj, k, cfg, children[k - 1])
+    std = _Standardized(standardize(traj)[0].states, traj.dt, id=traj.id)
+    per_lag = tuple(lag_test(std, k, cfg, children[k - 1])
                     for k in range(1, k_eff + 1))
     order = next((r.k for r in per_lag if not r.reject), None)
     capped = order is None

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from markovorder import (
-    empirical_cf,
     exact_ccf_discrete,
     fit_backward,
     fit_forward,
@@ -17,7 +16,6 @@ from markovorder.ccf import (
 )
 from markovorder.errors import (
     DimensionMismatchError,
-    EmptyInputError,
     InsufficientDataError,
     NonPositiveBandwidthError,
     NotStochasticError,
@@ -206,23 +204,6 @@ class TestExactDiscrete:
         with pytest.raises(NotStochasticError):
             exact_ccf_discrete(np.array([[1.5, -0.5], [0.5, 0.5]]),
                                np.array([0.0, 1.0]), np.array([1.0]), 0)
-
-
-class TestEmpiricalCf:
-    def test_zero_frequency(self):
-        assert empirical_cf(np.array([1.0, 2.0, 3.0]), np.array([0.0])) == 1.0 + 0.0j
-
-    def test_symmetric_cancellation(self):
-        val = empirical_cf(np.array([1.0, -1.0]), np.array([np.pi / 2]))
-        assert val == pytest.approx(0.0 + 0.0j, abs=1e-15)
-
-    def test_single_sample(self):
-        val = empirical_cf(np.array([[0.4, 0.5]]), np.array([1.0, 2.0]))
-        assert val == pytest.approx(complex(np.exp(1j * 1.4)), abs=1e-15)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            empirical_cf(np.empty((0, 2)), np.array([1.0, 2.0]))
 
 
 class TestErrors:

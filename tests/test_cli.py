@@ -107,6 +107,29 @@ class TestTest:
         assert len(manifest["inputs"]) == 4
         assert "config_hash" in manifest and "wall_time_s" in manifest
 
+    def test_unreadable_file_among_good(self, corpus, tmp_path):
+        (corpus / "broken.csv").write_text("time_s,v0,a1\n0.0,1.0,0.5\n1.0,oops,0.5\n")
+        out = tmp_path / "u"
+        assert run(self.args(corpus, out)) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert len(results) == 5
+        errors = {r["trajectory_id"]: r["error"] for r in results if "error" in r}
+        assert list(errors) == ["broken"]
+        assert errors["broken"].startswith("UnparsableRowError: broken.csv: row 2")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_failed"] == 1
+
+    def test_every_file_unreadable_is_data_error(self, tmp_path):
+        junk = tmp_path / "junk"
+        junk.mkdir()
+        for name in ("a", "b"):
+            (junk / f"{name}.csv").write_text("not,a,trajectory\n1,2,3\n")
+        out = tmp_path / "j"
+        assert run(self.args(junk, out)) == 2
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert [r["trajectory_id"] for r in results] == ["a", "b"]
+        assert all(r["error"].startswith("SchemaMismatchError") for r in results)
+
     def test_mdn_estimator_selectable(self, corpus, tmp_path):
         out = tmp_path / "mdn"
         files = sorted(corpus.glob("*.csv"))[:1]
@@ -254,7 +277,9 @@ class TestExitCodes:
             raise IndexError("slicing slip")
         monkeypatch.setattr(markov, "estimate_order", broken)
         assert run(["test", corpus, "--out", tmp_path / "o"]) == 3
-        assert "internal error: IndexError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error: IndexError" in err
+        assert "Traceback" in err and "slicing slip" in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,6 @@ from markovorder.errors import (
 from markovorder.ingest import (
     GEODETIC_SCHEMA,
     IngestConfig,
-    RawRecord,
     derive_state_series,
     detect_schema,
     differentiate,
@@ -25,6 +24,7 @@ from markovorder.ingest import (
     latlon_to_local,
     parse_csv,
     project_longitudinal,
+    project_records,
     read_trajectory,
     resample,
     segment,
@@ -32,8 +32,10 @@ from markovorder.ingest import (
 )
 
 
-def rec(t, lead, follow):
-    return RawRecord(t=t, lead=lead, follow=follow)
+def arrays(rows):
+    """(t, pos) from rows of (t, lead_a, lead_b, follow_a, follow_b)."""
+    table = np.array(rows, dtype=float)
+    return table[:, 0], table[:, 1:]
 
 
 class TestLatLon:
@@ -52,51 +54,77 @@ class TestLatLon:
         with pytest.raises(PolarLatitudeError):
             latlon_to_local(89.5, 0.0, 0.0, 0.0)
 
+    def test_project_records_matches_row_loop(self):
+        rng = np.random.default_rng(0)
+        pos = np.column_stack([28.0 + 0.01 * rng.random(50), -82.0 + 0.01 * rng.random(50),
+                               28.0 + 0.01 * rng.random(50), -82.0 + 0.01 * rng.random(50)])
+        pos[[3, 10], 0] = math.nan
+        pos[[10, 20], 1] = math.nan
+        pos[0, 2] = math.nan   # the origin becomes the follower of row 1
+        _, out = project_records(np.arange(50.0), pos)
+        o_lat, o_lon = pos[1, 2], pos[1, 3]
+        rad = math.pi / 180.0
+        for i in range(50):
+            for v in (0, 2):
+                lat, lon = pos[i, v], pos[i, v + 1]
+                if math.isfinite(lat) and math.isfinite(lon):
+                    x = 6_371_000.0 * (lon - o_lon) * rad * math.cos(o_lat * rad)
+                    y = 6_371_000.0 * (lat - o_lat) * rad
+                    assert (out[i, v], out[i, v + 1]) == (x, y)
+                else:
+                    assert math.isnan(out[i, v]) and math.isnan(out[i, v + 1])
+
+    def test_polar_rejected_in_arrays(self):
+        with pytest.raises(PolarLatitudeError):
+            latlon_to_local(np.array([28.0, -89.5]), np.zeros(2), 28.0, 0.0)
+
 
 class TestInterpolate:
     def test_midpoint_fill(self):
-        records = [rec(0.0, (0.0, 0.0), (0.0, 0.0)),
-                   rec(1.0, (math.nan, math.nan), (math.nan, math.nan)),
-                   rec(2.0, (2.0, 0.0), (2.0, 0.0))]
-        out = interpolate_gaps(records)
-        assert len(out) == 3
-        assert out[1].lead == (1.0, 0.0)
-        assert out[1].follow == (1.0, 0.0)
+        t, pos = interpolate_gaps(*arrays([[0.0, 0.0, 0.0, 0.0, 0.0],
+                                           [1.0, math.nan, math.nan, math.nan, math.nan],
+                                           [2.0, 2.0, 0.0, 2.0, 0.0]]))
+        assert t.shape == (3,) and pos.shape == (3, 4)
+        assert pos[1].tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_no_missing_is_identity(self):
-        records = [rec(0.0, (0.0, 0.0), (0.0, 0.0)), rec(1.0, (1.0, 0.0), (1.0, 0.0))]
-        assert interpolate_gaps(records) == records
+        t_in, pos_in = arrays([[0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0, 0.0]])
+        t, pos = interpolate_gaps(t_in, pos_in)
+        np.testing.assert_array_equal(t, t_in)
+        np.testing.assert_array_equal(pos, pos_in)
 
     def test_edges_dropped(self):
-        records = [rec(0.0, (math.nan, 0.0), (0.0, 0.0)),
-                   rec(1.0, (1.0, 0.0), (1.0, 0.0)),
-                   rec(2.0, (math.nan, 0.0), (2.0, 0.0))]
-        out = interpolate_gaps(records)
-        assert len(out) == 1
-        assert out[0].t == 1.0
+        t, pos = interpolate_gaps(*arrays([[0.0, math.nan, 0.0, 0.0, 0.0],
+                                           [1.0, 1.0, 0.0, 1.0, 0.0],
+                                           [2.0, math.nan, 0.0, 2.0, 0.0]]))
+        assert t.tolist() == [1.0]
+        assert pos.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
     def test_nothing_known(self):
-        records = [rec(0.0, (math.nan, math.nan), (0.0, 0.0))]
         with pytest.raises(InsufficientDataError):
-            interpolate_gaps(records)
+            interpolate_gaps(*arrays([[0.0, math.nan, math.nan, 0.0, 0.0]]))
+
+    def test_no_rows(self):
+        with pytest.raises(InsufficientDataError):
+            interpolate_gaps(np.empty(0), np.empty((0, 4)))
 
 
 class TestResample:
     def test_subsample_uniform_grid(self):
-        records = [rec(i * 0.1, (i * 0.1, 0.0), (0.0, 0.0)) for i in range(31)]
-        out = resample(records, 1.0)
-        assert len(out) == 4
-        assert [r.t for r in out] == [0.0, 1.0, 2.0, 3.0]
-        assert out[2].lead[0] == pytest.approx(2.0, abs=1e-12)
+        t, pos = resample(*arrays([[i * 0.1, i * 0.1, 0.0, 0.0, 0.0] for i in range(31)]), 1.0)
+        assert t.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert pos.shape == (4, 4)
+        assert pos[2, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_matching_grid_is_identity(self):
-        records = [rec(float(i), (float(i), 0.0), (0.0, 0.0)) for i in range(5)]
-        assert resample(records, 1.0) == records
+        t_in, pos_in = arrays([[float(i), float(i), 0.0, 0.0, 0.0] for i in range(5)])
+        t, pos = resample(t_in, pos_in, 1.0)
+        np.testing.assert_array_equal(t, t_in)
+        np.testing.assert_array_equal(pos, pos_in)
 
     def test_short_span_rejected(self):
-        records = [rec(0.0, (0.0, 0.0), (0.0, 0.0)), rec(0.5, (1.0, 0.0), (0.0, 0.0))]
         with pytest.raises(InsufficientSpanError):
-            resample(records, 1.0)
+            resample(*arrays([[0.0, 0.0, 0.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0, 0.0]]), 1.0)
 
 
 class TestDifferentiate:
@@ -186,9 +214,10 @@ class TestParseCsv(object):
     def test_well_formed(self, tmp_path):
         p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,10,0,0,0\n1,11,0,1,0\n2,12,0,2,0\n")
-        records = parse_csv(p)
-        assert len(records) == 3
-        assert records[1].lead == (11.0, 0.0)
+        t, pos = parse_csv(p)
+        assert t.tolist() == [0.0, 1.0, 2.0]
+        assert pos.shape == (3, 4)
+        assert pos[1].tolist() == [11.0, 0.0, 1.0, 0.0]
 
     def test_missing_timestamp_column(self, tmp_path):
         p = self.write(tmp_path, "lead_x,lead_y,follow_x,follow_y\n1,2,3,4\n")
@@ -207,14 +236,33 @@ class TestParseCsv(object):
     def test_empty_cells_become_missing(self, tmp_path):
         p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,10,0,0,0\n1,,,1,0\n2,12,0,2,0\n")
-        records = parse_csv(p)
-        assert math.isnan(records[1].lead[0])
+        _, pos = parse_csv(p)
+        assert math.isnan(pos[1, 0]) and math.isnan(pos[1, 1])
+        assert pos[1, 2:].tolist() == [1.0, 0.0]
 
     def test_non_monotonic_timestamps(self, tmp_path):
         p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,10,0,0,0\n0,11,0,1,0\n")
         with pytest.raises(NonMonotonicTimestampsError):
             parse_csv(p)
+
+    @pytest.mark.parametrize("rows, error, row", [
+        # a time stamp that goes back, then a non-numeric cell: the earlier row decides
+        (["0,10,0,0,0", "1,11,0,1,0", "1,12,0,2,0", "3,bogus,0,3,0"],
+         NonMonotonicTimestampsError, None),
+        # the same two faults in the other order
+        (["0,10,0,0,0", "1,bogus,0,1,0", "1,12,0,2,0"], UnparsableRowError, 2),
+        # both in one row: the time stamp is checked first
+        (["0,10,0,0,0", "0,bogus,0,1,0"], NonMonotonicTimestampsError, None),
+        # blank lines are skipped and do not count as rows
+        (["0,10,0,0,0", "", "1,11,0,1,0", ",12,0,2,0"], UnparsableRowError, 3),
+    ])
+    def test_first_bad_row_decides(self, tmp_path, rows, error, row):
+        p = self.write(tmp_path, "\n".join(["time_s,lead_x,lead_y,follow_x,follow_y", *rows]) + "\n")
+        with pytest.raises(error) as err:
+            parse_csv(p)
+        if row is not None:
+            assert err.value.row == row
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -275,6 +323,59 @@ class TestPipeline:
         assert traj.states[:, 0] == pytest.approx(10.0, abs=1e-6)
         assert traj.states[:, 2] == pytest.approx(30.0, abs=1e-6)
 
+    def _geodetic_csv(self, path, lead_lat, lead_lon, fol_lat, fol_lon):
+        def cell(v):
+            return "" if math.isnan(v) else repr(float(v))
+        lines = ["time_s,lead_lat,lead_lon,follow_lat,follow_lon"]
+        for i, row in enumerate(zip(lead_lat, lead_lon, fol_lat, fol_lon)):
+            lines.append(",".join([str(i), *map(cell, row)]))
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def _diagonal_track(self, n=200):
+        # both vehicles head north-east; the leader accelerates, so a gap
+        # filled by interpolation differs from the true track
+        t = np.arange(n, dtype=float)
+        deg = 1.0 / 111194.9266
+        fol = 10.0 * t
+        lead = 30.0 + 10.0 * t + 0.01 * t ** 2
+        scale_lon = deg / math.cos(math.radians(28.0))
+        return (28.0 + lead * 0.6 * deg, -82.0 + lead * 0.8 * scale_lon,
+                28.0 + fol * 0.6 * deg, -82.0 + fol * 0.8 * scale_lon)
+
+    def test_polar_latitude_rejected(self, tmp_path):
+        lead_lat, lead_lon, fol_lat, fol_lon = self._diagonal_track()
+        lead_lat[50] = 89.5
+        p = self._geodetic_csv(tmp_path / "polar.csv", lead_lat, lead_lon, fol_lat, fol_lon)
+        with pytest.raises(PolarLatitudeError):
+            ingest_file(p, IngestConfig(resample_dt=1.0, segment_mode="min"))
+
+    def test_blank_leader_cells_match_interpolated_file(self, tmp_path):
+        lead_lat, lead_lon, fol_lat, fol_lon = self._diagonal_track()
+        blank_lat, blank_lon = [20, 60, 61, 62, 90], [40, 60, 120]
+        gappy_lat, gappy_lon = lead_lat.copy(), lead_lon.copy()
+        gappy_lat[blank_lat] = math.nan
+        gappy_lon[blank_lon] = math.nan
+        # a position with one blank coordinate is missing in both, so the
+        # filled file interpolates both coordinates of every such row
+        rows = sorted(set(blank_lat) | set(blank_lon))
+        known = np.setdiff1d(np.arange(lead_lat.shape[0]), rows)
+        filled_lat, filled_lon = lead_lat.copy(), lead_lon.copy()
+        filled_lat[rows] = np.interp(rows, known, lead_lat[known])
+        filled_lon[rows] = np.interp(rows, known, lead_lon[known])
+        cfg = IngestConfig(resample_dt=1.0, segment_mode="min")
+        gappy = ingest_file(self._geodetic_csv(tmp_path / "gappy.csv", gappy_lat,
+                                               gappy_lon, fol_lat, fol_lon), cfg)
+        filled = ingest_file(self._geodetic_csv(tmp_path / "filled.csv", filled_lat,
+                                                filled_lon, fol_lat, fol_lon), cfg)
+        assert len(gappy) == len(filled) == 1
+        np.testing.assert_allclose(gappy[0].states, filled[0].states, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(gappy[0].actions, filled[0].actions, rtol=0, atol=1e-6)
+        # the fill is not a no-op: the true track differs at the blank rows
+        true = ingest_file(self._geodetic_csv(tmp_path / "true.csv", lead_lat,
+                                              lead_lon, fol_lat, fol_lon), cfg)
+        assert np.abs(true[0].states - gappy[0].states).max() > 1e-3
+
 
 class TestProjectLongitudinal:
     def test_straight_line_is_exact(self):
@@ -304,6 +405,43 @@ class TestCanonicalFiles:
         assert back.dt == traj.dt
         assert back.id == "rt"
         assert dict(back.metadata) == dict(traj.metadata)
+
+    def test_golden_bytes_with_actions(self, tmp_path):
+        traj = make_trajectory([[0.1, 2.5, 30.0], [1 / 3, -1e-05, 29.75],
+                                [12.0, 1e16, 0.2], [-0.0, 7.0, 28.5]], dt=0.1,
+                               actions=[0.0, -0.5, 2.0, 1 / 7], id="g",
+                               metadata={"cohort": "av"})
+        path = write_trajectory(traj, tmp_path / "g.csv")
+        assert path.read_bytes() == (
+            b"time_s,v0,v1,gap,a1\r\n"
+            b"0.0,0.1,2.5,30.0,0.0\r\n"
+            b"0.1,0.3333333333333333,-1e-05,29.75,-0.5\r\n"
+            b"0.2,12.0,1e+16,0.2,2.0\r\n"
+            b"0.30000000000000004,-0.0,7.0,28.5,0.14285714285714285\r\n"
+        )
+        assert (tmp_path / "g.json").read_text() == (
+            '{\n  "dt": 0.1,\n  "id": "g",\n  "metadata": {\n    "cohort": "av"\n  }\n}\n'
+        )
+
+    def test_golden_bytes_without_actions(self, tmp_path):
+        traj = make_trajectory([[1.5, -2.0], [0.1, 3.0], [2.0, 1e-300]], dt=0.5, id="n")
+        path = write_trajectory(traj, tmp_path / "n.csv")
+        assert path.read_bytes() == (
+            b"time_s,x0,x1,a1\r\n0.0,1.5,-2.0,\r\n0.5,0.1,3.0,\r\n1.0,2.0,1e-300,\r\n"
+        )
+
+    @pytest.mark.parametrize("text, error", [
+        ("", SchemaMismatchError),
+        ("time_s,v0,a1\n0.0,1.0,0.5\n1.0,oops,0.5\n", UnparsableRowError),
+        ("time_s,v0,a1\n0.0,1.0,0.5\n1.0,2.0\n", UnparsableRowError),
+    ])
+    def test_malformed_file_is_data_error(self, tmp_path, text, error):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(error) as err:
+            read_trajectory(p)
+        if error is UnparsableRowError:
+            assert err.value.row == 2
 
     def test_round_trip_generic_dimension(self, tmp_path):
         rng = np.random.default_rng(4)

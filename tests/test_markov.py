@@ -6,12 +6,10 @@ from conftest import ar1_trajectory, iid_trajectory, var1_trajectory
 from markovorder import (
     TestConfig,
     batch_test,
-    empirical_cf,
     estimate_order,
     fit_backward,
     fit_forward,
     lag_statistic,
-    lag_statistic_marginal,
     lag_test,
     make_trajectory,
     sample_frequencies,
@@ -89,36 +87,6 @@ class TestLagStatistic:
     def test_too_short(self):
         with pytest.raises(TrajectoryTooShortError):
             lag_statistic(self.traj, 80, np.ones(2), np.ones(2), self.fwd, self.bwd)
-
-
-class _ConstantCf:
-    """Backward-estimator stand-in returning the unconditional empirical CF."""
-
-    def __init__(self, states):
-        self.states = states
-        self.target_dim = states.shape[1]
-
-    def evaluate_many(self, freqs, points):
-        vals = np.array([empirical_cf(self.states, f) for f in np.atleast_2d(freqs)])
-        return np.repeat(vals[:, None], np.atleast_2d(points).shape[0], axis=1)
-
-
-class TestLagStatisticMarginal:
-    def setup_method(self):
-        self.traj, _ = standardize(iid_trajectory(60, 2, seed=4))
-        self.fwd = fit_forward(self.traj)
-
-    def test_zero_frequencies_vanish(self):
-        z, w = np.zeros(2), np.array([0.4, -0.2])
-        assert lag_statistic_marginal(self.traj, 1, z, w, self.fwd) == 0.0 + 0.0j
-        assert lag_statistic_marginal(self.traj, 1, w, z, self.fwd) == 0.0 + 0.0j
-
-    def test_equals_full_statistic_with_constant_backward(self):
-        mu, nu = np.array([0.8, -0.1]), np.array([0.2, 0.5])
-        marginal = lag_statistic_marginal(self.traj, 2, mu, nu, self.fwd)
-        fake_bwd = _ConstantCf(self.traj.states)
-        full = lag_statistic(self.traj, 2, mu, nu, self.fwd, fake_bwd)
-        assert full == pytest.approx(marginal, abs=1e-14)
 
 
 class TestSupStatistic:
@@ -238,6 +206,15 @@ class TestEstimateOrder:
         assert est.capped
         assert est.order == FAST.k_max
         assert len(est.per_lag) == FAST.k_max
+
+    def test_per_lag_equals_lag_test(self):
+        # estimate_order standardizes once; each lag must still match the
+        # public lag_test, which standardizes on its own, bit for bit
+        traj = var1_trajectory(VAR1_COEFFS, 90, seed=14)
+        est = estimate_order(traj, FAST)
+        children = trajectory_rng(FAST.rng_seed, traj.id).spawn(FAST.k_max)
+        for k in range(1, FAST.k_max + 1):
+            assert est.per_lag[k - 1] == lag_test(traj, k, FAST, children[k - 1])
 
     def test_first_acceptance_invariant(self):
         traj = ar1_trajectory(0.6, 400, seed=11)
