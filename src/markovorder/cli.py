@@ -6,9 +6,11 @@ Subcommands: ``ingest`` (raw files to canonical trajectories), ``synth``
 size/power study) and ``report`` (summary tables, histograms, box stats).
 
 Every run writes a manifest (seed, configuration hash, input digests, wall
-time) next to its outputs, and all numerical outputs are reproducible from
-the manifest: per-trajectory seeds derive from the global seed and the
-trajectory id, so results do not depend on execution order or ``--jobs``.
+time, and the environment: numpy version, BLAS thread variables, cores,
+jobs and whether freed memory is kept on the heap) next to its outputs,
+and all numerical outputs are reproducible from the manifest:
+per-trajectory seeds derive from the global seed and the trajectory id, so
+results do not depend on execution order or ``--jobs``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -16,9 +18,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 import traceback
@@ -29,7 +33,7 @@ import numpy as np
 from . import __version__
 from .cohorts import f_test, pooled_t_test, summarize_orders
 from .core import Trajectory
-from .errors import EmptyCohortError, MarkovOrderError
+from .errors import DuplicateTrajectoryIdError, EmptyCohortError, MarkovOrderError
 from .ingest import IngestConfig, ingest_file, read_trajectory, write_trajectory
 from .markov import BatchItem, TestConfig, batch_test, estimate_order, trajectory_rng
 from .report import render_summary, write_report_files
@@ -60,8 +64,34 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
+
+
+def _keep_heap() -> bool:
+    """Keep freed memory on the heap for the rest of the process.
+
+    Each lag test frees a working set of about a megabyte; with glibc's
+    defaults the heap top is trimmed or the blocks are unmapped, and the
+    next lag faults the same pages back in, zeroed by the kernel.  Raising
+    the trim threshold to 64 MiB and fixing the mmap threshold at 32 MiB
+    lets the next lag reuse them; 32 MiB rather than less keeps the
+    30.5 MiB kernel matrix of a T=2000 series on the heap as well.  Forked
+    workers inherit the setting.  Returns whether it was applied; without
+    glibc's ``mallopt`` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+                and mallopt(_M_MMAP_THRESHOLD, 32 << 20))
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict,
-                    inputs: list[Path], t_start: float, extra: dict | None = None) -> None:
+                    inputs: list[Path], t_start: float, extra: dict | None = None,
+                    jobs: int = 1, heap_kept: bool = False) -> None:
     cfg_json = json.dumps(config, sort_keys=True)
     manifest = {
         "command": command,
@@ -69,7 +99,15 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "config": config,
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
         "inputs": {str(p): _sha256(p) for p in sorted(inputs)},
-        "wall_time_s": time.time() - t_start,
+        "wall_time_s": time.perf_counter() - t_start,
+        "environment": {
+            "numpy": np.__version__,
+            "blas_threads": {v: os.environ.get(v) for v in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count(),
+            "jobs": jobs,
+            "heap_kept": heap_kept,
+        },
     }
     manifest.update(extra or {})
     _write_json(out_dir / "manifest.json", manifest)
@@ -139,7 +177,7 @@ def _collect_csvs(paths: list[str]) -> list[Path]:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir = Path(_merged(args, "out", "ingested"))
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _ingest_config(args)
@@ -194,7 +232,7 @@ def _build_generator(spec: dict):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise FileNotFoundError(str(spec_path))
@@ -226,16 +264,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    heap_kept = _keep_heap()
+    t0 = time.perf_counter()
     cfg = _test_config(args)
     jobs = int(_merged(args, "jobs", 1))
     files = [p for p in _collect_csvs(args.trajectories) if not p.name.endswith(".json")]
-    trajs, items = [], []
+    trajs, items, seen = [], [], {}
     for path in files:
+        item_id = path.stem
         try:
-            trajs.append(read_trajectory(path))
+            traj = read_trajectory(path)
+            item_id = traj.id
+            if traj.id in seen:  # the same id would share its seed and its result slot
+                raise DuplicateTrajectoryIdError(
+                    f"{path}: trajectory id {traj.id!r} already read from {seen[traj.id]}")
+            seen[traj.id] = path
+            trajs.append(traj)
         except MarkovOrderError as exc:  # an unreadable file fails its item only
-            items.append(BatchItem(trajectory_id=path.stem, estimate=None,
+            items.append(BatchItem(trajectory_id=item_id, estimate=None,
                                    error=f"{type(exc).__name__}: {exc}"))
     items = sorted(items + batch_test(trajs, cfg, jobs=jobs),
                    key=lambda it: it.trajectory_id)
@@ -247,7 +293,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         "jobs": jobs,
         "n_trajectories": len(items),
         "n_failed": n_failed,
-    })
+    }, jobs=jobs, heap_kept=heap_kept)
     log.info("tested %d trajectories (%d failed) -> %s", len(items),
              n_failed, out_dir / "results.json")
     if items and n_failed == len(items):
@@ -267,7 +313,7 @@ def _orders_from_results(path: Path) -> list[int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     path_a, path_b = Path(args.results_a), Path(args.results_b)
     label_a, label_b = (args.labels.split(",") + ["a", "b"])[:2] if args.labels else ("a", "b")
     orders_a = _orders_from_results(path_a)
@@ -295,7 +341,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    heap_kept = _keep_heap()
+    t0 = time.perf_counter()
     cfg = _test_config(args)
     reps = int(args.replications)
     if reps < 1:
@@ -347,7 +394,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out_dir = Path(_merged(args, "out", "calibration"))
     _write_json(out_dir / "calibration.json", payload)
     _write_manifest(out_dir, "calibrate", cfg.to_dict(),
-                    [Path(args.spec)] if args.spec else [], t0)
+                    [Path(args.spec)] if args.spec else [], t0,
+                    heap_kept=heap_kept)
     for row in per_lag:
         verdict = "PASS" if row["within_band"] else "FAIL"
         sys.stdout.write(
@@ -360,7 +408,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cohorts, orders_by_cohort, inputs = {}, {}, []
     for item in args.results:
         if "=" not in item:

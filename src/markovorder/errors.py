@@ -66,6 +66,10 @@ class NonMonotonicTimestampsError(MarkovOrderError):
     """Timestamps within a file must be strictly increasing."""
 
 
+class DuplicateTrajectoryIdError(MarkovOrderError):
+    """Two input files of one run carry the same trajectory id."""
+
+
 # -- estimators and test statistics ------------------------------------------
 
 class NonPositiveBandwidthError(MarkovOrderError):

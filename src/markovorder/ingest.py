@@ -36,6 +36,7 @@ from .errors import (
     InsufficientDataError,
     InsufficientSpanError,
     NegativeGapError,
+    NonFiniteValueError,
     NonMonotonicTimestampsError,
     PolarLatitudeError,
     SchemaMismatchError,
@@ -133,9 +134,14 @@ def detect_schema(header: Sequence[str]) -> CsvSchema:
 
 
 def _check_increasing(t: np.ndarray, name: str) -> None:
-    bad = np.flatnonzero(t[1:] <= t[:-1])
-    if bad.size:
-        i = int(bad[0]) + 1
+    """Raise at the first time stamp that is not finite or not after the
+    one before it (a NaN compares false, so it is tested on its own)."""
+    bad = ~np.isfinite(t)
+    bad[1:] |= t[1:] <= t[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not np.isfinite(t[i]):
+            raise NonFiniteValueError(f"{name}: row {i + 1}: timestamp {t[i]} is not finite")
         raise NonMonotonicTimestampsError(
             f"{name}: row {i + 1}: timestamp {t[i]} not after {t[i - 1]}"
         )
@@ -170,7 +176,8 @@ def parse_csv(path: str | Path,
 
     Empty cells become NaN (missing); non-numeric cells raise
     :class:`UnparsableRowError` with the 1-based data row index.  Timestamps
-    must be present and strictly increasing.  Blank lines are skipped.
+    must be present, finite (else :class:`NonFiniteValueError`) and strictly
+    increasing.  Blank lines are skipped.
     """
     path = Path(path)
     if not path.exists():

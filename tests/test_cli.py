@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from markovorder import cli
 from markovorder.cli import main
 
 VAR1_SPEC = {
@@ -106,6 +107,37 @@ class TestTest:
         assert manifest["config"]["rng_seed"] == 42
         assert len(manifest["inputs"]) == 4
         assert "config_hash" in manifest and "wall_time_s" in manifest
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__ and env["jobs"] == 1
+        assert env["cpu_count"] >= 1 and isinstance(env["heap_kept"], bool)
+        assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+        # the environment is run telemetry: none of it reaches results.json
+        assert "environment" not in (tmp_path / "m" / "results.json").read_text()
+
+    def test_heap_setting_optional(self, corpus, tmp_path, monkeypatch):
+        # without glibc's mallopt the run goes on and says so in its manifest
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert run(self.args(corpus, tmp_path / "h")) == 0
+        manifest = json.loads((tmp_path / "h" / "manifest.json").read_text())
+        assert manifest["environment"]["heap_kept"] is False
+        assert (tmp_path / "h" / "results.json").exists()
+
+    def test_duplicate_id_is_per_item_error(self, corpus, tmp_path):
+        assert run(self.args(corpus, tmp_path / "ref")) == 0
+        first = sorted(corpus.glob("*.csv"))[0]
+        for suffix in (".csv", ".json"):   # the sidecar carries the id
+            (corpus / f"zz_copy{suffix}").write_bytes(first.with_suffix(suffix).read_bytes())
+        out = tmp_path / "dup"
+        assert run(self.args(corpus, out)) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        errors = [r for r in results if "error" in r]
+        assert len(results) == 5 and len(errors) == 1
+        assert errors[0]["error"].startswith("DuplicateTrajectoryIdError: ")
+        assert "zz_copy.csv" in errors[0]["error"] and first.name in errors[0]["error"]
+        ref = json.loads((tmp_path / "ref" / "results.json").read_text())["results"]
+        assert [r for r in results if "error" not in r] == ref
+        assert json.loads((out / "manifest.json").read_text())["n_failed"] == 1
 
     def test_unreadable_file_among_good(self, corpus, tmp_path):
         (corpus / "broken.csv").write_text("time_s,v0,a1\n0.0,1.0,0.5\n1.0,oops,0.5\n")
@@ -202,6 +234,8 @@ class TestCalibrate:
         payload = json.loads((tmp_path / "cal2" / "calibration.json").read_text())
         assert payload["per_lag"][0]["n"] == 10
         assert 0.0 <= payload["per_lag"][0]["rejection_rate"] <= 0.3
+        manifest = json.loads((tmp_path / "cal2" / "manifest.json").read_text())
+        assert manifest["environment"]["jobs"] == 1
 
 
 class TestIngestCommand:

@@ -8,6 +8,7 @@ from markovorder.errors import (
     InsufficientDataError,
     InsufficientSpanError,
     NegativeGapError,
+    NonFiniteValueError,
     NonMonotonicTimestampsError,
     PolarLatitudeError,
     SchemaMismatchError,
@@ -244,6 +245,20 @@ class TestParseCsv(object):
         p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,10,0,0,0\n0,11,0,1,0\n")
         with pytest.raises(NonMonotonicTimestampsError):
+            parse_csv(p)
+
+    @pytest.mark.parametrize("rows, row", [
+        # NaN compares false, so it passed the strictly-increasing check
+        (["0,10,0,0,0", "nan,11,0,1,0", "2,12,0,2,0", "3,13,0,3,0"], 2),
+        # an infinite last time stamp is "after" every earlier one
+        (["0,10,0,0,0", "1,11,0,1,0", "inf,12,0,2,0"], 3),
+        (["-inf,10,0,0,0", "1,11,0,1,0"], 1),
+        # the non-finite row comes before a non-numeric cell, so it decides
+        (["0,10,0,0,0", "nan,11,0,1,0", "2,bogus,0,2,0"], 2),
+    ])
+    def test_non_finite_timestamp_names_its_row(self, tmp_path, rows, row):
+        p = self.write(tmp_path, "\n".join(["time_s,lead_x,lead_y,follow_x,follow_y", *rows]) + "\n")
+        with pytest.raises(NonFiniteValueError, match=f"row {row}: timestamp .* not finite"):
             parse_csv(p)
 
     @pytest.mark.parametrize("rows, error, row", [

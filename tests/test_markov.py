@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,55 @@ class TestLagTest:
         traj = iid_trajectory(100, 1, seed=6)
         with pytest.raises(NonFiniteValueError):
             lag_test(traj, 1, FAST, np.random.default_rng(3))
+
+
+def one_shot_lag_test(traj, k, cfg, rng):
+    """Reference lag test whose bootstrap is one (B, n_pad) multiplier draw
+    and one product; returns (sup_stat, p_value)."""
+    states = standardize(traj)[0].states
+    mus = rng.standard_normal((cfg.n_freqs, traj.dim))
+    nus = rng.standard_normal((cfg.n_freqs, traj.dim))
+    fwd, bwd = markov_mod._residual_tables(states, k, mus, nus, cfg, rng)
+    n_eff, M = traj.length - k, cfg.n_freqs
+    shifts = [q for q in markov_mod._shift_range(k, cfg.n_shifts) if n_eff - q + 1 >= 4]
+    n_pad = n_eff - shifts[0] + 1
+    summands = np.zeros((n_pad, len(shifts) * M), dtype=complex)
+    lengths = np.empty(len(shifts) * M)
+    for i, q in enumerate(shifts):
+        n_q = n_eff - q + 1
+        summands[:n_q, i * M:(i + 1) * M] = (fwd[:, q - 1:q - 1 + n_q] * bwd[:, :n_q]).T
+        lengths[i * M:(i + 1) * M] = n_q
+    sup_obs = float(np.max(np.abs(summands.sum(axis=0)) / np.sqrt(lengths)))
+    mult = rng.standard_normal((cfg.n_bootstrap, n_pad))
+    boot = (mult @ summands.view(float)).view(complex)
+    sup_boot = np.max(np.abs(boot) / np.sqrt(lengths), axis=1)
+    return sup_obs, (1 + np.count_nonzero(sup_boot >= sup_obs)) / (cfg.n_bootstrap + 1)
+
+
+class TestBlockedBootstrap:
+    @pytest.mark.parametrize("B", [49, 64, 300, 301])
+    @pytest.mark.parametrize("T, d, k", [(120, 3, 1), (120, 3, 4), (400, 2, 2)])
+    def test_equals_one_shot_bootstrap(self, B, T, d, k):
+        traj = iid_trajectory(T, d, seed=T + k)
+        cfg = TestConfig(n_bootstrap=B)
+        res = lag_test(traj, k, cfg, np.random.default_rng(B))
+        sup, p = one_shot_lag_test(traj, k, cfg, np.random.default_rng(B))
+        assert res.sup_stat == sup
+        assert res.p_value == p
+
+    def test_peak_allocation_bounded(self):
+        # one (300, n_pad) multiplier draw with its product and |product|
+        # peaked at 1615 KB; row blocks keep the working set small
+        traj = var1_trajectory(VAR1_COEFFS, 120, seed=3)
+        lag_test(traj, 1, TestConfig(), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lag_test(traj, 1, TestConfig(), np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestEstimateOrder:
