@@ -14,7 +14,6 @@ from .ccf import (
     fit_forward,
     silverman_bandwidth,
 )
-from .mdn import MdnCcf, MdnTrainConfig, fit_mixture_density
 from .markov import (
     BatchItem,
     MarkovTestResult,
@@ -25,7 +24,6 @@ from .markov import (
     lag_statistic,
     lag_test,
     sample_frequencies,
-    sup_lag_statistic,
     trajectory_rng,
 )
 from .cohorts import (
@@ -46,9 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Trajectory", "ScalingParams", "make_trajectory", "standardize", "unstandardize",
     "KernelCcf", "fit_forward", "fit_backward", "exact_ccf_discrete", "silverman_bandwidth",
-    "MdnCcf", "MdnTrainConfig", "fit_mixture_density",
     "TestConfig", "MarkovTestResult", "OrderEstimate", "BatchItem",
-    "sample_frequencies", "lag_statistic", "sup_lag_statistic", "lag_test",
+    "sample_frequencies", "lag_statistic", "lag_test",
     "estimate_order", "batch_test", "trajectory_rng",
     "CohortSummary", "TTestResult", "FTestResult", "summarize_orders",
     "pooled_t_test", "pooled_t_test_from_stats", "f_test", "f_test_from_stats",

@@ -212,22 +212,39 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _spec_value(spec: dict, key: str, convert=_array, *default):
+    """``convert`` of the spec's value at ``key``, or of ``default`` when the
+    key is absent; a missing or unconvertible value is a data error."""
+    try:
+        return convert(spec[key] if key in spec or not default else default[0])
+    except KeyError:
+        raise MarkovOrderError(f"generator spec: missing key {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise MarkovOrderError(f"generator spec: bad value for {key!r}: {exc}") from None
+
+
 def _build_generator(spec: dict):
+    if not isinstance(spec, dict):
+        raise MarkovOrderError("generator spec must be a JSON object")
     kind = spec.get("kind")
+    dt = _spec_value(spec, "dt", float, 1.0)
     if kind == "var":
-        vs = VarSpec(coeffs=tuple(np.asarray(a, dtype=float) for a in spec["coeffs"]),
-                     noise_cov=np.asarray(spec["noise_cov"], dtype=float),
-                     burn_in=int(spec.get("burn_in", 200)))
-        return lambda T, rng, id: gen_var(vs, T, rng, dt=float(spec.get("dt", 1.0)), id=id)
+        vs = VarSpec(coeffs=_spec_value(spec, "coeffs", lambda v: tuple(map(_array, v))),
+                     noise_cov=_spec_value(spec, "noise_cov"),
+                     burn_in=_spec_value(spec, "burn_in", int, 200))
+        return lambda T, rng, id: gen_var(vs, T, rng, dt=dt, id=id)
     if kind == "chain":
-        cs = ChainSpec(order=int(spec["order"]),
-                       transition=np.asarray(spec["transition"], dtype=float),
-                       embedding=np.asarray(spec["embedding"], dtype=float))
-        return lambda T, rng, id: gen_chain(cs, T, rng, dt=float(spec.get("dt", 1.0)), id=id)
+        cs = ChainSpec(order=_spec_value(spec, "order", int),
+                       transition=_spec_value(spec, "transition"),
+                       embedding=_spec_value(spec, "embedding"))
+        return lambda T, rng, id: gen_chain(cs, T, rng, dt=dt, id=id)
     if kind == "hidden":
-        return lambda T, rng, id: gen_hidden_state(
-            float(spec["persistence"]), np.asarray(spec["means"], dtype=float),
-            T, rng, dt=float(spec.get("dt", 1.0)), id=id)
+        persistence, means = _spec_value(spec, "persistence", float), _spec_value(spec, "means")
+        return lambda T, rng, id: gen_hidden_state(persistence, means, T, rng, dt=dt, id=id)
     raise MarkovOrderError(f"unknown generator kind {kind!r}; use var, chain or hidden")
 
 
@@ -242,7 +259,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(_merged(args, "seed", 0))
     count = int(args.count)
-    T = int(args.length if args.length is not None else spec.get("length", 300))
+    T = args.length if args.length is not None else _spec_value(spec, "length", int, 300)
     name = spec.get("name", spec_path.stem)
     cohort = spec.get("cohort")
 
@@ -526,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MarkovOrderError, FileNotFoundError) as exc:
+    except (MarkovOrderError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

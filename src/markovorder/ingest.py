@@ -448,11 +448,25 @@ def _first_bad_row(rows: list[list[str]], width: int) -> int:
     return 0
 
 
+def _read_sidecar(sidecar: Path, default_id: str) -> tuple[str, float, dict]:
+    """The id, dt and metadata of a JSON sidecar."""
+    try:  # ValueError covers invalid JSON and a dt that is not a number
+        meta = json.loads(sidecar.read_text())
+        traj_id, dt = meta.get("id", default_id), float(meta.get("dt", 1.0))
+        metadata = dict(meta.get("metadata", {}))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaMismatchError(f"{sidecar.name}: {type(exc).__name__}: {exc}") from None
+    if not isinstance(traj_id, str):
+        raise SchemaMismatchError(f"{sidecar.name}: id {traj_id!r} is not a string")
+    return traj_id, dt, metadata
+
+
 def read_trajectory(path: str | Path) -> Trajectory:
     """Read a canonical trajectory CSV (and its sidecar, when present).
 
     ``a1`` is read as the actions only when every row has one.  A row that
-    is not one number per column raises :class:`UnparsableRowError`.
+    is not one number per column raises :class:`UnparsableRowError`, a
+    malformed sidecar :class:`SchemaMismatchError` naming it.
     """
     path = Path(path)
     if not path.exists():
@@ -476,10 +490,7 @@ def read_trajectory(path: str | Path) -> Trajectory:
     actions = table[:, -1] if has_actions else None
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        traj_id = meta.get("id", path.stem)
-        dt = float(meta.get("dt", 1.0))
-        metadata = meta.get("metadata", {})
+        traj_id, dt, metadata = _read_sidecar(sidecar, path.stem)
     else:
         traj_id, metadata = path.stem, {}
         dt = float(table[1, 0] - table[0, 0]) if len(rows) > 1 else 1.0

@@ -31,16 +31,20 @@ With the default kernel estimator both residual tables come from one
 Gaussian kernel matrix over the length-k windows of the standardized
 series, with one scalar bandwidth per (trajectory, lag); each residual
 leaves its own pair out through the matrix's zeroed diagonal (see
-:func:`markovorder.ccf.loo_window_residuals`).  A statistic that is not
-finite raises :class:`~markovorder.errors.NonFiniteValueError` instead of
-being compared.
+:func:`markovorder.ccf.loo_window_residuals`), since a fit that sees its
+own target memorizes it and the residuals collapse.  With
+``estimator="mdn"`` they are the in-sample residuals of
+:func:`markovorder.mdn.window_residuals` (fixed default hyperparameters;
+measured size in its module docstring).  A statistic that is not finite
+raises :class:`~markovorder.errors.NonFiniteValueError` instead of being
+compared.
 
 Separations start at q = 2 because the adjacent product (q = 1) pairs a
 backward residual with a forward residual whose target state the backward
 fit conditions on; that cross-moment does not vanish under the null for
 dependent Markov series, so it carries no valid signal.  The single-shift
-diagnostic statistics (:func:`lag_statistic`, :func:`sup_lag_statistic`)
-are still exposed for inspection and for their exact algebraic identities.
+statistic :func:`lag_statistic` is still exposed for inspection and for its
+exact algebraic identities.
 
 The Markov order estimate is the first lag k at which the null is accepted
 (p > alpha); if no lag up to ``k_max`` is accepted the estimate is capped
@@ -67,7 +71,6 @@ __all__ = [
     "BatchItem",
     "sample_frequencies",
     "lag_statistic",
-    "sup_lag_statistic",
     "lag_test",
     "estimate_order",
     "batch_test",
@@ -111,10 +114,6 @@ class TestConfig:
     min_effective_length: int = 30
     rng_seed: int = 0
     estimator: str = "kernel"
-    mdn_components: int = 3
-    mdn_hidden: int = 32
-    mdn_epochs: int = 200
-    mdn_lr: float = 0.02
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -134,8 +133,6 @@ class TestConfig:
             "n_bootstrap": self.n_bootstrap, "n_shifts": self.n_shifts,
             "min_effective_length": self.min_effective_length,
             "rng_seed": self.rng_seed, "estimator": self.estimator,
-            "mdn_components": self.mdn_components, "mdn_hidden": self.mdn_hidden,
-            "mdn_epochs": self.mdn_epochs, "mdn_lr": self.mdn_lr,
         }
 
 
@@ -246,44 +243,6 @@ def lag_statistic(traj: Trajectory, k: int, mu: np.ndarray, nu: np.ndarray,
     return complex((first * second).mean())
 
 
-def sup_lag_statistic(traj: Trajectory, k: int, freq_pairs: Sequence,
-                      forward, backward) -> float:
-    """``max over (mu, nu) pairs of sqrt(T-k) * |lag_statistic|``."""
-    if len(freq_pairs) == 0:
-        raise ValueError("freq_pairs must be nonempty")
-    n_eff = traj.length - k
-    scale = np.sqrt(n_eff)
-    return max(scale * abs(lag_statistic(traj, k, mu, nu, forward, backward))
-               for mu, nu in freq_pairs)
-
-
-def _residual_tables(states: np.ndarray, k: int, mus: np.ndarray,
-                     nus: np.ndarray, cfg: TestConfig,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward CCF residuals, both of shape (M, T - k).
-
-    Column s of the forward table is the residual of state X_{s+k} given the
-    window X_s..X_{s+k-1}; column t of the backward table is the residual of
-    X_t given the window X_{t+1}..X_{t+k}.  Kernel evaluations leave their
-    own fitted pair out; without that, the kernel fit memorizes its own
-    target (completely so for long windows) and the residuals collapse.
-    """
-    if cfg.estimator == "kernel":
-        return _ccf.loo_window_residuals(states, k, mus, nus)
-    train = _mdn.MdnTrainConfig(components=cfg.mdn_components,
-                                hidden=cfg.mdn_hidden,
-                                epochs=cfg.mdn_epochs, lr=cfg.mdn_lr)
-    fwd = _mdn.fit_window(states, window=k, direction="forward",
-                          train=train, rng=rng.spawn(1)[0])
-    bwd = _mdn.fit_window(states, window=k, direction="backward",
-                          train=train, rng=rng.spawn(1)[0])
-    n = states.shape[0] - k
-    emb = _ccf.window_embed(states, k)
-    fwd_res = np.exp(1j * (mus @ states[k:].T)) - fwd.evaluate_many(mus, emb[:-1])
-    bwd_res = np.exp(1j * (nus @ states[:n].T)) - bwd.evaluate_many(nus, emb[1:])
-    return fwd_res, bwd_res
-
-
 def _shift_range(k: int, n_shifts: int) -> range:
     """Residual separations probed by the lag-k test: q = k+1, k+2, ...
 
@@ -323,7 +282,10 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     d = states.shape[1]
 
     mus, nus = _draw_frequencies(d, cfg.n_freqs, rng)
-    fwd_res, bwd_res = _residual_tables(states, k, mus, nus, cfg, rng)
+    if cfg.estimator == "kernel":
+        fwd_res, bwd_res = _ccf.loo_window_residuals(states, k, mus, nus)
+    else:
+        fwd_res, bwd_res = _mdn.window_residuals(states, k, mus, nus, rng)
 
     shifts = [q for q in _shift_range(k, cfg.n_shifts)
               if n_eff - q + 1 >= _MIN_CELL_LENGTH]

@@ -64,6 +64,35 @@ class TestSynth:
         spec = write_spec(tmp_path, {"kind": "bogus"}, name="bad.json")
         assert run(["synth", spec, "--count", 1, "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "var", "noise_cov": [[1.0]]}, "coeffs"),
+        ({**VAR1_SPEC, "noise_cov": "x"}, "noise_cov"),
+        ({**VAR1_SPEC, "dt": "fast"}, "dt"),
+        ({"kind": "hidden", "means": [[0.0], [1.0]]}, "persistence"),
+        ({"kind": "chain", "order": "one", "transition": [[1.0]],
+          "embedding": [[0.0]]}, "order"),
+    ])
+    def test_malformed_spec_is_data_error_naming_key(self, tmp_path, capsys, spec, key):
+        path = write_spec(tmp_path, spec, name="bad.json")
+        for argv in (["synth", path, "--count", 1, "--out", tmp_path / "x"],
+                     ["calibrate", "--spec", path, "--replications", 1, "--length", 60,
+                      "--kmax", 1, "--out", tmp_path / "cal"]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: generator spec: ") and repr(key) in err
+
+    def test_unconvertible_length_is_data_error(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {**VAR1_SPEC, "length": [90]}, name="bad.json")
+        assert run(["synth", path, "--count", 1, "--out", tmp_path / "x"]) == 2
+        assert "bad value for 'length'" in capsys.readouterr().err
+
+    def test_spec_not_json_object_is_data_error(self, tmp_path):
+        for name, text in (("broken.json", "{"), ("list.json", "[1, 2]")):
+            (tmp_path / name).write_text(text)
+            assert run(["synth", tmp_path / name, "--out", tmp_path / "x"]) == 2
+            assert run(["calibrate", "--spec", tmp_path / name, "--replications", 1,
+                        "--out", tmp_path / "cal"]) == 2
+
 
 @pytest.fixture
 def corpus(tmp_path):
@@ -161,6 +190,26 @@ class TestTest:
         results = json.loads((out / "results.json").read_text())["results"]
         assert [r["trajectory_id"] for r in results] == ["a", "b"]
         assert all(r["error"].startswith("SchemaMismatchError") for r in results)
+
+    def test_bad_sidecars_are_per_item_errors(self, tmp_path):
+        spec = write_spec(tmp_path)
+        corpus = tmp_path / "sidecars"
+        assert run(["synth", spec, "--count", 1, "--seed", 3, "--out", corpus]) == 0
+        good = corpus / "v1_0000.csv"
+        bad = {"numeric_id": '{"id": 5}', "not_json": '{"id": "x",',
+               "text_dt": '{"dt": "fast"}', "list_metadata": '{"metadata": [1, 2]}'}
+        for stem, sidecar in bad.items():
+            (corpus / f"{stem}.csv").write_bytes(good.read_bytes())
+            (corpus / f"{stem}.json").write_text(sidecar)
+        out = tmp_path / "s"
+        assert run(["test", corpus, "--kmax", 1, "--freqs", 4, "--bootstrap", 19,
+                    "--out", out]) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        errors = {r["trajectory_id"]: r["error"] for r in results if "error" in r}
+        assert sorted(errors) == sorted(bad)
+        for stem, error in errors.items():
+            assert error.startswith(f"SchemaMismatchError: {stem}.json: ")
+        assert [r["trajectory_id"] for r in results if "order" in r] == ["v1_0000"]
 
     def test_mdn_estimator_selectable(self, corpus, tmp_path):
         out = tmp_path / "mdn"

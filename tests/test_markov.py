@@ -16,7 +16,6 @@ from markovorder import (
     make_trajectory,
     sample_frequencies,
     standardize,
-    sup_lag_statistic,
     trajectory_rng,
 )
 from markovorder import markov as markov_mod
@@ -91,38 +90,6 @@ class TestLagStatistic:
             lag_statistic(self.traj, 80, np.ones(2), np.ones(2), self.fwd, self.bwd)
 
 
-class TestSupStatistic:
-    def setup_method(self):
-        self.traj, _ = standardize(iid_trajectory(70, 2, seed=5))
-        self.fwd = fit_forward(self.traj)
-        self.bwd = fit_backward(self.traj)
-
-    def test_all_zero_frequencies(self):
-        pairs = [(np.zeros(2), np.zeros(2))] * 3
-        assert sup_lag_statistic(self.traj, 1, pairs, self.fwd, self.bwd) == 0.0
-
-    def test_single_pair_matches_statistic(self):
-        mu, nu = np.array([0.3, 0.9]), np.array([-0.5, 0.2])
-        sup = sup_lag_statistic(self.traj, 2, [(mu, nu)], self.fwd, self.bwd)
-        s = lag_statistic(self.traj, 2, mu, nu, self.fwd, self.bwd)
-        assert sup == pytest.approx(np.sqrt(68) * abs(s), abs=1e-12)
-
-    def test_monotone_in_pairs(self):
-        rng = np.random.default_rng(11)
-        pairs = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(5)]
-        sups = [sup_lag_statistic(self.traj, 1, pairs[:i], self.fwd, self.bwd)
-                for i in range(1, 6)]
-        assert all(b >= a for a, b in zip(sups, sups[1:]))
-
-    def test_negating_all_pairs_leaves_sup_unchanged(self):
-        rng = np.random.default_rng(12)
-        pairs = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(4)]
-        negated = [(-m, -n) for m, n in pairs]
-        a = sup_lag_statistic(self.traj, 2, pairs, self.fwd, self.bwd)
-        b = sup_lag_statistic(self.traj, 2, negated, self.fwd, self.bwd)
-        assert a == pytest.approx(b, abs=1e-12)
-
-
 class TestLagTest:
     def test_p_value_range_and_flag(self):
         traj = iid_trajectory(100, 1, seed=6)
@@ -175,6 +142,16 @@ class TestLagTest:
             rejections += lag_test(traj, k, cfg, np.random.default_rng(30000 + i)).reject
         assert 0.01 <= rejections / reps <= 0.12
 
+    def test_mdn_size_on_var1_null(self):
+        # the mixture estimator's in-sample residuals at its fixed default
+        # hyperparameters; 100 replications, as each trains two networks
+        cfg = TestConfig(alpha=0.05, rng_seed=7, estimator="mdn")
+        reps, rejections = 100, 0
+        for i in range(reps):
+            traj = var1_trajectory(VAR1_COEFFS, 120, seed=20000 + i)
+            rejections += lag_test(traj, 1, cfg, np.random.default_rng(30000 + i)).reject
+        assert 0.01 <= rejections / reps <= 0.12
+
     def test_far_outlier_pair_stays_finite(self):
         # the last two states coincide far from the rest: the forward fit's
         # only near neighbour of window T-2 is the window it cannot use
@@ -203,7 +180,7 @@ def one_shot_lag_test(traj, k, cfg, rng):
     states = standardize(traj)[0].states
     mus = rng.standard_normal((cfg.n_freqs, traj.dim))
     nus = rng.standard_normal((cfg.n_freqs, traj.dim))
-    fwd, bwd = markov_mod._residual_tables(states, k, mus, nus, cfg, rng)
+    fwd, bwd = markov_mod._ccf.loo_window_residuals(states, k, mus, nus)
     n_eff, M = traj.length - k, cfg.n_freqs
     shifts = [q for q in markov_mod._shift_range(k, cfg.n_shifts) if n_eff - q + 1 >= 4]
     n_pad = n_eff - shifts[0] + 1
@@ -353,7 +330,6 @@ def test_config_validation():
 
 def test_mdn_estimator_path_runs():
     traj = iid_trajectory(70, 1, seed=30)
-    cfg = TestConfig(k_max=1, n_freqs=4, n_bootstrap=19, estimator="mdn",
-                     mdn_components=2, mdn_hidden=8, mdn_epochs=30, rng_seed=3)
+    cfg = TestConfig(k_max=1, n_freqs=4, n_bootstrap=19, estimator="mdn", rng_seed=3)
     res = lag_test(traj, 1, cfg, np.random.default_rng(6))
     assert 0.0 < res.p_value <= 1.0

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from markovorder import MdnTrainConfig, fit_mixture_density, make_trajectory
+from markovorder.ccf import window_embed
 from markovorder.errors import InsufficientDataError
-from markovorder.mdn import _loss_and_grads, _init_params, fit_window
+from markovorder.mdn import (
+    MdnTrainConfig,
+    _init_params,
+    _loss_and_grads,
+    _mixture_cf,
+    _train,
+    window_residuals,
+)
+
+SMALL = MdnTrainConfig(components=2, hidden=8, epochs=50)
 
 
 def test_gradients_match_finite_differences():
@@ -35,60 +44,78 @@ def test_linear_gaussian_recovers_analytic_cf():
     noise = 0.5 * rng.standard_normal(T)
     for t in range(1, T):
         x[t] = 0.6 * x[t - 1] + noise[t]
-    traj = make_trajectory(x[:, None], dt=1.0)
-    est = fit_mixture_density(traj, components=1,
-                              train=MdnTrainConfig(components=1, hidden=16,
-                                                   epochs=400, lr=0.05),
-                              rng=np.random.default_rng(1))
+    cfg = MdnTrainConfig(components=1, hidden=16, epochs=400, lr=0.05)
+    params = _train(x[:-1, None], x[1:, None], cfg, np.random.default_rng(1))
     # conditional law is N(0.6 x, 0.25); its CF is exp(i mu 0.6 x - mu^2 0.25 / 2)
-    for x0 in (-1.0, 0.0, 1.0):
-        for mu in (0.5, 1.0, 2.0):
-            got = est.evaluate(np.array([mu]), np.array([x0]))
-            want = np.exp(1j * mu * 0.6 * x0 - 0.5 * mu ** 2 * 0.25)
-            assert abs(got - want) <= 0.1
+    mus = np.array([[0.5], [1.0], [2.0]])
+    points = np.array([[-1.0], [0.0], [1.0]])
+    got = _mixture_cf(params, cfg, mus, points)
+    want = np.exp(1j * mus * 0.6 * points.T - 0.5 * mus ** 2 * 0.25)
+    assert np.abs(got - want).max() <= 0.1
 
 
 def test_zero_frequency_exact_one():
     rng = np.random.default_rng(5)
-    traj = make_trajectory(rng.standard_normal((80, 2)), dt=1.0)
-    est = fit_mixture_density(traj, components=2, rng=np.random.default_rng(2))
-    assert est.evaluate(np.zeros(2), traj.states[3]) == 1.0 + 0.0j
+    states = rng.standard_normal((80, 2))
+    params = _train(states[:-1], states[1:], SMALL, np.random.default_rng(2))
+    freqs = np.array([[0.0, 0.0], [0.4, -1.0]])
+    values = _mixture_cf(params, SMALL, freqs, states[:10])
+    assert (values[0] == 1.0 + 0.0j).all()
+    # a zero frequency's residual exp(0) - 1 is exactly zero in both tables
+    fwd, bwd = window_residuals(states, 2, freqs, freqs[::-1],
+                                np.random.default_rng(2), SMALL)
+    assert (fwd[0] == 0.0).all() and (bwd[1] == 0.0).all()
 
 
 def test_modulus_bounded():
     rng = np.random.default_rng(6)
-    traj = make_trajectory(rng.standard_normal((100, 1)), dt=1.0)
-    est = fit_mixture_density(traj, components=2, rng=np.random.default_rng(3))
+    states = rng.standard_normal((100, 1))
+    params = _train(states[:-1], states[1:], SMALL, np.random.default_rng(3))
     freqs = rng.standard_normal((30, 1))
     points = rng.standard_normal((10, 1))
-    assert np.abs(est.evaluate_many(freqs, points)).max() <= 1.0 + 1e-12
+    assert np.abs(_mixture_cf(params, SMALL, freqs, points)).max() <= 1.0 + 1e-12
 
 
 def test_deterministic_given_seed():
     rng = np.random.default_rng(7)
-    traj = make_trajectory(rng.standard_normal((60, 1)), dt=1.0)
-    a = fit_mixture_density(traj, components=2, rng=np.random.default_rng(9))
-    b = fit_mixture_density(traj, components=2, rng=np.random.default_rng(9))
-    mu, x = np.array([0.7]), np.array([0.1])
-    assert a.evaluate(mu, x) == b.evaluate(mu, x)
+    states = rng.standard_normal((60, 1))
+    mus, nus = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
+    a = window_residuals(states, 1, mus, nus, np.random.default_rng(9), SMALL)
+    b = window_residuals(states, 1, mus, nus, np.random.default_rng(9), SMALL)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_preconditions():
-    rng = np.random.default_rng(8)
-    traj = make_trajectory(rng.standard_normal((25, 1)), dt=1.0)
     with pytest.raises(InsufficientDataError):
-        fit_mixture_density(traj, components=0)
+        MdnTrainConfig(components=0)
     with pytest.raises(InsufficientDataError):
-        fit_mixture_density(traj, components=3)  # needs T >= 30
+        MdnTrainConfig(hidden=0)
+    with pytest.raises(InsufficientDataError):
+        MdnTrainConfig(lr=0.0)
+    states = np.random.default_rng(8).standard_normal((5, 1))
+    with pytest.raises(InsufficientDataError):
+        window_residuals(states, 6, np.ones((1, 1)), np.ones((1, 1)),
+                         np.random.default_rng(0), SMALL)
 
 
 def test_backward_direction_fits():
+    # the forward network trains on the first child of rng, the backward one
+    # on the second; column t of the backward table conditions on the window
+    # X_{t+1}..X_{t+k}
     rng = np.random.default_rng(10)
     states = rng.standard_normal((120, 1))
-    est = fit_window(states, window=2, direction="backward",
-                     train=MdnTrainConfig(components=2, hidden=8, epochs=50),
-                     rng=np.random.default_rng(4))
-    assert est.cond_dim == 2
-    assert est.target_dim == 1
-    val = est.evaluate(np.array([0.5]), np.array([0.0, 0.1]))
-    assert abs(val) <= 1.0 + 1e-12
+    mus, nus = rng.standard_normal((3, 1)), rng.standard_normal((3, 1))
+    k, n = 2, 118
+    fwd, bwd = window_residuals(states, k, mus, nus, np.random.default_rng(4), SMALL)
+    assert fwd.shape == bwd.shape == (3, n)
+    children = np.random.default_rng(4)
+    first, second = children.spawn(1)[0], children.spawn(1)[0]
+    emb = window_embed(states, k)
+    params = _train(emb[:-1], states[k:], SMALL, first)
+    want = np.exp(1j * (mus @ states[k:].T)) - _mixture_cf(params, SMALL, mus, emb[:-1])
+    np.testing.assert_array_equal(fwd, want)
+    params = _train(emb[1:], states[:n], SMALL, second)
+    want = np.exp(1j * (nus @ states[:n].T)) - _mixture_cf(params, SMALL, nus, emb[1:])
+    np.testing.assert_array_equal(bwd, want)
+    assert np.abs(bwd).max() <= 2.0 + 1e-12
