@@ -17,9 +17,9 @@ from the data never under flow to 0/0.
 
 The lag test does not go through :class:`KernelCcf`:
 :func:`loo_window_residuals` computes its forward and backward leave-one-out
-residuals from one kernel matrix over the windows of the series, with one
-scalar bandwidth per (trajectory, lag) and leave-one-out as the zeroed
-diagonal.
+residuals from one kernel matrix over the windows of the series (one scalar
+bandwidth per (trajectory, lag), leave-one-out as the zeroed diagonal), built
+in row blocks so that its memory grows linearly in the series length.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ __all__ = [
     "window_embed",
     "exact_ccf_discrete",
 ]
+
+_ROW_BLOCK = 256      # most kernel-matrix rows built and used at once
 
 
 def silverman_bandwidth(cond: np.ndarray) -> np.ndarray:
@@ -237,7 +239,8 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     (M, d) frequencies.  Returns two (M, n) complex tables, n = T - k:
     column s of the first is ``exp(i mu . X_{s+k})`` minus its CCF given the
     window X_s..X_{s+k-1}; column t of the second is ``exp(i nu . X_t)``
-    minus its CCF given the window X_{t+1}..X_{t+k}.
+    minus its CCF given the window X_{t+1}..X_{t+k}.  The row of a zero
+    frequency is exactly 0.
 
     Both fits are Nadaraya-Watson regressions over the windows of one
     series, so they share one Gaussian kernel matrix over windows 0..n: the
@@ -245,6 +248,9 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     [1:n+1, 1:n+1], and leaving pair i out of the evaluation at window i is
     a zero diagonal.  The bandwidth is one scalar, Silverman's rule at unit
     scale ``1.06 * n^(-1/(4 + k d))``, since the states are standardized.
+    Each step is row-local, so the matrix is built and used in near-equal
+    blocks of at most ``_ROW_BLOCK`` rows: working memory is linear in T,
+    and a series of at most ``_ROW_BLOCK`` windows is one block.
     """
     T, d = states.shape
     n = T - k
@@ -252,25 +258,8 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     u = window_embed(states, k) / (1.06 * n ** (-1.0 / (4.0 + k * d)))
     half_sq = 0.5 * (u * u).sum(axis=1)[:, None]
     ones = np.ones_like(half_sq)
-    # -|u_i - u_j|^2 / 2 as one product; rounding may leave a tiny positive
-    # value for coincident windows, which the row shift below absorbs.
-    logits = np.hstack([u, -half_sq, ones]) @ np.hstack([u, ones, -half_sq]).T
-    np.fill_diagonal(logits, -np.inf)
-
-    # One exp, shifted by each row's max over all n+1 windows.  A block row
-    # whose max lies in the column outside its block (column n forward,
-    # column 0 backward) is recomputed with its own shift; otherwise a far
-    # outlier's weights would underflow to 0/0.
-    inner = logits[:, 1:n].max(axis=1)
-    fwd_max = np.maximum(inner, logits[:, 0])
-    bwd_max = np.maximum(inner, logits[:, n])
-    row_max = np.maximum(fwd_max, bwd_max)
-    fix_f = np.flatnonzero(fwd_max < row_max)
-    fix_b = np.flatnonzero(bwd_max < row_max)
-    fwd_rows = np.exp(logits[fix_f, :n] - fwd_max[fix_f, None])
-    bwd_rows = np.exp(logits[fix_b, 1:] - bwd_max[fix_b, None])
-    logits -= row_max[:, None]
-    kern = np.exp(logits, out=logits)
+    left = np.hstack([u, -half_sq, ones])
+    right_t = np.hstack([u, ones, -half_sq]).T
 
     # Forward targets X_{s+k} sit on rows 0..n-1 of the left half, backward
     # targets X_t on rows 1..n of the right half; the zero row in each half
@@ -279,12 +268,38 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     basis = np.zeros((n + 1, 2 * w))
     _phase_columns(basis[:n, :w], states[k:] @ mus.T)
     _phase_columns(basis[1:, w:], states[:n] @ nus.T)
-    acc = kern @ basis
-    acc[fix_f, :w] = fwd_rows @ basis[:n, :w]
-    acc[fix_b, w:] = bwd_rows @ basis[1:, w:]
-    fwd_res = basis[:n, :w - 1] - acc[:n, :w - 1] / acc[:n, w - 1:w]
-    bwd_res = basis[1:, w:-1] - acc[1:, w:-1] / acc[1:, -1:]
-    return fwd_res.view(complex).T, bwd_res.view(complex).T
+    acc = np.empty_like(basis)
+    blocks = -(-(n + 1) // _ROW_BLOCK)
+    edges = [(n + 1) * b // blocks for b in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        # -|u_i - u_j|^2 / 2 as one product; rounding may leave a tiny positive
+        # value for coincident windows, which the row shift below absorbs.
+        logits = left[lo:hi] @ right_t
+        np.fill_diagonal(logits[:, lo:], -np.inf)
+
+        # One exp, shifted by each row's max over all n+1 windows.  A row
+        # whose max lies in the one column its fit leaves out (column n
+        # forward, column 0 backward) is recomputed with its own shift;
+        # otherwise a far outlier's weights would underflow to 0/0.
+        inner = logits[:, 1:n].max(axis=1)
+        fwd_max = np.maximum(inner, logits[:, 0])
+        bwd_max = np.maximum(inner, logits[:, n])
+        row_max = np.maximum(fwd_max, bwd_max)
+        fix_f = np.flatnonzero(fwd_max < row_max)
+        fix_b = np.flatnonzero(bwd_max < row_max)
+        fwd_rows = np.exp(logits[fix_f, :n] - fwd_max[fix_f, None])
+        bwd_rows = np.exp(logits[fix_b, 1:] - bwd_max[fix_b, None])
+        logits -= row_max[:, None]
+        kern = np.exp(logits, out=logits)
+        block = np.matmul(kern, basis, out=acc[lo:hi])
+        block[fix_f, :w] = fwd_rows @ basis[:n, :w]
+        block[fix_b, w:] = bwd_rows @ basis[1:, w:]
+    fwd = (basis[:n, :w - 1] - acc[:n, :w - 1] / acc[:n, w - 1:w]).view(complex)
+    bwd = (basis[1:, w:-1] - acc[1:, w:-1] / acc[1:, -1:]).view(complex)
+    if not (mus.all() and nus.all()):   # a zero frequency's residual is exactly 0
+        fwd[:, ~mus.any(axis=1)] = 0.0
+        bwd[:, ~nus.any(axis=1)] = 0.0
+    return fwd.T, bwd.T
 
 
 def _phase_columns(out: np.ndarray, phase: np.ndarray) -> None:

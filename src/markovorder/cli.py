@@ -64,6 +64,15 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _read_json(path: Path):
+    """The JSON value in ``path``; a file that is missing or not JSON is a
+    data error that names it."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:   # not JSON, or bytes that are not text
+        raise MarkovOrderError(f"{path} is not JSON: {exc}") from None
+
+
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
 
 
@@ -74,10 +83,10 @@ def _keep_heap() -> bool:
     defaults the heap top is trimmed or the blocks are unmapped, and the
     next lag faults the same pages back in, zeroed by the kernel.  Raising
     the trim threshold to 64 MiB and fixing the mmap threshold at 32 MiB
-    lets the next lag reuse them; 32 MiB rather than less keeps the
-    30.5 MiB kernel matrix of a T=2000 series on the heap as well.  Forked
-    workers inherit the setting.  Returns whether it was applied; without
-    glibc's ``mallopt`` it does nothing.
+    lets the next lag reuse them; 32 MiB keeps the kernel residuals'
+    largest array, a 2 KiB-per-window row block, on the heap up to
+    T = 16,000.  Forked workers inherit the setting.  Returns whether it
+    was applied; without glibc's ``mallopt`` it does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -129,9 +138,7 @@ def _load_file_config(args: argparse.Namespace) -> None:
     cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        cfg = json.loads(path.read_text())
+        cfg = _read_json(path)
         if not isinstance(cfg, dict):
             raise MarkovOrderError(f"config file {path} must hold a JSON object")
     args._file_config = cfg
@@ -251,9 +258,7 @@ def _build_generator(spec: dict):
 def cmd_synth(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise FileNotFoundError(str(spec_path))
-    spec = json.loads(spec_path.read_text())
+    spec = _read_json(spec_path)
     gen = _build_generator(spec)
     out_dir = Path(_merged(args, "out", "synth"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,7 +326,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def _orders_from_results(path: Path) -> list[int]:
     if not path.exists():
         raise EmptyCohortError(f"missing results file: {path}")
-    payload = json.loads(path.read_text())
+    payload = _read_json(path)
     results = payload.get("results", payload if isinstance(payload, list) else [])
     orders = [r["order"] for r in results if "order" in r and not r.get("error")]
     if not orders:
@@ -366,9 +371,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise MarkovOrderError("replications must be >= 1")
     T = int(args.length)
     if args.spec:
-        spec = json.loads(Path(args.spec).read_text())
+        spec = _read_json(Path(args.spec))
         gen = _build_generator(spec)
-        true_order = spec.get("true_order")
+        true_order = _spec_value(spec, "true_order", lambda v: v if v is None else int(v), None)
     else:
         dim = int(args.dim)
         iid = VarSpec(coeffs=(np.zeros((dim, dim)),), noise_cov=np.eye(dim), burn_in=0)
@@ -406,7 +411,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "order_counts": order_counts,
     }
     if true_order is not None:
-        payload["true_order"] = int(true_order)
+        payload["true_order"] = true_order
         payload["order_recovery_rate"] = sum(1 for o in orders if o == true_order) / reps
     out_dir = Path(_merged(args, "out", "calibration"))
     _write_json(out_dir / "calibration.json", payload)
@@ -543,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MarkovOrderError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (MarkovOrderError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

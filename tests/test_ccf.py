@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from markovorder import (
+    ccf,
     exact_ccf_discrete,
     fit_backward,
     fit_forward,
@@ -150,20 +153,23 @@ def test_windowed_fits_reduce_to_plain_at_window_one():
     np.testing.assert_array_equal(a.bandwidth, b.bandwidth)
 
 
-@pytest.mark.parametrize("outlier", [False, True])
-@pytest.mark.parametrize("k", [1, 3])
-def test_loo_window_residuals_match_refit_without_pair(k, outlier):
+def _assert_loo_matches_refit(k, outlier):
     # brute-force reference: refit each pair's estimator without that pair
     rng = np.random.default_rng(31 + k)
     T, d, M = 40, 2, 4
     states = rng.standard_normal((T, d))
-    if outlier:   # at k=1 the forward block lacks window T-2's only near neighbour
-        states[-2:] = 25.0
+    if outlier:   # at k=1 window 1's only near neighbour is window 0, outside the
+        # backward block, and window T-2's is window T-1, outside the forward one
+        states[:2], states[-2:] = -25.0, 25.0
     mus, nus = rng.standard_normal((M, d)), rng.standard_normal((M, d))
     fwd, bwd = loo_window_residuals(states, k, mus, nus)
     n = T - k
     h = np.full(k * d, 1.06 * n ** (-1.0 / (4.0 + k * d)))
     emb = window_embed(states, k)
+    if outlier and k == 1:   # the two fix-up rows lie 37 rows apart
+        sq = ((emb[:, None] - emb[None]) ** 2).sum(axis=2)
+        np.fill_diagonal(sq, np.inf)
+        assert sq.argmin(axis=1)[[1, T - 2]].tolist() == [0, n]
     cases = (("forward", emb[:-1], states[k:], mus, fwd),
              ("backward", emb[1:], states[:n], nus, bwd))
     for direction, cond, targets, freqs, table in cases:
@@ -176,6 +182,56 @@ def test_loo_window_residuals_match_refit_without_pair(k, outlier):
                          - fit.evaluate_many(freqs, cond[i][None, :])[:, 0])
         assert table.shape == (M, n)
         np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_loo_window_residuals_match_refit_without_pair(k, outlier):
+    _assert_loo_matches_refit(k, outlier)
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_loo_window_residuals_in_row_blocks_match_refit(k, outlier, monkeypatch):
+    monkeypatch.setattr(ccf, "_ROW_BLOCK", 8)   # 38-40 windows: five blocks
+    _assert_loo_matches_refit(k, outlier)
+
+
+@pytest.mark.parametrize("T", [300, 513, 1000])
+def test_loo_window_residuals_row_blocks_agree_with_one_block(T, monkeypatch):
+    rng = np.random.default_rng(T)
+    states = rng.standard_normal((T, 3))
+    mus, nus = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    blocked = loo_window_residuals(states, 2, mus, nus)
+    monkeypatch.setattr(ccf, "_ROW_BLOCK", T)
+    for got, want in zip(blocked, loo_window_residuals(states, 2, mus, nus)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_loo_window_residuals_peak_memory_at_T4000():
+    rng = np.random.default_rng(4000)
+    states = rng.standard_normal((4000, 3))
+    mus, nus = rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
+    tracemalloc.start()
+    try:
+        loo_window_residuals(states, 1, mus, nus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6   # the full 4000 x 4000 kernel matrix alone is 128 MB
+
+
+def test_loo_window_residuals_zero_and_negated_frequency():
+    rng = np.random.default_rng(43)
+    states = rng.standard_normal((300, 3))   # two row blocks
+    mus, nus = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    mus[2], nus[4] = 0.0, 0.0
+    fwd, bwd = loo_window_residuals(states, 2, mus, nus)
+    assert not fwd[2].any() and not bwd[4].any()
+    assert np.abs(fwd[[0, 1, 3, 4]]).min() > 0.0
+    neg_fwd, neg_bwd = loo_window_residuals(states, 2, -mus, -nus)
+    np.testing.assert_array_equal(neg_fwd, fwd.conj())
+    np.testing.assert_array_equal(neg_bwd, bwd.conj())
 
 
 class TestExactDiscrete:

@@ -286,6 +286,24 @@ class TestCalibrate:
         manifest = json.loads((tmp_path / "cal2" / "manifest.json").read_text())
         assert manifest["environment"]["jobs"] == 1
 
+    def test_true_order_given_as_string(self, tmp_path):
+        got = []
+        for name, true_order in (("int", 1), ("str", "1")):
+            spec = write_spec(tmp_path, {**VAR1_SPEC, "true_order": true_order},
+                              name=f"{name}.json")
+            assert run(["calibrate", "--spec", spec, "--replications", 2, "--length", 60,
+                        "--kmax", 1, "--freqs", 4, "--bootstrap", 19,
+                        "--out", tmp_path / name]) == 0
+            payload = json.loads((tmp_path / name / "calibration.json").read_text())
+            got.append((payload["true_order"], payload["order_recovery_rate"]))
+        assert got == [(1, 1.0), (1, 1.0)]   # at kmax 1 every order is 1
+
+    def test_non_integer_true_order_is_data_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {**VAR1_SPEC, "true_order": "one"})
+        assert run(["calibrate", "--spec", spec, "--replications", 1, "--length", 60,
+                    "--kmax", 1, "--out", tmp_path / "cal"]) == 2
+        assert "bad value for 'true_order'" in capsys.readouterr().err
+
 
 class TestIngestCommand:
     def write_raw(self, path, n=250):
@@ -363,6 +381,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "internal error: IndexError" in err
         assert "Traceback" in err and "slicing slip" in err
+
+    @pytest.mark.parametrize("site", ["config", "synth", "calibrate", "compare", "report"])
+    def test_file_not_json_is_data_error_naming_it(self, tmp_path, capsys, site):
+        bad = tmp_path / "broken.json"
+        bad.write_text("{")
+        good = fake_results(tmp_path, "ok", [1, 2, 3])
+        argv = {
+            "config": ["report", f"a={good}", "--config", bad, "--out", tmp_path / "r"],
+            "synth": ["synth", bad, "--out", tmp_path / "s"],
+            "calibrate": ["calibrate", "--spec", bad, "--replications", 1,
+                          "--out", tmp_path / "c"],
+            "compare": ["compare", good, bad, "--out", tmp_path / "cmp"],
+            "report": ["report", f"a={good}", f"b={bad}", "--out", tmp_path / "r"],
+        }[site]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad} is not JSON: ")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
