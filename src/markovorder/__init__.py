@@ -7,13 +7,7 @@ summarize and compare cohorts with pooled t and variance-ratio F tests.
 """
 
 from .core import ScalingParams, Trajectory, make_trajectory, standardize, unstandardize
-from .ccf import (
-    KernelCcf,
-    exact_ccf_discrete,
-    fit_backward,
-    fit_forward,
-    silverman_bandwidth,
-)
+from .ccf import exact_ccf_discrete
 from .markov import (
     BatchItem,
     MarkovTestResult,
@@ -21,7 +15,6 @@ from .markov import (
     TestConfig,
     batch_test,
     estimate_order,
-    lag_statistic,
     lag_test,
     sample_frequencies,
     trajectory_rng,
@@ -43,9 +36,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Trajectory", "ScalingParams", "make_trajectory", "standardize", "unstandardize",
-    "KernelCcf", "fit_forward", "fit_backward", "exact_ccf_discrete", "silverman_bandwidth",
+    "exact_ccf_discrete",
     "TestConfig", "MarkovTestResult", "OrderEstimate", "BatchItem",
-    "sample_frequencies", "lag_statistic", "lag_test",
+    "sample_frequencies", "lag_test",
     "estimate_order", "batch_test", "trajectory_rng",
     "CohortSummary", "TTestResult", "FTestResult", "summarize_orders",
     "pooled_t_test", "pooled_t_test_from_stats", "f_test", "f_test_from_stats",

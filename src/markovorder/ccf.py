@@ -1,25 +1,22 @@
 """Conditional characteristic function (CCF) estimators.
 
 A CCF is the Fourier transform of a conditional density: the forward CCF of
-a series is ``E[exp(i mu . X_{t+1}) | X_t = x]`` and the backward CCF is
-``E[exp(i nu . X_t) | X_{t+1} = x]``.  Both are estimated here with a
-Nadaraya-Watson regression over adjacent pairs using a Gaussian product
-kernel, which keeps fitting and evaluation deterministic and closed form.
+a series at lag k is ``E[exp(i mu . X_{s+k}) | X_s, ..., X_{s+k-1}]`` and
+the backward CCF is ``E[exp(i nu . X_t) | X_{t+1}, ..., X_{t+k}]``.  The lag
+test estimates both with a Nadaraya-Watson regression over the length-k
+windows of the series using a Gaussian product kernel, which keeps fitting
+and evaluation deterministic and closed form.
 
-The same machinery supports conditioning on a window of ``w`` consecutive
-states (the window is flattened into one ``w*d``-dimensional conditioning
-vector); the plain forward/backward fits are the ``w = 1`` case.
-
-Evaluations are convex combinations of unit-modulus numbers, so the modulus
-never exceeds 1 (up to rounding) and the value at zero frequency is exactly
-1.  Weights are computed with a log-space softmax, so evaluation points far
-from the data never under flow to 0/0.
-
-The lag test does not go through :class:`KernelCcf`:
-:func:`loo_window_residuals` computes its forward and backward leave-one-out
-residuals from one kernel matrix over the windows of the series (one scalar
-bandwidth per (trajectory, lag), leave-one-out as the zeroed diagonal), built
-in row blocks so that its memory grows linearly in the series length.
+:func:`loo_window_residuals` computes the test's forward and backward
+leave-one-out residuals from one kernel matrix over the windows of the
+series (one scalar bandwidth per (trajectory, lag), leave-one-out as the
+zeroed diagonal), built in row blocks so that its memory grows linearly in
+the series length.  Each fitted CCF is a convex combination of unit-modulus
+numbers, so its modulus never exceeds 1 (up to rounding), and the residual
+at zero frequency is exactly 0.  :class:`KernelCcf` is the same regression
+over explicit pairs, without leave-one-out: refit without each pair in turn,
+it is the brute-force reference of the residuals in the test suite.
+:func:`exact_ccf_discrete` is the exact CCF of a finite-state chain.
 """
 
 from __future__ import annotations
@@ -29,41 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Trajectory
-from .errors import (
-    DimensionMismatchError,
-    InsufficientDataError,
-    NonPositiveBandwidthError,
-    NotStochasticError,
-)
+from .errors import DimensionMismatchError, InsufficientDataError, NotStochasticError
 
-__all__ = [
-    "KernelCcf",
-    "fit_forward",
-    "fit_backward",
-    "fit_forward_window",
-    "fit_backward_window",
-    "silverman_bandwidth",
-    "window_embed",
-    "exact_ccf_discrete",
-]
+__all__ = ["window_embed", "loo_window_residuals", "exact_ccf_discrete"]
 
 _ROW_BLOCK = 256      # most kernel-matrix rows built and used at once
-
-
-def silverman_bandwidth(cond: np.ndarray) -> np.ndarray:
-    """Per-dimension rule-of-thumb bandwidth 1.06 * sigma * n^(-1/(4+p)).
-
-    ``cond`` is the (n, p) conditioning sample; sigma is its sample std.
-    """
-    n, p = cond.shape
-    sigma = cond.std(axis=0, ddof=1) if n > 1 else np.ones(p)
-    h = 1.06 * sigma * n ** (-1.0 / (4.0 + p))
-    if (h <= 0).any() or not np.isfinite(h).all():
-        raise NonPositiveBandwidthError(
-            "auto bandwidth degenerate; a conditioning dimension is constant"
-        )
-    return h
 
 
 def window_embed(states: np.ndarray, window: int) -> np.ndarray:
@@ -79,54 +46,23 @@ def window_embed(states: np.ndarray, window: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _resolve_bandwidth(bandwidth, cond: np.ndarray) -> np.ndarray:
-    p = cond.shape[1]
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise NonPositiveBandwidthError(f"unknown bandwidth spec {bandwidth!r}")
-        return silverman_bandwidth(cond)
-    h = np.asarray(bandwidth, dtype=float)
-    if h.ndim == 0:
-        h = np.full(p, float(h))
-    if h.shape != (p,):
-        raise DimensionMismatchError(f"bandwidth must have {p} entries, got shape {h.shape}")
-    if (h <= 0).any() or not np.isfinite(h).all():
-        raise NonPositiveBandwidthError("bandwidths must be strictly positive and finite")
-    return h
-
-
 @dataclass(frozen=True)
 class KernelCcf:
-    """Fitted Nadaraya-Watson conditional characteristic function.
+    """Nadaraya-Watson CCF over explicit (conditioning point, target) pairs.
 
     Attributes
     ----------
-    direction : str
-        "forward" (condition on the earlier state) or "backward".
     cond : (n, p) array
-        Conditioning points (windows of ``window`` states, flattened).
+        Conditioning points.
     targets : (n, d) array
         Target states paired with each conditioning point.
     bandwidth : (p,) array
         Positive kernel widths per conditioning dimension.
-    window : int
-        Number of consecutive states in each conditioning vector.
     """
 
-    direction: str
     cond: np.ndarray
     targets: np.ndarray
     bandwidth: np.ndarray
-    window: int = 1
-    kind: str = "kernel"
-
-    @property
-    def target_dim(self) -> int:
-        return self.targets.shape[1]
-
-    @property
-    def cond_dim(self) -> int:
-        return self.cond.shape[1]
 
     def weights(self, points: np.ndarray) -> np.ndarray:
         """Kernel weights of every fitted pair at each evaluation point.
@@ -135,9 +71,10 @@ class KernelCcf:
         Gaussian product kernel), m being the number of evaluation points.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self.cond_dim:
+        if points.shape[1] != self.cond.shape[1]:
             raise DimensionMismatchError(
-                f"evaluation points have dimension {points.shape[1]}, fit has {self.cond_dim}"
+                f"evaluation points have dimension {points.shape[1]}, "
+                f"conditioning points have {self.cond.shape[1]}"
             )
         u = points / self.bandwidth
         c = self.cond / self.bandwidth
@@ -162,9 +99,10 @@ class KernelCcf:
         points.  Rows whose frequency is exactly zero are exactly 1.
         """
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
-        if freqs.shape[1] != self.target_dim:
+        if freqs.shape[1] != self.targets.shape[1]:
             raise DimensionMismatchError(
-                f"frequencies have dimension {freqs.shape[1]}, targets have {self.target_dim}"
+                f"frequencies have dimension {freqs.shape[1]}, "
+                f"targets have {self.targets.shape[1]}"
             )
         w = self.weights(points)
         phases = self.targets @ freqs.T                       # (n, M)
@@ -173,62 +111,6 @@ class KernelCcf:
         if zero.any():
             values[zero] = 1.0 + 0.0j
         return values
-
-    def evaluate(self, freq: np.ndarray, x: np.ndarray) -> complex:
-        """CCF value at one (frequency, conditioning point) pair."""
-        freq = np.atleast_1d(np.asarray(freq, dtype=float))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if freq.shape != (self.target_dim,):
-            raise DimensionMismatchError(
-                f"freq shape {freq.shape} does not match target dimension {self.target_dim}"
-            )
-        if x.shape != (self.cond_dim,):
-            raise DimensionMismatchError(
-                f"x shape {x.shape} does not match conditioning dimension {self.cond_dim}"
-            )
-        return complex(self.evaluate_many(freq[None, :], x[None, :])[0, 0])
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-def fit_forward_window(states: np.ndarray, window: int = 1,
-                       bandwidth="auto") -> KernelCcf:
-    """Fit the one-step-ahead CCF conditioned on a window of states.
-
-    Pairs are (window ending at s) -> X_{s+1}; there are T - window of them.
-    """
-    states = np.asarray(states, dtype=float)
-    T = states.shape[0]
-    if T - window < 1:
-        raise InsufficientDataError(f"need T > window, got T={T}, window={window}")
-    emb = window_embed(states, window)
-    cond = emb[:-1]
-    targets = states[window:]
-    h = _resolve_bandwidth(bandwidth, cond)
-    return KernelCcf(direction="forward", cond=_frozen(cond),
-                     targets=_frozen(targets), bandwidth=_frozen(h), window=window)
-
-
-def fit_backward_window(states: np.ndarray, window: int = 1,
-                        bandwidth="auto") -> KernelCcf:
-    """Fit the one-step-back CCF conditioned on a window of states.
-
-    Pairs are (window starting at s) -> X_{s-1}; there are T - window of them.
-    """
-    states = np.asarray(states, dtype=float)
-    T = states.shape[0]
-    if T - window < 1:
-        raise InsufficientDataError(f"need T > window, got T={T}, window={window}")
-    emb = window_embed(states, window)
-    cond = emb[1:]
-    targets = states[:T - window]
-    h = _resolve_bandwidth(bandwidth, cond)
-    return KernelCcf(direction="backward", cond=_frozen(cond),
-                     targets=_frozen(targets), bandwidth=_frozen(h), window=window)
 
 
 def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
@@ -309,21 +191,6 @@ def _phase_columns(out: np.ndarray, phase: np.ndarray) -> None:
     out[:, 0:2 * M:2] = np.cos(phase)
     out[:, 1:2 * M:2] = np.sin(phase)
     out[:, 2 * M] = 1.0
-
-
-def fit_forward(traj: Trajectory, bandwidth="auto") -> KernelCcf:
-    """Forward CCF estimator over the T-1 adjacent pairs (X_t -> X_{t+1}).
-
-    The default bandwidth is Silverman's rule per dimension,
-    ``1.06 * sigma_j * (T-1)^(-1/(4+d))``; pass per-dimension widths to
-    override.  Fitting is deterministic.
-    """
-    return fit_forward_window(traj.states, window=1, bandwidth=bandwidth)
-
-
-def fit_backward(traj: Trajectory, bandwidth="auto") -> KernelCcf:
-    """Backward CCF estimator over the T-1 adjacent pairs (X_{t+1} -> X_t)."""
-    return fit_backward_window(traj.states, window=1, bandwidth=bandwidth)
 
 
 def exact_ccf_discrete(

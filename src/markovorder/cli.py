@@ -107,7 +107,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "version": __version__,
         "config": config,
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
-        "inputs": {str(p): _sha256(p) for p in sorted(inputs)},
+        "inputs": {str(p): _sha256(p) for p in sorted(inputs) if p.is_file()},
         "wall_time_s": time.perf_counter() - t_start,
         "environment": {
             "numpy": np.__version__,
@@ -204,7 +204,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 written.append(dest)
                 label = seg.metadata.get("cohort", "unlabeled")
                 cohort_counts[label] = cohort_counts.get(label, 0) + 1
-        except (MarkovOrderError, FileNotFoundError) as exc:
+        except (MarkovOrderError, OSError) as exc:
             failures.append(str(path))
             log.warning("skipping %s: %s", path, exc)
     _write_manifest(out_dir, "ingest", cfg.to_dict(), files, t0, extra={
@@ -223,6 +223,14 @@ def _array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _whole(value) -> int:
+    """``value`` as an int; a fractional number is rejected, not truncated."""
+    out = int(value)
+    if out != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return out
+
+
 def _spec_value(spec: dict, key: str, convert=_array, *default):
     """``convert`` of the spec's value at ``key``, or of ``default`` when the
     key is absent; a missing or unconvertible value is a data error."""
@@ -230,7 +238,7 @@ def _spec_value(spec: dict, key: str, convert=_array, *default):
         return convert(spec[key] if key in spec or not default else default[0])
     except KeyError:
         raise MarkovOrderError(f"generator spec: missing key {key!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MarkovOrderError(f"generator spec: bad value for {key!r}: {exc}") from None
 
 
@@ -242,10 +250,10 @@ def _build_generator(spec: dict):
     if kind == "var":
         vs = VarSpec(coeffs=_spec_value(spec, "coeffs", lambda v: tuple(map(_array, v))),
                      noise_cov=_spec_value(spec, "noise_cov"),
-                     burn_in=_spec_value(spec, "burn_in", int, 200))
+                     burn_in=_spec_value(spec, "burn_in", _whole, 200))
         return lambda T, rng, id: gen_var(vs, T, rng, dt=dt, id=id)
     if kind == "chain":
-        cs = ChainSpec(order=_spec_value(spec, "order", int),
+        cs = ChainSpec(order=_spec_value(spec, "order", _whole),
                        transition=_spec_value(spec, "transition"),
                        embedding=_spec_value(spec, "embedding"))
         return lambda T, rng, id: gen_chain(cs, T, rng, dt=dt, id=id)
@@ -264,7 +272,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(_merged(args, "seed", 0))
     count = int(args.count)
-    T = args.length if args.length is not None else _spec_value(spec, "length", int, 300)
+    T = args.length if args.length is not None else _spec_value(spec, "length", _whole, 300)
     name = spec.get("name", spec_path.stem)
     cohort = spec.get("cohort")
 
@@ -302,7 +310,7 @@ def cmd_test(args: argparse.Namespace) -> int:
                     f"{path}: trajectory id {traj.id!r} already read from {seen[traj.id]}")
             seen[traj.id] = path
             trajs.append(traj)
-        except MarkovOrderError as exc:  # an unreadable file fails its item only
+        except (MarkovOrderError, OSError) as exc:  # an unreadable file fails its item only
             items.append(BatchItem(trajectory_id=item_id, estimate=None,
                                    error=f"{type(exc).__name__}: {exc}"))
     items = sorted(items + batch_test(trajs, cfg, jobs=jobs),
@@ -334,15 +342,10 @@ def _orders_from_results(path: Path) -> list[int]:
     return orders
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    path_a, path_b = Path(args.results_a), Path(args.results_b)
-    label_a, label_b = (args.labels.split(",") + ["a", "b"])[:2] if args.labels else ("a", "b")
-    orders_a = _orders_from_results(path_a)
-    orders_b = _orders_from_results(path_b)
-    summary = {label_a: summarize_orders(orders_a), label_b: summarize_orders(orders_b)}
-    # a degenerate cohort invalidates one test, not the whole comparison
-    payload: dict = {"cohorts": {k: v.to_dict() for k, v in summary.items()}}
+def _compare_cohorts(orders_a: list[int], orders_b: list[int], payload: dict) -> list:
+    """The pooled t and F tests that succeed; ``payload`` gets each test's
+    result or, for a degenerate cohort, its error, which invalidates that
+    test, not the whole comparison."""
     comparisons = []
     for name, test in (("t_test", pooled_t_test), ("f_test", f_test)):
         try:
@@ -352,6 +355,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         except MarkovOrderError as exc:
             payload[name] = {"error": str(exc)}
             log.warning("%s unavailable: %s", name, exc)
+    return comparisons
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
+    path_a, path_b = Path(args.results_a), Path(args.results_b)
+    label_a, label_b = (args.labels.split(",") + ["a", "b"])[:2] if args.labels else ("a", "b")
+    orders_a = _orders_from_results(path_a)
+    orders_b = _orders_from_results(path_b)
+    summary = {label_a: summarize_orders(orders_a), label_b: summarize_orders(orders_b)}
+    payload: dict = {"cohorts": {k: v.to_dict() for k, v in summary.items()}}
+    comparisons = _compare_cohorts(orders_a, orders_b, payload)
     out_dir = Path(_merged(args, "out", "comparison"))
     _write_json(out_dir / "comparison.json", payload)
     table = render_summary(summary, comparisons, format="markdown")
@@ -373,7 +388,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.spec:
         spec = _read_json(Path(args.spec))
         gen = _build_generator(spec)
-        true_order = _spec_value(spec, "true_order", lambda v: v if v is None else int(v), None)
+        true_order = _spec_value(spec, "true_order", lambda v: v if v is None else _whole(v), None)
     else:
         dim = int(args.dim)
         iid = VarSpec(coeffs=(np.zeros((dim, dim)),), noise_cov=np.eye(dim), burn_in=0)
@@ -440,15 +455,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         cohorts[label] = summarize_orders(orders)
         orders_by_cohort[label] = orders
         inputs.append(Path(path))
-    comparisons = []
+    comparisons, tests = [], {}
     if len(cohorts) == 2:
-        (label_a, a), (label_b, b) = orders_by_cohort.items()
-        comparisons = [pooled_t_test(a, b), f_test(a, b)]
+        comparisons = _compare_cohorts(*orders_by_cohort.values(), tests)
     out_dir = Path(_merged(args, "out", "report"))
     written = write_report_files(out_dir, cohorts, orders_by_cohort, comparisons,
                                  k_max=int(_merged(args, "kmax", 10)))
     _write_manifest(out_dir, "report", {"kmax": int(_merged(args, "kmax", 10))},
-                    inputs, t0, extra={"files": [str(p) for p in written]})
+                    inputs, t0, extra={"files": [str(p) for p in written], **tests})
     sys.stdout.write(render_summary(cohorts, comparisons, format="markdown"))
     return 0
 
@@ -548,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MarkovOrderError, FileNotFoundError) as exc:
+    except (MarkovOrderError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

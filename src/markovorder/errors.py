@@ -72,10 +72,6 @@ class DuplicateTrajectoryIdError(MarkovOrderError):
 
 # -- estimators and test statistics ------------------------------------------
 
-class NonPositiveBandwidthError(MarkovOrderError):
-    """Kernel bandwidths must be strictly positive."""
-
-
 class NotStochasticError(MarkovOrderError):
     """Transition probabilities are negative or do not sum to one."""
 

@@ -42,9 +42,7 @@ compared.
 Separations start at q = 2 because the adjacent product (q = 1) pairs a
 backward residual with a forward residual whose target state the backward
 fit conditions on; that cross-moment does not vanish under the null for
-dependent Markov series, so it carries no valid signal.  The single-shift
-statistic :func:`lag_statistic` is still exposed for inspection and for its
-exact algebraic identities.
+dependent Markov series, so it carries no valid signal.
 
 The Markov order estimate is the first lag k at which the null is accepted
 (p > alpha); if no lag up to ``k_max`` is accepted the estimate is capped
@@ -70,7 +68,6 @@ __all__ = [
     "OrderEstimate",
     "BatchItem",
     "sample_frequencies",
-    "lag_statistic",
     "lag_test",
     "estimate_order",
     "batch_test",
@@ -219,28 +216,6 @@ def sample_frequencies(d: int, M: int, rng: np.random.Generator) -> list:
     component (states are standardized upstream, so unit scale is natural).
     """
     return list(zip(*_draw_frequencies(d, M, rng)))
-
-
-def lag_statistic(traj: Trajectory, k: int, mu: np.ndarray, nu: np.ndarray,
-                  forward, backward) -> complex:
-    """Single-shift doubly-robust cross-residual statistic at lag k.
-
-    ``mean over t of {exp(i mu . X_{t+k}) - phi(mu | X_{t+k-1})} *
-    {exp(i nu . X_t) - psi(nu | X_{t+1})}`` where phi/psi are the fitted
-    one-step forward/backward CCF estimators.  Exactly zero when either
-    frequency is zero; conjugating both frequencies conjugates the value.
-    """
-    states = traj.states
-    n_eff = traj.length - k
-    if n_eff < 1:
-        raise TrajectoryTooShortError(f"T - k = {n_eff} < 1")
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    fwd_vals = forward.evaluate_many(mu[None, :], states[k - 1:traj.length - 1])[0]
-    first = np.exp(1j * (states[k:] @ mu)) - fwd_vals
-    bwd_vals = backward.evaluate_many(nu[None, :], states[1:traj.length - k + 1])[0]
-    second = np.exp(1j * (states[:n_eff] @ nu)) - bwd_vals
-    return complex((first * second).mean())
 
 
 def _shift_range(k: int, n_shifts: int) -> range:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from markovorder import TestConfig, make_trajectory
+from markovorder import TestConfig, make_trajectory, standardize
+from markovorder.ccf import loo_window_residuals
 
 TestConfig.__test__ = False  # a config dataclass, not a pytest test class
 
@@ -76,6 +77,34 @@ def var1_trajectory(coeffs, T: int, seed: int, burn_in: int = 300):
 def iid_trajectory(T: int, d: int, seed: int):
     rng = np.random.default_rng(seed)
     return make_trajectory(rng.standard_normal((T, d)), dt=1.0, id=f"iid_{seed}")
+
+
+def implied_ccf(states, freqs, k: int = 1):
+    """The forward and backward CCFs of a raw (T, d) series that the lag
+    test's leave-one-out residuals imply at lag k, for (M, d) ``freqs``.
+
+    Returns two (M, T - k) tables: column s of the first is conditioned on
+    X_s..X_{s+k-1}, column t of the second on X_{t+1}..X_{t+k}.  The
+    residuals are ``exp(i f . Z) - CCF`` on the standardized series
+    ``Z = (X - mean) / std``, so the CCF of X at f is the CCF of Z at
+    ``f * std`` times ``exp(i f . mean)``.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    z_traj, params = standardize(make_trajectory(states, dt=1.0))
+    z = z_traj.states
+    scaled = freqs * params.std
+    fwd, bwd = loo_window_residuals(z, k, scaled, scaled)
+    n = z.shape[0] - k
+    shift = np.exp(1j * (freqs @ params.mean))[:, None]
+    return (shift * (np.exp(1j * (scaled @ z[k:].T)) - fwd),
+            shift * (np.exp(1j * (scaled @ z[:n].T)) - bwd))
+
+
+def q_products(fwd, bwd, k: int):
+    """The residual products the lag-k test sums at its smallest separation
+    q = k + 1: forward residual at column t + k times backward at column t."""
+    n_q = fwd.shape[1] - k
+    return fwd[:, k:k + n_q] * bwd[:, :n_q]
 
 
 @pytest.fixture

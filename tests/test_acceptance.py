@@ -12,6 +12,8 @@ import numpy as np
 from conftest import (
     f_cdf_quadrature,
     iid_trajectory,
+    implied_ccf,
+    q_products,
     skip_order2_trajectory,
     t_cdf_quadrature,
 )
@@ -22,16 +24,13 @@ from markovorder import (
     exact_ccf_discrete,
     f_cdf,
     f_test_from_stats,
-    fit_backward,
-    fit_forward,
-    lag_statistic,
     lag_test,
     pooled_t_test_from_stats,
     standardize,
     summarize_orders,
     t_cdf,
 )
-from markovorder.ccf import fit_forward_window
+from markovorder.ccf import loo_window_residuals
 from markovorder.cli import main
 from markovorder.ingest import IngestConfig, ingest_file, latlon_to_local
 
@@ -112,6 +111,14 @@ def test_criterion_05_order_recovery():
             f"order-1 rate {rate1:.2f} (need <= 0.10)")
 
 
+def _time_reversed(P):
+    """Transition matrix of the stationary chain P run backwards in time."""
+    vals, vecs = np.linalg.eig(P.T)
+    pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    pi /= pi.sum()
+    return P.T * pi[None, :] / pi[:, None]
+
+
 def test_criterion_06_estimator_oracle_agreement():
     P = np.array([[0.70, 0.20, 0.10],
                   [0.15, 0.60, 0.25],
@@ -122,16 +129,20 @@ def test_criterion_06_estimator_oracle_agreement():
     idx[0] = 0
     for t in range(1, 5000):
         idx[t] = rng.choice(3, p=P[idx[t - 1]])
-    states = embed[idx][:, None]
-    est = fit_forward_window(states, window=1)
     freqs = np.linspace(-3.0, 3.0, 25)[:, None]
-    fitted = est.evaluate_many(freqs, embed[:, None])
-    sup_err = max(
-        abs(fitted[fi, si] - exact_ccf_discrete(P, embed, freqs[fi], si))
-        for fi in range(len(freqs)) for si in range(3)
-    )
-    _report("6 kernel CCF vs discrete oracle", sup_err <= 0.05,
-            f"sup error {sup_err:.4f} over {len(freqs) * 3} grid cells at T=5000")
+    fwd, bwd = implied_ccf(embed[idx][:, None], freqs)
+    # every leave-one-out fit of the lag-1 test against the exact CCF of the
+    # state it conditions on: X_s forward, X_{t+1} of the reversed chain backward
+    sup_err = {}
+    for name, fitted, chain, cond in (("forward", fwd, P, idx[:-1]),
+                                      ("backward", bwd, _time_reversed(P), idx[1:])):
+        exact = np.array([[exact_ccf_discrete(chain, embed, f, si) for si in range(3)]
+                          for f in freqs])
+        sup_err[name] = float(np.abs(fitted - exact[:, cond]).max())
+    _report("6 lag-test kernel CCFs vs discrete oracle", max(sup_err.values()) <= 0.05,
+            f"sup error forward {sup_err['forward']:.4f}, backward "
+            f"{sup_err['backward']:.4f} over {len(freqs)} frequencies x "
+            f"{fwd.shape[1]} windows at T=5000")
 
 
 def test_criterion_07_statistic_nullity_and_symmetry():
@@ -141,21 +152,23 @@ def test_criterion_07_statistic_nullity_and_symmetry():
     draws = 0
     for ti in range(10):
         traj, _ = standardize(iid_trajectory(120, 2, seed=600 + ti))
-        fwd, bwd = fit_forward(traj), fit_backward(traj)
         for _ in range(10):
             k = int(rng.integers(1, 6))
             mu = rng.standard_normal(2)
             nu = rng.standard_normal(2)
-            s_zero_mu = lag_statistic(traj, k, np.zeros(2), nu, fwd, bwd)
-            s_zero_nu = lag_statistic(traj, k, mu, np.zeros(2), fwd, bwd)
-            worst_null = max(worst_null, abs(s_zero_mu), abs(s_zero_nu))
-            s = lag_statistic(traj, k, mu, nu, fwd, bwd)
-            s_neg = lag_statistic(traj, k, -mu, -nu, fwd, bwd)
-            worst_conj = max(worst_conj, abs(s_neg - np.conj(s)))
+            # frequency pairs (0, nu), (mu, 0) and (mu, nu), then all negated
+            mus = np.stack([np.zeros(2), mu, mu])
+            nus = np.stack([nu, np.zeros(2), nu])
+            s = q_products(*loo_window_residuals(traj.states, k, mus, nus), k).mean(axis=1)
+            s_neg = q_products(*loo_window_residuals(traj.states, k, -mus, -nus),
+                               k).mean(axis=1)
+            worst_null = max(worst_null, abs(s[0]), abs(s[1]))
+            worst_conj = max(worst_conj, abs(s_neg[2] - np.conj(s[2])))
             draws += 1
     ok = worst_null == 0.0 and worst_conj <= 1e-12
     _report("7 statistic nullity and conjugate symmetry", ok,
-            f"{draws} draws, zero-frequency |S| = {worst_null:.1e} (exact), "
+            f"{draws} draws of the lag test's residual products at q = k+1, "
+            f"zero-frequency |S| = {worst_null:.1e} (exact), "
             f"conjugation gap {worst_conj:.1e}")
 
 

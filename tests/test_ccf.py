@@ -3,24 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from markovorder import (
-    ccf,
-    exact_ccf_discrete,
-    fit_backward,
-    fit_forward,
-    make_trajectory,
-)
-from markovorder.ccf import (
-    KernelCcf,
-    fit_backward_window,
-    fit_forward_window,
-    loo_window_residuals,
-    window_embed,
-)
+from conftest import implied_ccf
+
+from markovorder import ccf, exact_ccf_discrete
+from markovorder.ccf import KernelCcf, loo_window_residuals, window_embed
 from markovorder.errors import (
     DimensionMismatchError,
     InsufficientDataError,
-    NonPositiveBandwidthError,
     NotStochasticError,
 )
 
@@ -36,55 +25,57 @@ def simulate_chain(P, embed, T, seed):
 
 
 class TestSinglePair:
+    # with two windows each leave-one-out fit is the other pair alone, so its
+    # CCF is exactly that pair's target phase
+    states = np.array([[0.2, -1.0], [1.5, 0.3], [-0.7, 0.8]])
+
     def test_forward_single_pair_is_target_phase(self):
-        traj = make_trajectory([[0.2, -1.0], [1.5, 0.3]], dt=1.0)
-        est = fit_forward(traj, bandwidth=1.0)
-        mu = np.array([0.7, -0.4])
-        for x in ([0.2, -1.0], [5.0, 5.0], [-3.0, 0.0]):
-            val = est.evaluate(mu, np.asarray(x))
-            assert val == complex(np.exp(1j * (mu @ traj.states[1])))
+        mus = np.array([[0.7, -0.4], [-1.1, 0.2]])
+        fwd, _ = loo_window_residuals(self.states, 1, mus, mus)
+        target = np.exp(1j * (mus @ self.states[1:].T))      # X_1, X_2
+        np.testing.assert_allclose(target - fwd, target[:, ::-1], rtol=0.0, atol=1e-15)
 
     def test_backward_single_pair_is_source_phase(self):
-        traj = make_trajectory([[0.2, -1.0], [1.5, 0.3]], dt=1.0)
-        est = fit_backward(traj, bandwidth=1.0)
-        nu = np.array([0.3, 0.9])
-        val = est.evaluate(nu, np.array([9.9, 9.9]))
-        assert val == complex(np.exp(1j * (nu @ traj.states[0])))
+        nus = np.array([[0.3, 0.9], [0.5, -1.6]])
+        _, bwd = loo_window_residuals(self.states, 1, nus, nus)
+        source = np.exp(1j * (nus @ self.states[:2].T))      # X_0, X_1
+        np.testing.assert_allclose(source - bwd, source[:, ::-1], rtol=0.0, atol=1e-15)
 
 
 class TestInvariants:
+    # the CCFs that the lag test's leave-one-out residuals imply
     def setup_method(self):
         rng = np.random.default_rng(7)
-        self.traj = make_trajectory(rng.standard_normal((60, 3)), dt=1.0)
-        self.est = fit_forward(self.traj)
+        self.states = rng.standard_normal((60, 3))
+        self.freqs = np.random.default_rng(8).standard_normal((50, 3)) * 3
 
     def test_zero_frequency_exact_one(self):
-        val = self.est.evaluate(np.zeros(3), self.traj.states[5])
-        assert val == 1.0 + 0.0j
+        freqs = self.freqs.copy()
+        freqs[5] = 0.0
+        for table in implied_ccf(self.states, freqs, k=2):
+            assert (table[5] == 1.0 + 0.0j).all()
 
     def test_modulus_bounded(self):
-        rng = np.random.default_rng(8)
-        freqs = rng.standard_normal((50, 3))
-        points = rng.standard_normal((20, 3)) * 3
-        vals = self.est.evaluate_many(freqs, points)
-        assert np.abs(vals).max() <= 1.0 + 1e-12
+        for k in (1, 3):
+            for table in implied_ccf(self.states, self.freqs, k):
+                assert np.abs(table).max() <= 1.0 + 1e-12
 
     def test_conjugate_symmetry_exact(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            mu = rng.standard_normal(3)
-            x = rng.standard_normal(3)
-            assert self.est.evaluate(-mu, x) == np.conj(self.est.evaluate(mu, x))
+        for plus, minus in zip(implied_ccf(self.states, self.freqs),
+                               implied_ccf(self.states, -self.freqs)):
+            np.testing.assert_array_equal(minus, plus.conj())
 
     def test_determinism(self):
-        est2 = fit_forward(self.traj)
-        mu = np.array([0.3, -0.2, 1.1])
-        x = self.traj.states[10]
-        assert self.est.evaluate(mu, x) == est2.evaluate(mu, x)
+        a = loo_window_residuals(self.states, 2, self.freqs, self.freqs)
+        b = loo_window_residuals(self.states, 2, self.freqs, self.freqs)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_far_point_no_nan(self):
-        val = self.est.evaluate(np.ones(3), np.full(3, 1e6))
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
+        states = self.states.copy()
+        states[30] = 1e6   # a window far from all others: its weights must not be 0/0
+        for table in loo_window_residuals(states, 1, self.freqs, self.freqs):
+            assert np.isfinite(table).all()
 
 
 class TestChainOracle:
@@ -95,16 +86,12 @@ class TestChainOracle:
 
     def sup_error(self, T, seed=21):
         states = simulate_chain(self.P, self.embed, T, seed)[:, None]
-        est = fit_forward_window(states, window=1)
         freqs = np.linspace(-3, 3, 13)[:, None]
-        points = self.embed[:, None]
-        fitted = est.evaluate_many(freqs, points)
-        worst = 0.0
-        for fi, f in enumerate(freqs[:, 0]):
-            for si in range(3):
-                ora = exact_ccf_discrete(self.P, self.embed, np.array([f]), si)
-                worst = max(worst, abs(fitted[fi, si] - ora))
-        return worst
+        fitted, _ = implied_ccf(states, freqs)
+        cond = np.searchsorted(self.embed, states[:-1, 0])   # state of each window
+        exact = np.array([[exact_ccf_discrete(self.P, self.embed, f, si) for si in range(3)]
+                          for f in freqs])
+        return np.abs(fitted - exact[:, cond]).max()
 
     def test_matches_exact_oracle(self):
         assert self.sup_error(5000) <= 0.05
@@ -116,23 +103,9 @@ class TestChainOracle:
         P = np.array([[0.8, 0.2], [0.2, 0.8]])
         embed = np.array([-1.0, 1.0])
         states = simulate_chain(P, embed, 5000, seed=4)[:, None]
-        fwd = fit_forward_window(states, window=1)
-        bwd = fit_backward_window(states, window=1)
-        freqs = np.linspace(-3, 3, 9)[:, None]
-        pts = embed[:, None]
-        assert np.abs(fwd.evaluate_many(freqs, pts)
-                      - bwd.evaluate_many(freqs, pts)).max() <= 0.05
-
-
-def test_tiny_bandwidth_reaches_dominant_pair():
-    rng = np.random.default_rng(11)
-    traj = make_trajectory(rng.standard_normal((30, 2)), dt=1.0)
-    est = fit_forward(traj, bandwidth=1e-6)
-    mu = np.array([0.9, -1.3])
-    # at a fitted conditioning point the nearest-pair weight dominates
-    val = est.evaluate(mu, traj.states[4])
-    closed = complex(np.exp(1j * (mu @ traj.states[5])))
-    assert val == pytest.approx(closed, abs=1e-9)
+        fwd, bwd = implied_ccf(states, np.linspace(-3, 3, 9)[:, None])
+        # forward column t+1 and backward column t both condition on X_{t+1}
+        assert np.abs(fwd[:, 1:] - bwd[:, :-1]).max() <= 0.05
 
 
 def test_window_embed_layout():
@@ -141,16 +114,6 @@ def test_window_embed_layout():
     assert emb.shape == (4, 4)
     np.testing.assert_array_equal(emb[0], [0, 1, 2, 3])
     np.testing.assert_array_equal(emb[3], [6, 7, 8, 9])
-
-
-def test_windowed_fits_reduce_to_plain_at_window_one():
-    rng = np.random.default_rng(13)
-    traj = make_trajectory(rng.standard_normal((40, 2)), dt=1.0)
-    a = fit_forward(traj)
-    b = fit_forward_window(traj.states, window=1)
-    np.testing.assert_array_equal(a.cond, b.cond)
-    np.testing.assert_array_equal(a.targets, b.targets)
-    np.testing.assert_array_equal(a.bandwidth, b.bandwidth)
 
 
 def _assert_loo_matches_refit(k, outlier):
@@ -170,14 +133,12 @@ def _assert_loo_matches_refit(k, outlier):
         sq = ((emb[:, None] - emb[None]) ** 2).sum(axis=2)
         np.fill_diagonal(sq, np.inf)
         assert sq.argmin(axis=1)[[1, T - 2]].tolist() == [0, n]
-    cases = (("forward", emb[:-1], states[k:], mus, fwd),
-             ("backward", emb[1:], states[:n], nus, bwd))
-    for direction, cond, targets, freqs, table in cases:
+    cases = ((emb[:-1], states[k:], mus, fwd), (emb[1:], states[:n], nus, bwd))
+    for cond, targets, freqs, table in cases:
         ref = np.empty((M, n), dtype=complex)
         for i in range(n):
             keep = np.arange(n) != i
-            fit = KernelCcf(direction=direction, cond=cond[keep],
-                            targets=targets[keep], bandwidth=h, window=k)
+            fit = KernelCcf(cond=cond[keep], targets=targets[keep], bandwidth=h)
             ref[:, i] = (np.exp(1j * (freqs @ targets[i]))
                          - fit.evaluate_many(freqs, cond[i][None, :])[:, 0])
         assert table.shape == (M, n)
@@ -263,21 +224,14 @@ class TestExactDiscrete:
 
 
 class TestErrors:
-    def test_bad_bandwidth(self):
-        traj = make_trajectory([[0.0], [1.0], [2.0]], dt=1.0)
-        with pytest.raises(NonPositiveBandwidthError):
-            fit_forward(traj, bandwidth=0.0)
-        with pytest.raises(NonPositiveBandwidthError):
-            fit_forward(traj, bandwidth=[-1.0])
-
     def test_dimension_mismatch_on_evaluate(self):
-        traj = make_trajectory([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], dt=1.0)
-        est = fit_forward(traj)
+        fit = KernelCcf(cond=np.zeros((3, 2)), targets=np.zeros((3, 2)),
+                        bandwidth=np.ones(2))
         with pytest.raises(DimensionMismatchError):
-            est.evaluate(np.array([1.0]), traj.states[0])
+            fit.evaluate_many(np.ones((1, 1)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatchError):
-            est.evaluate(np.array([1.0, 2.0]), np.array([1.0]))
+            fit.evaluate_many(np.ones((1, 2)), np.zeros((1, 1)))
 
     def test_window_too_large(self):
         with pytest.raises(InsufficientDataError):
-            fit_forward_window(np.zeros((3, 1)), window=3)
+            window_embed(np.zeros((3, 1)), 4)

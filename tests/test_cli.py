@@ -86,6 +86,25 @@ class TestSynth:
         assert run(["synth", path, "--count", 1, "--out", tmp_path / "x"]) == 2
         assert "bad value for 'length'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["length", "burn_in", "order", "true_order"])
+    def test_fractional_integer_field_is_data_error(self, tmp_path, capsys, key):
+        chain = {"kind": "chain", "name": "c", "order": 1, "length": 50,
+                 "transition": [[0.5, 0.5], [0.5, 0.5]], "embedding": [[0.0], [1.0]]}
+        base = chain if key == "order" else VAR1_SPEC
+        whole = {"length": 60, "burn_in": 10, "order": 1, "true_order": 1}[key]
+        for value, code in ((whole + 0.7, 2), (float(whole), 0), (whole, 0)):
+            path = write_spec(tmp_path, {**base, key: value}, name="frac.json")
+            out = tmp_path / f"o{value!r}"
+            argv = (["calibrate", "--spec", path, "--replications", 1, "--length", 60,
+                     "--kmax", 1, "--freqs", 4, "--bootstrap", 19, "--out", out]
+                    if key == "true_order" else ["synth", path, "--count", 1, "--out", out])
+            assert run(argv) == code
+            err = capsys.readouterr().err
+            assert (f"bad value for {key!r}: {value!r} is not a whole number" in err) == (code == 2)
+        if key == "length":   # whole-valued floats give the full series
+            rows = (out / "v1_0000.csv").read_text().splitlines()
+            assert len(rows) == 1 + whole
+
     def test_spec_not_json_object_is_data_error(self, tmp_path):
         for name, text in (("broken.json", "{"), ("list.json", "[1, 2]")):
             (tmp_path / name).write_text(text)
@@ -179,6 +198,18 @@ class TestTest:
         assert errors["broken"].startswith("UnparsableRowError: broken.csv: row 2")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_failed"] == 1
+
+    def test_directory_named_csv_is_per_item_error(self, corpus, tmp_path):
+        (corpus / "bogus.csv").mkdir()
+        out = tmp_path / "d"
+        assert run(self.args(corpus, out)) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        errors = {r["trajectory_id"]: r["error"] for r in results if "error" in r}
+        assert len(results) == 5 and list(errors) == ["bogus"]
+        assert errors["bogus"].startswith("IsADirectoryError: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_failed"] == 1
+        assert str(corpus / "bogus.csv") not in manifest["inputs"]
 
     def test_every_file_unreadable_is_data_error(self, tmp_path):
         junk = tmp_path / "junk"
@@ -341,6 +372,17 @@ class TestIngestCommand:
         assert manifest["failed_inputs"] == [str(bad)]
         assert manifest["trajectories_written"] == 2
 
+    def test_directory_named_csv_among_valid(self, tmp_path):
+        src = tmp_path / "raw"
+        src.mkdir()
+        self.write_raw(src / "good.csv")
+        (src / "bogus.csv").mkdir()
+        out = tmp_path / "ing5"
+        assert run(["ingest", src, "--out", out, "--segment-len", 120]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_inputs"] == [str(src / "bogus.csv")]
+        assert manifest["trajectories_written"] == 2
+
     def test_all_failed_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nonsense,columns\n1,2\n")
@@ -357,6 +399,15 @@ class TestReportCommand:
         assert {"summary.md", "summary.csv", "summary.json",
                 "histogram_av.csv", "box_hv.json"} <= names
         assert "| av |" in capsys.readouterr().out
+
+    def test_zero_variance_cohorts_record_failed_tests(self, tmp_path, capsys):
+        p = fake_results(tmp_path, "flat", [1, 1, 1, 1])
+        out = tmp_path / "rep0"
+        assert run(["report", f"a={p}", f"b={p}", "--out", out]) == 0
+        assert (out / "summary.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "error" in manifest["t_test"] and "error" in manifest["f_test"]
+        assert "| a |" in capsys.readouterr().out
 
     def test_label_syntax_required(self, tmp_path):
         pa = fake_results(tmp_path, "av", [1, 2])
@@ -397,6 +448,11 @@ class TestExitCodes:
         }[site]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"data error: {bad} is not JSON: ")
+
+    def test_directory_as_config_is_data_error(self, tmp_path, capsys):
+        assert run(["synth", write_spec(tmp_path), "--config", tmp_path,
+                    "--out", tmp_path / "s"]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

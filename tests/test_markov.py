@@ -3,15 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ar1_trajectory, iid_trajectory, var1_trajectory
+from conftest import ar1_trajectory, iid_trajectory, q_products, var1_trajectory
 
 from markovorder import (
     TestConfig,
     batch_test,
     estimate_order,
-    fit_backward,
-    fit_forward,
-    lag_statistic,
     lag_test,
     make_trajectory,
     sample_frequencies,
@@ -19,6 +16,7 @@ from markovorder import (
     trajectory_rng,
 )
 from markovorder import markov as markov_mod
+from markovorder.ccf import loo_window_residuals
 from markovorder.errors import NonFiniteValueError, TrajectoryTooShortError
 
 FAST = TestConfig(k_max=3, n_freqs=8, n_bootstrap=49, rng_seed=5)
@@ -46,48 +44,39 @@ class TestSampleFrequencies:
         assert not np.array_equal(a[0][0], b[0][0])
 
 
+def _statistic(states, k, mu, nu):
+    """Mean of the lag-k test's residual products at separation q = k+1
+    for one frequency pair."""
+    fwd, bwd = loo_window_residuals(states, k, np.atleast_2d(mu), np.atleast_2d(nu))
+    return complex(q_products(fwd, bwd, k).mean())
+
+
 class TestLagStatistic:
     def setup_method(self):
-        self.traj, _ = standardize(iid_trajectory(80, 2, seed=3))
-        self.fwd = fit_forward(self.traj)
-        self.bwd = fit_backward(self.traj)
+        self.states = standardize(iid_trajectory(80, 2, seed=3))[0].states
 
     def test_zero_mu_exact_zero(self):
-        val = lag_statistic(self.traj, 2, np.zeros(2), np.array([0.5, 1.0]),
-                            self.fwd, self.bwd)
+        val = _statistic(self.states, 2, np.zeros(2), np.array([0.5, 1.0]))
         assert val == 0.0 + 0.0j
 
     def test_zero_nu_exact_zero(self):
-        val = lag_statistic(self.traj, 2, np.array([0.5, 1.0]), np.zeros(2),
-                            self.fwd, self.bwd)
+        val = _statistic(self.states, 2, np.array([0.5, 1.0]), np.zeros(2))
         assert val == 0.0 + 0.0j
-
-    def test_single_pair_vanishes(self):
-        traj = make_trajectory([[0.1], [0.9]], dt=1.0)
-        fwd = fit_forward(traj, bandwidth=1.0)
-        bwd = fit_backward(traj, bandwidth=1.0)
-        val = lag_statistic(traj, 1, np.array([0.7]), np.array([0.3]), fwd, bwd)
-        assert abs(val) <= 1e-12
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             mu, nu = rng.standard_normal(2), rng.standard_normal(2)
-            s = lag_statistic(self.traj, 1, mu, nu, self.fwd, self.bwd)
-            s_neg = lag_statistic(self.traj, 1, -mu, -nu, self.fwd, self.bwd)
+            s = _statistic(self.states, 1, mu, nu)
+            s_neg = _statistic(self.states, 1, -mu, -nu)
             assert s_neg == pytest.approx(np.conj(s), abs=1e-12)
 
     def test_iid_statistic_is_small(self):
         # population value is 0 under independence; Monte Carlo bound
         mu, nu = np.array([1.0]), np.array([1.0])
         for seed in range(20):
-            traj, _ = standardize(iid_trajectory(2000, 1, seed=100 + seed))
-            fwd, bwd = fit_forward(traj), fit_backward(traj)
-            assert abs(lag_statistic(traj, 2, mu, nu, fwd, bwd)) <= 0.1
-
-    def test_too_short(self):
-        with pytest.raises(TrajectoryTooShortError):
-            lag_statistic(self.traj, 80, np.ones(2), np.ones(2), self.fwd, self.bwd)
+            states = standardize(iid_trajectory(2000, 1, seed=100 + seed))[0].states
+            assert abs(_statistic(states, 2, mu, nu)) <= 0.1
 
 
 class TestLagTest:
