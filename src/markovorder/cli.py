@@ -12,7 +12,14 @@ and all numerical outputs are reproducible from the manifest:
 per-trajectory seeds derive from the global seed and the trajectory id, so
 results do not depend on execution order or ``--jobs``.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Each test and ingest flag takes its type and default from the field of
+``TestConfig`` or ``IngestConfig`` it sets.  ``report`` bins orders up to
+``--kmax`` or, without it, up to the larger of ``TestConfig.k_max`` and the
+largest input order.
+
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.  A
+setting its config rejects, a malformed results file and a repeated cohort
+label are data errors.
 """
 
 from __future__ import annotations
@@ -26,16 +33,16 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cohorts import f_test, pooled_t_test, summarize_orders
-from .core import Trajectory
 from .errors import DuplicateTrajectoryIdError, EmptyCohortError, MarkovOrderError
 from .ingest import IngestConfig, ingest_file, read_trajectory, write_trajectory
-from .markov import BatchItem, TestConfig, batch_test, estimate_order, trajectory_rng
+from .markov import BatchItem, TestConfig, batch_test, trajectory_rng
 from .report import render_summary, write_report_files
 from .synthetic import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
 
@@ -144,28 +151,53 @@ def _load_file_config(args: argparse.Namespace) -> None:
     args._file_config = cfg
 
 
-def _test_config(args: argparse.Namespace) -> TestConfig:
-    return TestConfig(
-        k_max=int(_merged(args, "kmax", 10)),
-        alpha=float(_merged(args, "alpha", 0.05)),
-        n_freqs=int(_merged(args, "freqs", 32)),
-        n_bootstrap=int(_merged(args, "bootstrap", 300)),
-        n_shifts=int(_merged(args, "shifts", 3)),
-        min_effective_length=int(_merged(args, "min-effective", 30)),
-        rng_seed=int(_merged(args, "seed", 0)),
-        estimator=str(_merged(args, "estimator", "kernel")),
-    )
+# flag -> field of the config it sets; each flag takes the type and default
+# of its field, and a config file may use the flag's name as a key
+_TEST_FLAGS = {"alpha": "alpha", "kmax": "k_max", "freqs": "n_freqs",
+               "bootstrap": "n_bootstrap", "shifts": "n_shifts",
+               "min-effective": "min_effective_length", "seed": "rng_seed",
+               "estimator": "estimator"}
+_INGEST_FLAGS = {"resample-dt": "resample_dt", "segment-len": "segment_length",
+                 "min-len": "min_length", "segment-mode": "segment_mode",
+                 "trim-head": "trim_head", "trim-tail": "trim_tail"}
+_FLAG_HELP = {"alpha": "significance level", "kmax": "largest order tested",
+              "freqs": "random frequency pairs per lag", "bootstrap": "bootstrap replicates",
+              "shifts": "residual separations in the sup", "min-effective": "minimum T-k",
+              "seed": "base RNG seed", "estimator": "CCF estimator"}
+_FLAG_CHOICES = {"estimator": ("kernel", "mdn"), "segment-mode": ("fixed", "min")}
 
 
-def _ingest_config(args: argparse.Namespace) -> IngestConfig:
-    return IngestConfig(
-        resample_dt=float(_merged(args, "resample-dt", 1.0)),
-        segment_length=float(_merged(args, "segment-len", 120.0)),
-        min_length=float(_merged(args, "min-len", 70.0)),
-        trim_head=float(_merged(args, "trim-head", 0.0)),
-        trim_tail=float(_merged(args, "trim-tail", 0.0)),
-        segment_mode=str(_merged(args, "segment-mode", "fixed")),
-    )
+def _add_config_flags(sp: argparse.ArgumentParser, cls, flags: dict) -> None:
+    for flag, field in flags.items():
+        default = getattr(cls, field)
+        sp.add_argument(f"--{flag}", type=type(default), choices=_FLAG_CHOICES.get(flag),
+                        help=f"{_FLAG_HELP.get(flag, field)} (default {default})")
+
+
+def _converted(flag: str, value, kind):
+    """``kind(value)``; a value it rejects is a data error naming the flag."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MarkovOrderError(f"--{flag}: bad value {value!r}: {exc}") from None
+
+
+def _config(cls, args: argparse.Namespace, flags: dict):
+    """``cls`` built from the flags and config-file keys that are given;
+    every other field keeps the dataclass default.  A value that does not
+    convert to its field's type, or that the dataclass rejects, is a data
+    error naming the flag."""
+    values = {}
+    for flag, field in flags.items():
+        value = _merged(args, flag, None)
+        if value is not None:
+            values[field] = _converted(flag, value, type(getattr(cls, field)))
+    try:
+        return cls(**values)
+    except ValueError as exc:   # a TypeError here is a bug in the flag table
+        named = [f"--{flag}" for flag, field in flags.items()
+                 if field in values and field in str(exc)]
+        raise MarkovOrderError(f"{', '.join(named) or 'bad setting'}: {exc}") from None
 
 
 def _collect_csvs(paths: list[str]) -> list[Path]:
@@ -187,7 +219,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     out_dir = Path(_merged(args, "out", "ingested"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _ingest_config(args)
+    cfg = _config(IngestConfig, args, _INGEST_FLAGS)
     files = _collect_csvs(args.inputs)
     meta = {}
     if args.cohort:
@@ -207,7 +239,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except (MarkovOrderError, OSError) as exc:
             failures.append(str(path))
             log.warning("skipping %s: %s", path, exc)
-    _write_manifest(out_dir, "ingest", cfg.to_dict(), files, t0, extra={
+    _write_manifest(out_dir, "ingest", asdict(cfg), files, t0, extra={
         "trajectories_written": len(written),
         "failed_inputs": failures,
         "cohort_counts": cohort_counts,
@@ -270,7 +302,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     gen = _build_generator(spec)
     out_dir = Path(_merged(args, "out", "synth"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(_merged(args, "seed", 0))
+    seed = _converted("seed", _merged(args, "seed", 0), int)
     count = int(args.count)
     T = args.length if args.length is not None else _spec_value(spec, "length", _whole, 300)
     name = spec.get("name", spec_path.stem)
@@ -281,10 +313,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         traj_id = f"{name}_{i:04d}"
         traj = gen(T, trajectory_rng(seed, traj_id), traj_id)
         if cohort:
-            meta = dict(traj.metadata)
-            meta["cohort"] = cohort
-            traj = Trajectory(states=traj.states, dt=traj.dt, actions=traj.actions,
-                              id=traj.id, metadata=meta)
+            traj = replace(traj, metadata={**traj.metadata, "cohort": cohort})
         written.append(write_trajectory(traj, out_dir / f"{traj_id}.csv"))
     _write_manifest(out_dir, "synth",
                     {"spec": spec, "seed": seed, "count": count, "length": T},
@@ -296,8 +325,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_test(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
-    cfg = _test_config(args)
-    jobs = int(_merged(args, "jobs", 1))
+    cfg = _config(TestConfig, args, _TEST_FLAGS)
+    jobs = _converted("jobs", _merged(args, "jobs", 1), int)
     files = [p for p in _collect_csvs(args.trajectories) if not p.name.endswith(".json")]
     trajs, items, seen = [], [], {}
     for path in files:
@@ -318,9 +347,8 @@ def cmd_test(args: argparse.Namespace) -> int:
     out_dir = Path(_merged(args, "out", "results"))
     n_failed = sum(1 for it in items if it.error is not None)
     _write_json(out_dir / "results.json",
-                {"config": cfg.to_dict(), "results": [it.to_dict() for it in items]})
-    _write_manifest(out_dir, "test", cfg.to_dict(), files, t0, extra={
-        "jobs": jobs,
+                {"config": asdict(cfg), "results": [it.to_dict() for it in items]})
+    _write_manifest(out_dir, "test", asdict(cfg), files, t0, extra={
         "n_trajectories": len(items),
         "n_failed": n_failed,
     }, jobs=jobs, heap_kept=heap_kept)
@@ -335,7 +363,9 @@ def _orders_from_results(path: Path) -> list[int]:
     if not path.exists():
         raise EmptyCohortError(f"missing results file: {path}")
     payload = _read_json(path)
-    results = payload.get("results", payload if isinstance(payload, list) else [])
+    results = payload.get("results", []) if isinstance(payload, dict) else payload
+    if not (isinstance(results, list) and all(isinstance(r, dict) for r in results)):
+        raise MarkovOrderError(f"{path}: results must be a list of JSON objects")
     orders = [r["order"] for r in results if "order" in r and not r.get("error")]
     if not orders:
         raise EmptyCohortError(f"no usable orders in {path}")
@@ -350,7 +380,7 @@ def _compare_cohorts(orders_a: list[int], orders_b: list[int], payload: dict) ->
     for name, test in (("t_test", pooled_t_test), ("f_test", f_test)):
         try:
             res = test(orders_a, orders_b)
-            payload[name] = res.to_dict()
+            payload[name] = asdict(res)
             comparisons.append(res)
         except MarkovOrderError as exc:
             payload[name] = {"error": str(exc)}
@@ -362,10 +392,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     path_a, path_b = Path(args.results_a), Path(args.results_b)
     label_a, label_b = (args.labels.split(",") + ["a", "b"])[:2] if args.labels else ("a", "b")
+    if label_a == label_b:
+        raise MarkovOrderError(f"--labels: both cohorts are labeled {label_a!r}")
     orders_a = _orders_from_results(path_a)
     orders_b = _orders_from_results(path_b)
     summary = {label_a: summarize_orders(orders_a), label_b: summarize_orders(orders_b)}
-    payload: dict = {"cohorts": {k: v.to_dict() for k, v in summary.items()}}
+    payload: dict = {"cohorts": {k: asdict(v) for k, v in summary.items()}}
     comparisons = _compare_cohorts(orders_a, orders_b, payload)
     out_dir = Path(_merged(args, "out", "comparison"))
     _write_json(out_dir / "comparison.json", payload)
@@ -380,7 +412,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
-    cfg = _test_config(args)
+    cfg = _config(TestConfig, args, _TEST_FLAGS)
     reps = int(args.replications)
     if reps < 1:
         raise MarkovOrderError("replications must be >= 1")
@@ -395,31 +427,25 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         gen = lambda n, rng, id: gen_var(iid, n, rng, id=id)  # noqa: E731
         true_order = 1
 
-    rejections = np.zeros(cfg.k_max, dtype=int)
-    tested = np.zeros(cfg.k_max, dtype=int)
-    orders = []
-    for i in range(reps):
-        traj_id = f"calib_{i:05d}"
-        traj = gen(T, trajectory_rng(cfg.rng_seed, traj_id + "_gen"), traj_id)
-        est = estimate_order(traj, cfg)
-        orders.append(est.order)
-        for res in est.per_lag:
-            tested[res.k - 1] += 1
-            rejections[res.k - 1] += res.reject
+    trajs = [gen(T, trajectory_rng(cfg.rng_seed, f"calib_{i:05d}_gen"), f"calib_{i:05d}")
+             for i in range(reps)]
+    items = batch_test(trajs, cfg)
+    failed = next((it for it in items if it.error is not None), None)
+    if failed is not None:
+        raise MarkovOrderError(f"replication {failed.trajectory_id}: {failed.error}")
+    orders = [it.estimate.order for it in items]
+    lags = [res for it in items for res in it.estimate.per_lag]
 
     band_lo, band_hi = float(args.band_lo), float(args.band_hi)
     per_lag = []
-    for k in range(1, cfg.k_max + 1):
-        n = int(tested[k - 1])
-        if n == 0:
-            continue
-        rate = rejections[k - 1] / n
+    for k in sorted({res.k for res in lags}):
+        rejects = [res.reject for res in lags if res.k == k]
+        n, rate = len(rejects), sum(rejects) / len(rejects)
         half = 1.96 * np.sqrt(max(rate * (1 - rate), 1e-12) / n)
         per_lag.append({"k": k, "n": n, "rejection_rate": rate,
                         "ci_low": max(0.0, rate - half), "ci_high": min(1.0, rate + half),
                         "within_band": bool(band_lo <= rate <= band_hi)})
-    order_counts = {str(k): int(sum(1 for o in orders if o == k))
-                    for k in sorted(set(orders))}
+    order_counts = {str(k): orders.count(k) for k in sorted(set(orders))}
     payload = {
         "replications": reps, "length": T, "alpha": cfg.alpha,
         "size_band": [band_lo, band_hi], "per_lag": per_lag,
@@ -427,10 +453,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     }
     if true_order is not None:
         payload["true_order"] = true_order
-        payload["order_recovery_rate"] = sum(1 for o in orders if o == true_order) / reps
+        payload["order_recovery_rate"] = orders.count(true_order) / reps
     out_dir = Path(_merged(args, "out", "calibration"))
     _write_json(out_dir / "calibration.json", payload)
-    _write_manifest(out_dir, "calibrate", cfg.to_dict(),
+    _write_manifest(out_dir, "calibrate", asdict(cfg),
                     [Path(args.spec)] if args.spec else [], t0,
                     heap_kept=heap_kept)
     for row in per_lag:
@@ -451,6 +477,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise MarkovOrderError(f"expected label=path, got {item!r}")
         label, path = item.split("=", 1)
+        if label in cohorts:
+            raise MarkovOrderError(f"cohort label {label!r} given twice")
         orders = _orders_from_results(Path(path))
         cohorts[label] = summarize_orders(orders)
         orders_by_cohort[label] = orders
@@ -458,29 +486,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     comparisons, tests = [], {}
     if len(cohorts) == 2:
         comparisons = _compare_cohorts(*orders_by_cohort.values(), tests)
+    kmax = _merged(args, "kmax", None)
+    top = max(max(orders) for orders in orders_by_cohort.values())
+    k_max = max(TestConfig.k_max, int(top)) if kmax is None else _converted("kmax", kmax, int)
     out_dir = Path(_merged(args, "out", "report"))
-    written = write_report_files(out_dir, cohorts, orders_by_cohort, comparisons,
-                                 k_max=int(_merged(args, "kmax", 10)))
-    _write_manifest(out_dir, "report", {"kmax": int(_merged(args, "kmax", 10))},
+    written = write_report_files(out_dir, cohorts, orders_by_cohort, comparisons, k_max=k_max)
+    _write_manifest(out_dir, "report", {"kmax": k_max},
                     inputs, t0, extra={"files": [str(p) for p in written], **tests})
     sys.stdout.write(render_summary(cohorts, comparisons, format="markdown"))
     return 0
 
 
 # -- parser --------------------------------------------------------------------
-
-def _add_test_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
-    sp.add_argument("--kmax", type=int, default=None, help="largest order tested (default 10)")
-    sp.add_argument("--freqs", type=int, default=None, help="random frequency pairs per lag (default 32)")
-    sp.add_argument("--bootstrap", type=int, default=None, help="bootstrap replicates (default 300)")
-    sp.add_argument("--shifts", type=int, default=None, help="residual separations in the sup (default 3)")
-    sp.add_argument("--min-effective", type=int, default=None, dest="min_effective",
-                    help="minimum T-k (default 30)")
-    sp.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    sp.add_argument("--estimator", choices=("kernel", "mdn"), default=None,
-                    help="CCF estimator (default kernel)")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="markovorder",
@@ -492,12 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ingest", help="process raw leader/follower files")
     sp.add_argument("inputs", nargs="+", help="raw CSV files or directories")
     sp.add_argument("--out", default=None, help="output directory (default ingested/)")
-    sp.add_argument("--resample-dt", type=float, default=None, dest="resample_dt")
-    sp.add_argument("--segment-len", type=float, default=None, dest="segment_len")
-    sp.add_argument("--min-len", type=float, default=None, dest="min_len")
-    sp.add_argument("--segment-mode", choices=("fixed", "min"), default=None, dest="segment_mode")
-    sp.add_argument("--trim-head", type=float, default=None, dest="trim_head")
-    sp.add_argument("--trim-tail", type=float, default=None, dest="trim_tail")
+    _add_config_flags(sp, IngestConfig, _INGEST_FLAGS)
     sp.add_argument("--cohort", default=None, help="cohort label stored in metadata")
     sp.add_argument("--scenario", default=None, help="scenario label stored in metadata")
     sp.add_argument("--config", default=None, help="JSON config file; flags win")
@@ -517,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
     sp.add_argument("--config", default=None)
-    _add_test_flags(sp)
+    _add_config_flags(sp, TestConfig, _TEST_FLAGS)
     sp.set_defaults(func=cmd_test)
 
     sp = sub.add_parser("compare", help="t/F comparison of two result sets")
@@ -537,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--band-hi", type=float, default=0.12, dest="band_hi")
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
-    _add_test_flags(sp)
+    _add_config_flags(sp, TestConfig, _TEST_FLAGS)
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("report", help="summary tables, histograms and box stats")

@@ -59,10 +59,6 @@ class CohortSummary:
     pct_mp: float
     pct_homp: float
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "mean": self.mean, "std": self.std,
-                "pct_mp": self.pct_mp, "pct_homp": self.pct_homp}
-
 
 @dataclass(frozen=True)
 class TTestResult:
@@ -73,10 +69,6 @@ class TTestResult:
     p_one_tailed: float
     p_two_tailed: float
     significant: bool
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "df": self.df, "p_one_tailed": self.p_one_tailed,
-                "p_two_tailed": self.p_two_tailed, "significant": self.significant}
 
 
 @dataclass(frozen=True)
@@ -89,11 +81,6 @@ class FTestResult:
     upper_tail_prob: float
     cdf: float
     significant: bool
-
-    def to_dict(self) -> dict:
-        return {"f": self.f, "df_num": self.df_num, "df_den": self.df_den,
-                "upper_tail_prob": self.upper_tail_prob, "cdf": self.cdf,
-                "significant": self.significant}
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float, int]:

@@ -116,11 +116,6 @@ class IngestConfig:
         if self.segment_mode not in ("fixed", "min"):
             raise InsufficientDataError(f"unknown segment_mode {self.segment_mode!r}")
 
-    def to_dict(self) -> dict:
-        return {"resample_dt": self.resample_dt, "segment_length": self.segment_length,
-                "min_length": self.min_length, "trim_head": self.trim_head,
-                "trim_tail": self.trim_tail, "segment_mode": self.segment_mode}
-
 
 def detect_schema(header: Sequence[str]) -> CsvSchema:
     """Pick the canonical planar or geodetic schema matching a header."""

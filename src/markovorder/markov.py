@@ -124,14 +124,6 @@ class TestConfig:
         if self.estimator not in ("kernel", "mdn"):
             raise ValueError(f"estimator must be 'kernel' or 'mdn', got {self.estimator!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "k_max": self.k_max, "alpha": self.alpha, "n_freqs": self.n_freqs,
-            "n_bootstrap": self.n_bootstrap, "n_shifts": self.n_shifts,
-            "min_effective_length": self.min_effective_length,
-            "rng_seed": self.rng_seed, "estimator": self.estimator,
-        }
-
 
 @dataclass(frozen=True)
 class MarkovTestResult:
@@ -142,10 +134,6 @@ class MarkovTestResult:
     p_value: float
     reject: bool
     n_effective: int
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "sup_stat": self.sup_stat, "p_value": self.p_value,
-                "reject": self.reject, "n_effective": self.n_effective}
 
 
 @dataclass(frozen=True)
@@ -163,11 +151,6 @@ class OrderEstimate:
     alpha: float
     k_max: int
 
-    def to_dict(self) -> dict:
-        return {"order": self.order, "capped": self.capped, "alpha": self.alpha,
-                "k_max": self.k_max,
-                "per_lag": [r.to_dict() for r in self.per_lag]}
-
 
 @dataclass(frozen=True)
 class BatchItem:
@@ -178,12 +161,13 @@ class BatchItem:
     error: str | None = None
 
     def to_dict(self) -> dict:
+        """The id, then the estimate's fields flattened in (``per_lag`` as a
+        list of per-lag dicts) or the error.  Shallow copies of the fields,
+        not ``dataclasses.asdict``, which deep-copies every value."""
         out: dict = {"trajectory_id": self.trajectory_id}
         if self.estimate is not None:
-            est = self.estimate.to_dict()
-            out.update({"alpha": est["alpha"], "order": est["order"],
-                        "capped": est["capped"], "k_max": est["k_max"],
-                        "per_lag": est["per_lag"]})
+            out.update(vars(self.estimate),
+                       per_lag=[vars(r).copy() for r in self.estimate.per_lag])
         if self.error is not None:
             out["error"] = self.error
         return out

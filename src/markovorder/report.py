@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,10 +33,6 @@ class HistogramSpec:
     counts: tuple
     frequencies: tuple
 
-    def to_dict(self) -> dict:
-        return {"k_max": self.k_max, "counts": list(self.counts),
-                "frequencies": list(self.frequencies)}
-
 
 @dataclass(frozen=True)
 class BoxStats:
@@ -53,10 +49,6 @@ class BoxStats:
     q3: float
     max: float
     outliers: tuple
-
-    def to_dict(self) -> dict:
-        return {"min": self.min, "q1": self.q1, "median": self.median,
-                "q3": self.q3, "max": self.max, "outliers": list(self.outliers)}
 
 
 def order_histogram(orders: Sequence[int], k_max: int) -> HistogramSpec:
@@ -143,8 +135,8 @@ def render_summary(cohorts: Mapping[str, CohortSummary],
 
     if format == "json":
         return json.dumps({
-            "cohorts": {label: s.to_dict() for label, s in cohorts.items()},
-            "comparisons": [c.to_dict() for c in comparisons],
+            "cohorts": {label: asdict(s) for label, s in cohorts.items()},
+            "comparisons": [asdict(c) for c in comparisons],
         }, indent=2, sort_keys=True) + "\n"
 
     if format == "csv":
@@ -176,7 +168,10 @@ def write_report_files(out_dir: str | Path,
                        orders_by_cohort: Mapping[str, Sequence[int]],
                        comparisons: Sequence = (), k_max: int = 10) -> list[Path]:
     """Write summary.{md,csv,json}, histogram_<cohort>.csv and
-    box_<cohort>.json; returns the written paths."""
+    box_<cohort>.json; returns the written paths.  An order outside
+    1..k_max raises :class:`OutOfRangeOrderError` before anything is
+    written."""
+    hists = {label: order_histogram(orders, k_max) for label, orders in orders_by_cohort.items()}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -186,7 +181,7 @@ def write_report_files(out_dir: str | Path,
         p.write_text(render_summary(cohorts, comparisons, format=fmt))
         written.append(p)
     for label, orders in orders_by_cohort.items():
-        hist = order_histogram(orders, k_max)
+        hist = hists[label]
         centers = np.arange(1, k_max + 1, dtype=float)
         density = kde_density(orders, centers) if len(orders) else np.zeros(k_max)
         p = out_dir / f"histogram_{label}.csv"
@@ -197,7 +192,7 @@ def write_report_files(out_dir: str | Path,
         written.append(p)
         if len(orders):
             p = out_dir / f"box_{label}.json"
-            p.write_text(json.dumps(boxplot_stats(orders).to_dict(),
+            p.write_text(json.dumps(asdict(boxplot_stats(orders)),
                                     indent=2, sort_keys=True) + "\n")
             written.append(p)
     return written

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from markovorder import cli
 from markovorder.cli import main
+from markovorder.ingest import IngestConfig
+from markovorder.markov import MarkovTestResult, OrderEstimate, TestConfig
 
 VAR1_SPEC = {
     "kind": "var", "name": "v1", "cohort": "demo",
@@ -157,11 +160,21 @@ class TestTest:
         assert "config_hash" in manifest and "wall_time_s" in manifest
         env = manifest["environment"]
         assert env["numpy"] == np.__version__ and env["jobs"] == 1
+        assert "jobs" not in manifest   # recorded once, under environment
         assert env["cpu_count"] >= 1 and isinstance(env["heap_kept"], bool)
         assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                             "MKL_NUM_THREADS"}
         # the environment is run telemetry: none of it reaches results.json
         assert "environment" not in (tmp_path / "m" / "results.json").read_text()
+
+    def test_result_keys_are_record_fields(self, corpus, tmp_path):
+        assert run(self.args(corpus, tmp_path / "k")) == 0
+        results = json.loads((tmp_path / "k" / "results.json").read_text())["results"]
+        assert len(results) == 4
+        for item in results:
+            assert set(item) == {"trajectory_id"} | {f.name for f in fields(OrderEstimate)}
+            for lag in item["per_lag"]:
+                assert set(lag) == {f.name for f in fields(MarkovTestResult)}
 
     def test_heap_setting_optional(self, corpus, tmp_path, monkeypatch):
         # without glibc's mallopt the run goes on and says so in its manifest
@@ -297,6 +310,33 @@ class TestCompare:
         assert "t" in payload["t_test"]
         assert "error" in payload["f_test"]
 
+    def test_list_payload_accepted(self, tmp_path):
+        pa = fake_results(tmp_path, "a", [1, 2, 2, 3])
+        pb = tmp_path / "bare.json"
+        pb.write_text(json.dumps(json.loads(pa.read_text())["results"]))
+        assert run(["compare", pa, pb, "--out", tmp_path / "cmp"]) == 0
+        payload = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert payload["cohorts"]["a"] == payload["cohorts"]["b"]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '{"results": 5}', '{"results": ["x"]}'])
+    def test_malformed_payload_is_data_error_naming_file(self, tmp_path, capsys, text):
+        good = fake_results(tmp_path, "ok", [1, 2, 3])
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for argv in (["compare", good, bad, "--out", tmp_path / "cmp"],
+                     ["report", f"a={good}", f"b={bad}", "--out", tmp_path / "rep"]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {bad}: ") and "Traceback" not in err
+
+    def test_repeated_label_is_data_error(self, tmp_path, capsys):
+        pa = fake_results(tmp_path, "a", [1, 2, 3])
+        pb = fake_results(tmp_path, "b", [2, 3, 4])
+        out = tmp_path / "cmp"
+        assert run(["compare", pa, pb, "--labels", "x,x", "--out", out]) == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_single_replication_degenerate_rate(self, tmp_path, capsys):
@@ -334,6 +374,15 @@ class TestCalibrate:
         assert run(["calibrate", "--spec", spec, "--replications", 1, "--length", 60,
                     "--kmax", 1, "--out", tmp_path / "cal"]) == 2
         assert "bad value for 'true_order'" in capsys.readouterr().err
+
+
+    def test_failed_replication_is_data_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--replications", 2, "--length", 30, "--kmax", 1,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: replication calib_00000: TrajectoryTooShortError")
+        assert not (out / "calibration.json").exists()
 
 
 class TestIngestCommand:
@@ -409,6 +458,30 @@ class TestReportCommand:
         assert "error" in manifest["t_test"] and "error" in manifest["f_test"]
         assert "| a |" in capsys.readouterr().out
 
+    def test_repeated_label_is_data_error(self, tmp_path, capsys):
+        pa = fake_results(tmp_path, "av", [1, 1, 2])
+        pb = fake_results(tmp_path, "hv", [2, 3, 4])
+        out = tmp_path / "rep"
+        assert run(["report", f"x={pa}", f"x={pb}", "--out", out]) == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top, bins", [(3, 10), (12, 12)])
+    def test_default_bins_reach_the_largest_order(self, tmp_path, top, bins):
+        p = fake_results(tmp_path, "av", [1, 2, top])
+        out = tmp_path / "rep"
+        assert run(["report", f"av={p}", "--out", out]) == 0
+        rows = (out / "histogram_av.csv").read_text().splitlines()
+        assert len(rows) == 1 + bins and rows[top].startswith(f"{top},1,")
+        assert json.loads((out / "manifest.json").read_text())["config"] == {"kmax": bins}
+
+    def test_kmax_below_an_order_writes_nothing(self, tmp_path, capsys):
+        p = fake_results(tmp_path, "av", [1, 2, 12])
+        out = tmp_path / "rep"
+        assert run(["report", f"av={p}", "--kmax", 10, "--out", out]) == 2
+        assert "order 12 outside 1..10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_syntax_required(self, tmp_path):
         pa = fake_results(tmp_path, "av", [1, 2])
         assert run(["report", str(pa), "--out", tmp_path / "r"]) == 2
@@ -454,6 +527,23 @@ class TestExitCodes:
                     "--out", tmp_path / "s"]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
 
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["test", "CORPUS", "--kmax", 0], None, "--kmax"),
+        (["test", "CORPUS", "--alpha", 1.5], None, "--alpha"),
+        (["test", "CORPUS"], {"alpha": "abc"}, "--alpha"),
+        (["test", "CORPUS"], {"jobs": "two"}, "--jobs"),
+        (["calibrate", "--bootstrap", 0], None, "--bootstrap"),
+        (["ingest", "CORPUS", "--resample-dt", 0], None, "resample_dt"),
+    ])
+    def test_bad_setting_is_data_error(self, corpus, tmp_path, capsys, argv, config, flag):
+        argv = [corpus if a == "CORPUS" else a for a in argv]
+        if config is not None:
+            (tmp_path / "bad.json").write_text(json.dumps(config))
+            argv += ["--config", tmp_path / "bad.json"]
+        assert run([*argv, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and flag in err and "Traceback" not in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -473,3 +563,18 @@ class TestConfigFile:
         assert run(["test", corpus, "--config", cfg, "--kmax", 2, "--out", out2]) == 0
         payload = json.loads((out2 / "results.json").read_text())
         assert payload["config"]["k_max"] == 2
+
+    def test_config_block_is_dataclass_of_given_keys(self, corpus, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kmax": 1, "bootstrap": 19, "freqs": 4,
+                                   "min_effective": 20, "seed": 5}))
+        out = tmp_path / "cfg"
+        assert run(["test", corpus, "--config", cfg, "--out", out]) == 0
+        payload = json.loads((out / "results.json").read_text())
+        assert payload["config"] == asdict(TestConfig(
+            k_max=1, n_bootstrap=19, n_freqs=4, min_effective_length=20, rng_seed=5))
+
+    @pytest.mark.parametrize("flags, cls", [(cli._TEST_FLAGS, TestConfig),
+                                            (cli._INGEST_FLAGS, IngestConfig)])
+    def test_flag_table_names_each_field_once(self, flags, cls):
+        assert sorted(flags.values()) == sorted(f.name for f in fields(cls))
