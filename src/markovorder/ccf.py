@@ -10,8 +10,11 @@ and evaluation deterministic and closed form.
 :func:`loo_window_residuals` computes the test's forward and backward
 leave-one-out residuals from one kernel matrix over the windows of the
 series (one scalar bandwidth per (trajectory, lag), leave-one-out as the
-zeroed diagonal), built in row blocks so that its memory grows linearly in
-the series length.  Each fitted CCF is a convex combination of unit-modulus
+zeroed diagonal).  The kernel is symmetric and unshifted, so it is built
+only on and above its diagonal, in square tiles whose weights serve both
+their rows and their columns, and its memory grows linearly in the series
+length; a window whose weights all underflow is refitted with shifted
+logits.  Each fitted CCF is a convex combination of unit-modulus
 numbers, so its modulus never exceeds 1 (up to rounding), and the residual
 at zero frequency is exactly 0.  :class:`KernelCcf` is the same regression
 over explicit pairs, without leave-one-out: refit without each pair in turn,
@@ -30,7 +33,7 @@ from .errors import DimensionMismatchError, InsufficientDataError, NotStochastic
 
 __all__ = ["window_embed", "loo_window_residuals", "exact_ccf_discrete"]
 
-_ROW_BLOCK = 256      # most kernel-matrix rows built and used at once
+_ROW_BLOCK = 512      # most windows on a side of one kernel-matrix tile
 
 
 def window_embed(states: np.ndarray, window: int) -> np.ndarray:
@@ -130,9 +133,16 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     [1:n+1, 1:n+1], and leaving pair i out of the evaluation at window i is
     a zero diagonal.  The bandwidth is one scalar, Silverman's rule at unit
     scale ``1.06 * n^(-1/(4 + k d))``, since the states are standardized.
-    Each step is row-local, so the matrix is built and used in near-equal
-    blocks of at most ``_ROW_BLOCK`` rows: working memory is linear in T,
-    and a series of at most ``_ROW_BLOCK`` windows is one block.
+
+    The kernel is ``exp(-|u_i - u_j|^2 / 2)`` without a shift: its logits
+    are at most 0, so it cannot overflow, and it is symmetric.  It is built
+    in near-equal square tiles of at most ``_ROW_BLOCK`` windows, and only
+    the tiles on and above the diagonal: each tile's weights serve its rows
+    and, off the diagonal, its columns too.  Working memory is linear in T,
+    and a series of at most ``_ROW_BLOCK`` windows is one tile.  A window
+    whose forward or backward weights all underflow (one about 36
+    bandwidths or more from every other window) is refitted with its
+    logits shifted by their max.
     """
     T, d = states.shape
     n = T - k
@@ -143,54 +153,56 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     left = np.hstack([u, -half_sq, ones])
     right_t = np.hstack([u, ones, -half_sq]).T
 
-    # Forward targets X_{s+k} sit on rows 0..n-1 of the left half, backward
-    # targets X_t on rows 1..n of the right half; the zero row in each half
-    # drops the column outside that block from the product.
+    # Rows cos, sin and 1 of the forward targets X_{s+k} sit in columns
+    # 0..n-1, those of the backward targets X_t in columns 1..n; the zero
+    # column in each half drops the window outside that fit.
     w = 2 * M + 1
-    basis = np.zeros((n + 1, 2 * w))
-    _phase_columns(basis[:n, :w], states[k:] @ mus.T)
-    _phase_columns(basis[1:, w:], states[:n] @ nus.T)
-    acc = np.empty_like(basis)
-    blocks = -(-(n + 1) // _ROW_BLOCK)
-    edges = [(n + 1) * b // blocks for b in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        # -|u_i - u_j|^2 / 2 as one product; rounding may leave a tiny positive
-        # value for coincident windows, which the row shift below absorbs.
-        logits = left[lo:hi] @ right_t
-        np.fill_diagonal(logits[:, lo:], -np.inf)
+    fits = ((slice(0, w), slice(0, n)), (slice(w, 2 * w), slice(1, n + 1)))
+    basis_t = np.zeros((2 * w, n + 1))
+    for (rows, cols), freqs, targets in zip(fits, (mus, nus), (states[k:], states[:n])):
+        phase = freqs @ targets.T
+        part = basis_t[rows, cols]
+        np.cos(phase, out=part[:M])
+        np.sin(phase, out=part[M:-1])
+        part[-1] = 1.0
 
-        # One exp, shifted by each row's max over all n+1 windows.  A row
-        # whose max lies in the one column its fit leaves out (column n
-        # forward, column 0 backward) is recomputed with its own shift;
-        # otherwise a far outlier's weights would underflow to 0/0.
-        inner = logits[:, 1:n].max(axis=1)
-        fwd_max = np.maximum(inner, logits[:, 0])
-        bwd_max = np.maximum(inner, logits[:, n])
-        row_max = np.maximum(fwd_max, bwd_max)
-        fix_f = np.flatnonzero(fwd_max < row_max)
-        fix_b = np.flatnonzero(bwd_max < row_max)
-        fwd_rows = np.exp(logits[fix_f, :n] - fwd_max[fix_f, None])
-        bwd_rows = np.exp(logits[fix_b, 1:] - bwd_max[fix_b, None])
-        logits -= row_max[:, None]
-        kern = np.exp(logits, out=logits)
-        block = np.matmul(kern, basis, out=acc[lo:hi])
-        block[fix_f, :w] = fwd_rows @ basis[:n, :w]
-        block[fix_b, w:] = bwd_rows @ basis[1:, w:]
-    fwd = (basis[:n, :w - 1] - acc[:n, :w - 1] / acc[:n, w - 1:w]).view(complex)
-    bwd = (basis[1:, w:-1] - acc[1:, w:-1] / acc[1:, -1:]).view(complex)
+    acc = np.zeros_like(basis_t)
+    tiles = -(-(n + 1) // _ROW_BLOCK)
+    edges = [(n + 1) * b // tiles for b in range(tiles + 1)]
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    for a, rows in enumerate(spans):
+        for cols in spans[a:]:
+            # -|u_i - u_j|^2 / 2 as one product; rounding may leave a tiny
+            # positive value for coincident windows, far below overflow
+            kern = left[rows] @ right_t[:, cols]
+            if cols == rows:
+                np.fill_diagonal(kern, -np.inf)
+            np.exp(kern, out=kern)
+            acc[:, rows] += basis_t[:, cols] @ kern.T
+            if cols != rows:
+                acc[:, cols] += basis_t[:, rows] @ kern
+
+    # weight sums not above 1e-280 (or NaN): refit those windows in blocks
+    # with each fit's logits shifted by their max, so that they do not
+    # come out as 0/0
+    far = np.flatnonzero(~(acc[[w - 1, -1]] > 1e-280).all(axis=0))
+    for lo in range(0, far.size, _ROW_BLOCK):
+        block = far[lo:lo + _ROW_BLOCK]
+        logits = left[block] @ right_t
+        logits[np.arange(block.size), block] = -np.inf
+        for rows, cols in fits:
+            kern = np.exp(logits[:, cols] - logits[:, cols].max(axis=1, keepdims=True))
+            acc[rows, block] = basis_t[rows, cols] @ kern.T
+
+    fwd, bwd = np.empty((M, n), dtype=complex), np.empty((M, n), dtype=complex)
+    for table, (rows, cols) in zip((fwd, bwd), fits):
+        basis, fitted = basis_t[rows, cols], acc[rows, cols]
+        table.real = basis[:M] - fitted[:M] / fitted[-1]
+        table.imag = basis[M:-1] - fitted[M:-1] / fitted[-1]
     if not (mus.all() and nus.all()):   # a zero frequency's residual is exactly 0
-        fwd[:, ~mus.any(axis=1)] = 0.0
-        bwd[:, ~nus.any(axis=1)] = 0.0
-    return fwd.T, bwd.T
-
-
-def _phase_columns(out: np.ndarray, phase: np.ndarray) -> None:
-    """Fill ``out`` (n, 2M+1) with cos and sin of ``phase`` (n, M),
-    interleaved so that a row viewed as complex is exp(i phase), then 1."""
-    M = phase.shape[1]
-    out[:, 0:2 * M:2] = np.cos(phase)
-    out[:, 1:2 * M:2] = np.sin(phase)
-    out[:, 2 * M] = 1.0
+        fwd[~mus.any(axis=1)] = 0.0
+        bwd[~nus.any(axis=1)] = 0.0
+    return fwd, bwd
 
 
 def exact_ccf_discrete(

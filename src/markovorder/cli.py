@@ -18,8 +18,9 @@ Each test and ingest flag takes its type and default from the field of
 largest input order.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.  A
-setting its config rejects, a malformed results file and a repeated cohort
-label are data errors.
+setting its config rejects, an ``--out`` that is not a string (checked
+before any work), a malformed results file (an order that is not a whole
+number >= 1 included) and a repeated cohort label are data errors.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ def _keep_heap() -> bool:
     next lag faults the same pages back in, zeroed by the kernel.  Raising
     the trim threshold to 64 MiB and fixing the mmap threshold at 32 MiB
     lets the next lag reuse them; 32 MiB keeps the kernel residuals'
-    largest array, a 2 KiB-per-window row block, on the heap up to
-    T = 16,000.  Forked workers inherit the setting.  Returns whether it
-    was applied; without glibc's ``mallopt`` it does nothing.
+    largest arrays, the phase table and its accumulator at about 1 KiB
+    per window each (32 frequency pairs), on the heap up to T = 32,000.
+    Forked workers inherit the setting.  Returns whether it was applied;
+    without glibc's ``mallopt`` it does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -139,6 +141,15 @@ def _merged(args: argparse.Namespace, key: str, default):
         return val
     cfg = getattr(args, "_file_config", {})
     return cfg.get(key, cfg.get(key.replace("-", "_"), default))
+
+
+def _out_dir(args: argparse.Namespace, default: str) -> Path:
+    """The output directory from ``--out``, the config file or ``default``;
+    a value that is not a string is a data error naming ``--out``."""
+    out = _merged(args, "out", default)
+    if not isinstance(out, str):
+        raise MarkovOrderError(f"--out: bad value {out!r}: expected a path")
+    return Path(out)
 
 
 def _load_file_config(args: argparse.Namespace) -> None:
@@ -217,7 +228,7 @@ def _collect_csvs(paths: list[str]) -> list[Path]:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(_merged(args, "out", "ingested"))
+    out_dir = _out_dir(args, "ingested")
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _config(IngestConfig, args, _INGEST_FLAGS)
     files = _collect_csvs(args.inputs)
@@ -296,11 +307,11 @@ def _build_generator(spec: dict):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args, "synth")
     t0 = time.perf_counter()
     spec_path = Path(args.spec)
     spec = _read_json(spec_path)
     gen = _build_generator(spec)
-    out_dir = Path(_merged(args, "out", "synth"))
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = _converted("seed", _merged(args, "seed", 0), int)
     count = int(args.count)
@@ -323,6 +334,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args, "results")
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
@@ -344,7 +356,6 @@ def cmd_test(args: argparse.Namespace) -> int:
                                    error=f"{type(exc).__name__}: {exc}"))
     items = sorted(items + batch_test(trajs, cfg, jobs=jobs),
                    key=lambda it: it.trajectory_id)
-    out_dir = Path(_merged(args, "out", "results"))
     n_failed = sum(1 for it in items if it.error is not None)
     _write_json(out_dir / "results.json",
                 {"config": asdict(cfg), "results": [it.to_dict() for it in items]})
@@ -367,9 +378,13 @@ def _orders_from_results(path: Path) -> list[int]:
     if not (isinstance(results, list) and all(isinstance(r, dict) for r in results)):
         raise MarkovOrderError(f"{path}: results must be a list of JSON objects")
     orders = [r["order"] for r in results if "order" in r and not r.get("error")]
+    for order in orders:
+        if (isinstance(order, bool) or not isinstance(order, (int, float))
+                or not float(order).is_integer() or order < 1):
+            raise MarkovOrderError(f"{path}: order {order!r} is not a whole number >= 1")
     if not orders:
         raise EmptyCohortError(f"no usable orders in {path}")
-    return orders
+    return [int(o) for o in orders]
 
 
 def _compare_cohorts(orders_a: list[int], orders_b: list[int], payload: dict) -> list:
@@ -389,6 +404,7 @@ def _compare_cohorts(orders_a: list[int], orders_b: list[int], payload: dict) ->
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args, "comparison")
     t0 = time.perf_counter()
     path_a, path_b = Path(args.results_a), Path(args.results_b)
     label_a, label_b = (args.labels.split(",") + ["a", "b"])[:2] if args.labels else ("a", "b")
@@ -399,7 +415,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     summary = {label_a: summarize_orders(orders_a), label_b: summarize_orders(orders_b)}
     payload: dict = {"cohorts": {k: asdict(v) for k, v in summary.items()}}
     comparisons = _compare_cohorts(orders_a, orders_b, payload)
-    out_dir = Path(_merged(args, "out", "comparison"))
     _write_json(out_dir / "comparison.json", payload)
     table = render_summary(summary, comparisons, format="markdown")
     (out_dir / "comparison.md").write_text(table)
@@ -410,6 +425,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args, "calibration")
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
@@ -454,7 +470,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if true_order is not None:
         payload["true_order"] = true_order
         payload["order_recovery_rate"] = orders.count(true_order) / reps
-    out_dir = Path(_merged(args, "out", "calibration"))
     _write_json(out_dir / "calibration.json", payload)
     _write_manifest(out_dir, "calibrate", asdict(cfg),
                     [Path(args.spec)] if args.spec else [], t0,
@@ -471,6 +486,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args, "report")
     t0 = time.perf_counter()
     cohorts, orders_by_cohort, inputs = {}, {}, []
     for item in args.results:
@@ -489,7 +505,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     kmax = _merged(args, "kmax", None)
     top = max(max(orders) for orders in orders_by_cohort.values())
     k_max = max(TestConfig.k_max, int(top)) if kmax is None else _converted("kmax", kmax, int)
-    out_dir = Path(_merged(args, "out", "report"))
     written = write_report_files(out_dir, cohorts, orders_by_cohort, comparisons, k_max=k_max)
     _write_manifest(out_dir, "report", {"kmax": k_max},
                     inputs, t0, extra={"files": [str(p) for p in written], **tests})

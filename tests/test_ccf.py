@@ -116,7 +116,7 @@ def test_window_embed_layout():
     np.testing.assert_array_equal(emb[3], [6, 7, 8, 9])
 
 
-def _assert_loo_matches_refit(k, outlier):
+def _assert_loo_matches_refit(k, outlier, far_pair=False):
     # brute-force reference: refit each pair's estimator without that pair
     rng = np.random.default_rng(31 + k)
     T, d, M = 40, 2, 4
@@ -124,6 +124,9 @@ def _assert_loo_matches_refit(k, outlier):
     if outlier:   # at k=1 window 1's only near neighbour is window 0, outside the
         # backward block, and window T-2's is window T-1, outside the forward one
         states[:2], states[-2:] = -25.0, 25.0
+    if far_pair:  # windows 5 and 30 are each other's nearest, yet every weight of
+        # either underflows; at 8 windows a tile they share only off-diagonal tiles
+        states[5], states[30] = (60.0, 0.0), (60.0, 30.0)
     mus, nus = rng.standard_normal((M, d)), rng.standard_normal((M, d))
     fwd, bwd = loo_window_residuals(states, k, mus, nus)
     n = T - k
@@ -133,6 +136,11 @@ def _assert_loo_matches_refit(k, outlier):
         sq = ((emb[:, None] - emb[None]) ** 2).sum(axis=2)
         np.fill_diagonal(sq, np.inf)
         assert sq.argmin(axis=1)[[1, T - 2]].tolist() == [0, n]
+    if far_pair:
+        sq = ((emb[:, None] - emb[None]) ** 2).sum(axis=2) / h[0] ** 2
+        np.fill_diagonal(sq, np.inf)
+        assert sq.argmin(axis=1)[[5, 30]].tolist() == [30, 5]
+        assert np.exp(-0.5 * sq[5].min()) == 0.0
     cases = ((emb[:-1], states[k:], mus, fwd), (emb[1:], states[:n], nus, bwd))
     for cond, targets, freqs, table in cases:
         ref = np.empty((M, n), dtype=complex)
@@ -154,8 +162,14 @@ def test_loo_window_residuals_match_refit_without_pair(k, outlier):
 @pytest.mark.parametrize("outlier", [False, True])
 @pytest.mark.parametrize("k", [1, 3])
 def test_loo_window_residuals_in_row_blocks_match_refit(k, outlier, monkeypatch):
-    monkeypatch.setattr(ccf, "_ROW_BLOCK", 8)   # 38-40 windows: five blocks
+    monkeypatch.setattr(ccf, "_ROW_BLOCK", 8)   # 38-40 windows: five tiles a side
     _assert_loo_matches_refit(k, outlier)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_loo_window_residuals_far_pair_across_tiles_match_refit(k, monkeypatch):
+    monkeypatch.setattr(ccf, "_ROW_BLOCK", 8)
+    _assert_loo_matches_refit(k, outlier=False, far_pair=True)
 
 
 @pytest.mark.parametrize("T", [300, 513, 1000])
@@ -166,6 +180,18 @@ def test_loo_window_residuals_row_blocks_agree_with_one_block(T, monkeypatch):
     blocked = loo_window_residuals(states, 2, mus, nus)
     monkeypatch.setattr(ccf, "_ROW_BLOCK", T)
     for got, want in zip(blocked, loo_window_residuals(states, 2, mus, nus)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_loo_window_residuals_tiles_agree_with_one_tile(block, monkeypatch):
+    rng = np.random.default_rng(block)
+    states = rng.standard_normal((300, 3))   # 299 windows: uneven tile edges
+    mus, nus = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    monkeypatch.setattr(ccf, "_ROW_BLOCK", 300)
+    whole = loo_window_residuals(states, 2, mus, nus)
+    monkeypatch.setattr(ccf, "_ROW_BLOCK", block)
+    for got, want in zip(loo_window_residuals(states, 2, mus, nus), whole):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -182,9 +208,10 @@ def test_loo_window_residuals_peak_memory_at_T4000():
     assert peak < 48e6   # the full 4000 x 4000 kernel matrix alone is 128 MB
 
 
-def test_loo_window_residuals_zero_and_negated_frequency():
+def test_loo_window_residuals_zero_and_negated_frequency(monkeypatch):
+    monkeypatch.setattr(ccf, "_ROW_BLOCK", 64)   # 298 windows: five tiles a side
     rng = np.random.default_rng(43)
-    states = rng.standard_normal((300, 3))   # two row blocks
+    states = rng.standard_normal((300, 3))
     mus, nus = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
     mus[2], nus[4] = 0.0, 0.0
     fwd, bwd = loo_window_residuals(states, 2, mus, nus)

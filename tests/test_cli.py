@@ -329,6 +329,28 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {bad}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("order", ["x", None, 0, 1.5, True, [2]],
+                             ids=["text", "null", "zero", "fraction", "bool", "list"])
+    def test_order_not_whole_is_data_error_naming_file(self, tmp_path, capsys, order):
+        good = fake_results(tmp_path, "ok", [1, 2, 3])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"order": order}, {"order": 1}]))
+        for argv in (["compare", good, bad, "--out", tmp_path / "cmp"],
+                     ["report", f"a={good}", f"b={bad}", "--out", tmp_path / "rep"]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {bad}: order ") and "Traceback" not in err
+        assert not (tmp_path / "cmp").exists() and not (tmp_path / "rep").exists()
+
+    def test_whole_float_order_reads_as_int(self, tmp_path):
+        floats = tmp_path / "floats.json"
+        floats.write_text(json.dumps([{"order": 1.0}, {"order": 2.0}, {"order": 2}]))
+        ints = fake_results(tmp_path, "ints", [1, 2, 2])
+        for name, p in (("f", floats), ("i", ints)):
+            assert run(["report", f"a={p}", "--out", tmp_path / name]) == 0
+        for name in ("summary.json", "histogram_a.csv"):
+            assert (tmp_path / "f" / name).read_text() == (tmp_path / "i" / name).read_text()
+
     def test_repeated_label_is_data_error(self, tmp_path, capsys):
         pa = fake_results(tmp_path, "a", [1, 2, 3])
         pb = fake_results(tmp_path, "b", [2, 3, 4])
@@ -543,6 +565,18 @@ class TestExitCodes:
         assert run([*argv, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["test", "CORPUS"], ["calibrate", "--replications", 1]])
+    def test_out_not_a_string_is_data_error_before_any_work(self, corpus, tmp_path,
+                                                            capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("batch_test ran before --out was checked")
+        monkeypatch.setattr(cli, "batch_test", no_work)
+        (tmp_path / "bad.json").write_text(json.dumps({"out": 5}))
+        argv = [corpus if a == "CORPUS" else a for a in argv]
+        assert run([*argv, "--config", tmp_path / "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: --out: bad value 5") and "Traceback" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
