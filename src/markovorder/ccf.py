@@ -10,13 +10,10 @@ and evaluation deterministic and closed form.
 :func:`loo_window_residuals` computes the test's forward and backward
 leave-one-out residuals from one kernel matrix over the windows of the
 series (one scalar bandwidth per (trajectory, lag), leave-one-out as the
-zeroed diagonal).  The kernel is symmetric and unshifted, so it is built
-only on and above its diagonal, in square tiles whose weights serve both
-their rows and their columns, and its memory grows linearly in the series
-length; a window whose weights all underflow is refitted with shifted
-logits.  Each fitted CCF is a convex combination of unit-modulus
-numbers, so its modulus never exceeds 1 (up to rounding), and the residual
-at zero frequency is exactly 0.  :class:`KernelCcf` is the same regression
+zeroed diagonal), built in symmetric square tiles so that its memory
+grows linearly in the series length.  Each fitted CCF is a convex
+combination of unit-modulus numbers, so its modulus never exceeds 1 (up to
+rounding), and the residual at zero frequency is exactly 0.  :class:`KernelCcf` is the same regression
 over explicit pairs, without leave-one-out: refit without each pair in turn,
 it is the brute-force reference of the residuals in the test suite.
 :func:`exact_ccf_discrete` is the exact CCF of a finite-state chain.
@@ -182,9 +179,8 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
             if cols != rows:
                 acc[:, cols] += basis_t[:, rows] @ kern
 
-    # weight sums not above 1e-280 (or NaN): refit those windows in blocks
-    # with each fit's logits shifted by their max, so that they do not
-    # come out as 0/0
+    # a weight sum not above 1e-280 (or NaN) would come out as 0/0: refit
+    # those windows with each fit's logits shifted by their max
     far = np.flatnonzero(~(acc[[w - 1, -1]] > 1e-280).all(axis=0))
     for lo in range(0, far.size, _ROW_BLOCK):
         block = far[lo:lo + _ROW_BLOCK]

@@ -125,14 +125,14 @@ def _assert_loo_matches_refit(k, outlier, far_pair=False):
         # backward block, and window T-2's is window T-1, outside the forward one
         states[:2], states[-2:] = -25.0, 25.0
     if far_pair:  # windows 5 and 30 are each other's nearest, yet every weight of
-        # either underflows; at 8 windows a tile they share only off-diagonal tiles
+        # either underflows; with 8-window tiles their pair lies off the diagonal
         states[5], states[30] = (60.0, 0.0), (60.0, 30.0)
     mus, nus = rng.standard_normal((M, d)), rng.standard_normal((M, d))
     fwd, bwd = loo_window_residuals(states, k, mus, nus)
     n = T - k
     h = np.full(k * d, 1.06 * n ** (-1.0 / (4.0 + k * d)))
     emb = window_embed(states, k)
-    if outlier and k == 1:   # the two fix-up rows lie 37 rows apart
+    if outlier and k == 1:   # the two windows with a far neighbour lie 37 apart
         sq = ((emb[:, None] - emb[None]) ** 2).sum(axis=2)
         np.fill_diagonal(sq, np.inf)
         assert sq.argmin(axis=1)[[1, T - 2]].tolist() == [0, n]
