@@ -192,9 +192,11 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
 
     fwd, bwd = np.empty((M, n), dtype=complex), np.empty((M, n), dtype=complex)
     for table, (rows, cols) in zip((fwd, bwd), fits):
-        basis, fitted = basis_t[rows, cols], acc[rows, cols]
-        table.real = basis[:M] - fitted[:M] / fitted[-1]
-        table.imag = basis[M:-1] - fitted[M:-1] / fitted[-1]
+        # residuals basis - fitted / weight sum, built in the accumulator rows
+        fitted = acc[rows, cols]
+        np.divide(fitted[:-1], fitted[-1], out=fitted[:-1])
+        np.subtract(basis_t[rows, cols][:-1], fitted[:-1], out=fitted[:-1])
+        table.real, table.imag = fitted[:M], fitted[M:-1]
     if not (mus.all() and nus.all()):   # a zero frequency's residual is exactly 0
         fwd[~mus.any(axis=1)] = 0.0
         bwd[~nus.any(axis=1)] = 0.0

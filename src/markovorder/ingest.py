@@ -14,6 +14,11 @@ Stages 1-3 pass plain arrays: time stamps ``t`` of shape (n,) and positions
 where (a, b) is (x, y) in meters or (lat, lon) in degrees and NaN marks a
 missing coordinate.
 
+Raw files are parsed a block of data lines at a time straight into arrays;
+a file that is quoted or malformed anywhere is parsed again row by row
+through the csv module, which alone raises the parse errors (see
+:func:`parse_csv`).
+
 The pipeline is deterministic: identical inputs produce bit-identical
 trajectories, and noiseless uniform motion yields exactly constant speeds
 and exactly zero accelerations.
@@ -64,6 +69,7 @@ __all__ = [
 ]
 
 EARTH_RADIUS_M = 6_371_000.0
+_BLOCK_SIZE = 1 << 16   # characters of data lines parse_csv reads at a time
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,11 @@ def _check_increasing(t: np.ndarray, name: str) -> None:
         )
 
 
+def _csv_file(path: Path):
+    """``path`` opened for the csv module, skipping a UTF-8 byte-order mark."""
+    return path.open(newline="", encoding="utf-8-sig")
+
+
 def _parse_row(row: list[str], cols: list[int], names: list[str], idx: int,
                name: str, earlier: list[float]) -> list[float]:
     """Cell-by-cell parse of a data row with blank, absent or bad cells.
@@ -165,6 +176,52 @@ def _parse_row(row: list[str], cols: list[int], names: list[str], idx: int,
     return vals
 
 
+def _parse_rows(reader, cols: list[int], names: list[str], name: str) -> np.ndarray:
+    """The (n, 5) table of a csv reader's data rows, parsed row by row."""
+    cells = itemgetter(*cols)
+    flat: list[float] = []
+    n = 0
+    for row in reader:
+        if not row:
+            continue
+        n += 1
+        try:
+            flat.extend([float(c) for c in cells(row)])
+        except (ValueError, IndexError):
+            flat.extend(_parse_row(row, cols, names, n, name, flat))
+    return np.array(flat, dtype=float).reshape(n, 5)
+
+
+def _parse_blocks(fh, width: int, cols: list[int]) -> np.ndarray:
+    """The (n, 5) table of the data lines left in ``fh``, read in blocks of
+    ``_BLOCK_SIZE`` characters cut at the last line end.
+
+    Raises ValueError at the first block that is not plain (one with a
+    quote, a bare ``\\r``, a line of other than ``width`` cells or a time
+    cell that is blank or NaN) and at any cell that is not a number.
+    """
+    cells = itemgetter(*cols)
+    parts, tail = [], ""
+    while True:
+        chunk = fh.read(_BLOCK_SIZE)
+        text = tail + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        text, tail = text[:cut], text[cut:]
+        text = text.replace("\r\n", "\n")
+        if '"' in text or "\r" in text:
+            raise ValueError("quote or bare carriage return")
+        rows = [line.split(",") for line in text.split("\n") if line]
+        if set(map(len, rows)) - {width}:
+            raise ValueError("a line without one cell per column")
+        picked = [c or "nan" for row in rows for c in cells(row)]
+        block = np.fromiter(map(float, picked), float, len(picked)).reshape(-1, 5)
+        if np.isnan(block[:, 0]).any():
+            raise ValueError("a blank or NaN time stamp")
+        parts.append(block)
+        if not chunk:
+            return np.concatenate(parts)
+
+
 def parse_csv(path: str | Path,
               schema: CsvSchema | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Read time stamps ``t`` (n,) and positions ``pos`` (n, 4) from a CSV file.
@@ -172,14 +229,22 @@ def parse_csv(path: str | Path,
     Empty cells become NaN (missing); non-numeric cells raise
     :class:`UnparsableRowError` with the 1-based data row index.  Timestamps
     must be present, finite (else :class:`NonFiniteValueError`) and strictly
-    increasing.  Blank lines are skipped.
+    increasing.  Blank lines are skipped and a UTF-8 byte-order mark is
+    ignored.
+
+    Data lines are read in blocks of about 64 KiB, and each plain block (no
+    quote, no bare ``\\r``, one cell per header column on every line, no
+    blank or NaN time cell) is converted into an array in one pass over its
+    schema columns.  At the first block that is not plain, or at a cell that
+    is not a number, the whole file is parsed again row by row through the
+    csv module.  Only that path reads quoted or malformed files and raises
+    parse errors, so each error keeps its row and message.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with _csv_file(path) as fh:
+        header = next(csv.reader(fh), [])
         if schema is None:
             schema = detect_schema(header)
         names = schema.required()
@@ -188,18 +253,13 @@ def parse_csv(path: str | Path,
             raise SchemaMismatchError(f"{path.name}: header lacks columns {missing}")
         where = {c: j for j, c in enumerate(header)}   # a repeated name maps to its last column
         cols = [where[c] for c in names]
-        cells = itemgetter(*cols)
-        flat: list[float] = []
-        n = 0
-        for row in reader:
-            if not row:
-                continue
-            n += 1
-            try:
-                flat.extend([float(c) for c in cells(row)])
-            except (ValueError, IndexError):
-                flat.extend(_parse_row(row, cols, names, n, path.name, flat))
-    table = np.array(flat, dtype=float).reshape(n, 5)
+        try:
+            table = _parse_blocks(fh, len(header), cols)
+        except ValueError:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            table = _parse_rows(reader, cols, names, path.name)
     t = table[:, 0]
     _check_increasing(t, path.name)
     return t, table[:, 1:]
@@ -389,7 +449,7 @@ def ingest_file(path: str | Path, cfg: IngestConfig,
     path = Path(path)
     t, pos = parse_csv(path, schema)
     if schema is None:
-        with path.open(newline="") as fh:
+        with _csv_file(path) as fh:
             schema = detect_schema(next(csv.reader(fh)))
     if schema.kind == "geodetic":
         t, pos = project_records(t, pos)
@@ -466,7 +526,7 @@ def read_trajectory(path: str | Path) -> Trajectory:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    with path.open(newline="") as fh:
+    with _csv_file(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = list(reader)

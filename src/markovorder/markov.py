@@ -262,6 +262,7 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
         block = (fwd_res[:, q - 1:q - 1 + n_q] * bwd_res[:, :n_q]).T   # (n_q, M)
         summands[:n_q, i * M:(i + 1) * M] = block
         lengths[i * M:(i + 1) * M] = n_q
+    del fwd_res, bwd_res, block   # the bootstrap needs only the summands
 
     scale = np.sqrt(lengths)
     sup_obs = float(np.max(np.abs(summands.sum(axis=0)) / scale))

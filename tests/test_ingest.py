@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from markovorder import make_trajectory
+from markovorder import ingest, make_trajectory
 from markovorder.errors import (
     InsufficientDataError,
     InsufficientSpanError,
@@ -206,6 +206,29 @@ class TestSegment:
             assert len(segment(traj, cfg)) == T // 60
 
 
+NON_FINITE_CASES = [
+    # NaN compares false, so it passed the strictly-increasing check
+    (["0,10,0,0,0", "nan,11,0,1,0", "2,12,0,2,0", "3,13,0,3,0"], 2),
+    # an infinite last time stamp is "after" every earlier one
+    (["0,10,0,0,0", "1,11,0,1,0", "inf,12,0,2,0"], 3),
+    (["-inf,10,0,0,0", "1,11,0,1,0"], 1),
+    # the non-finite row comes before a non-numeric cell, so it decides
+    (["0,10,0,0,0", "nan,11,0,1,0", "2,bogus,0,2,0"], 2),
+]
+
+FIRST_BAD_ROW_CASES = [
+    # a time stamp that goes back, then a non-numeric cell: the earlier row decides
+    (["0,10,0,0,0", "1,11,0,1,0", "1,12,0,2,0", "3,bogus,0,3,0"],
+     NonMonotonicTimestampsError, None),
+    # the same two faults in the other order
+    (["0,10,0,0,0", "1,bogus,0,1,0", "1,12,0,2,0"], UnparsableRowError, 2),
+    # both in one row: the time stamp is checked first
+    (["0,10,0,0,0", "0,bogus,0,1,0"], NonMonotonicTimestampsError, None),
+    # blank lines are skipped and do not count as rows
+    (["0,10,0,0,0", "", "1,11,0,1,0", ",12,0,2,0"], UnparsableRowError, 3),
+]
+
+
 class TestParseCsv(object):
     def write(self, tmp_path, text, name="raw.csv"):
         p = tmp_path / name
@@ -247,37 +270,105 @@ class TestParseCsv(object):
         with pytest.raises(NonMonotonicTimestampsError):
             parse_csv(p)
 
-    @pytest.mark.parametrize("rows, row", [
-        # NaN compares false, so it passed the strictly-increasing check
-        (["0,10,0,0,0", "nan,11,0,1,0", "2,12,0,2,0", "3,13,0,3,0"], 2),
-        # an infinite last time stamp is "after" every earlier one
-        (["0,10,0,0,0", "1,11,0,1,0", "inf,12,0,2,0"], 3),
-        (["-inf,10,0,0,0", "1,11,0,1,0"], 1),
-        # the non-finite row comes before a non-numeric cell, so it decides
-        (["0,10,0,0,0", "nan,11,0,1,0", "2,bogus,0,2,0"], 2),
-    ])
+    @pytest.mark.parametrize("rows, row", NON_FINITE_CASES)
     def test_non_finite_timestamp_names_its_row(self, tmp_path, rows, row):
         p = self.write(tmp_path, "\n".join(["time_s,lead_x,lead_y,follow_x,follow_y", *rows]) + "\n")
         with pytest.raises(NonFiniteValueError, match=f"row {row}: timestamp .* not finite"):
             parse_csv(p)
 
-    @pytest.mark.parametrize("rows, error, row", [
-        # a time stamp that goes back, then a non-numeric cell: the earlier row decides
-        (["0,10,0,0,0", "1,11,0,1,0", "1,12,0,2,0", "3,bogus,0,3,0"],
-         NonMonotonicTimestampsError, None),
-        # the same two faults in the other order
-        (["0,10,0,0,0", "1,bogus,0,1,0", "1,12,0,2,0"], UnparsableRowError, 2),
-        # both in one row: the time stamp is checked first
-        (["0,10,0,0,0", "0,bogus,0,1,0"], NonMonotonicTimestampsError, None),
-        # blank lines are skipped and do not count as rows
-        (["0,10,0,0,0", "", "1,11,0,1,0", ",12,0,2,0"], UnparsableRowError, 3),
-    ])
+    @pytest.mark.parametrize("rows, error, row", FIRST_BAD_ROW_CASES)
     def test_first_bad_row_decides(self, tmp_path, rows, error, row):
         p = self.write(tmp_path, "\n".join(["time_s,lead_x,lead_y,follow_x,follow_y", *rows]) + "\n")
         with pytest.raises(error) as err:
             parse_csv(p)
         if row is not None:
             assert err.value.row == row
+
+    # a few characters a block, so that lines straddle blocks
+    @pytest.mark.parametrize("rows, row", NON_FINITE_CASES)
+    def test_non_finite_timestamp_names_its_row_small_blocks(self, tmp_path, monkeypatch,
+                                                             rows, row):
+        monkeypatch.setattr(ingest, "_BLOCK_SIZE", 5)
+        self.test_non_finite_timestamp_names_its_row(tmp_path, rows, row)
+
+    @pytest.mark.parametrize("rows, error, row", FIRST_BAD_ROW_CASES)
+    def test_first_bad_row_decides_small_blocks(self, tmp_path, monkeypatch, rows, error, row):
+        monkeypatch.setattr(ingest, "_BLOCK_SIZE", 5)
+        self.test_first_bad_row_decides(tmp_path, rows, error, row)
+
+    # quoted cells take the row-wise path, which rewinds past the mark again
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_byte_order_mark_and_crlf(self, tmp_path, quote):
+        rows = ["time_s,lead_x,lead_y,follow_x,follow_y", "0,10,0,0,0", "1,11,,1,0"]
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + "".join(
+            ",".join(quote + c + quote for c in r.split(",")) + "\r\n" for r in rows).encode())
+        t, pos = parse_csv(p)
+        assert t.tolist() == [0.0, 1.0]
+        assert pos[0].tolist() == [10.0, 0.0, 0.0, 0.0]
+        assert math.isnan(pos[1, 1])
+
+    def test_short_row_reads_absent_cells_as_missing(self, tmp_path):
+        p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
+                                 "0,10,0,0,0\n1,11,0,1\n2,12,0,2,0\n")
+        _, pos = parse_csv(p)
+        assert pos[1, :3].tolist() == [11.0, 0.0, 1.0] and math.isnan(pos[1, 3])
+
+    def test_quoted_comma_is_one_cell(self, tmp_path):
+        # split at every comma, the second row would have one cell per column
+        p = self.write(tmp_path, "time_s,note,extra,lead_x,lead_y,follow_x,follow_y\n"
+                                 "0,a,5,10,0,0,0\n1,\"b,c\",11,0,1,0\n")
+        t, pos = parse_csv(p)
+        assert t.tolist() == [0.0, 1.0]
+        assert pos[1, :3].tolist() == [0.0, 1.0, 0.0] and math.isnan(pos[1, 3])
+
+    def test_bare_carriage_return_ends_a_row(self, tmp_path):
+        # float() would strip the \r; the csv module ends the row there
+        p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
+                                 "0,10,0,0,0\n1,11\r,0,1,0\n")
+        with pytest.raises(UnparsableRowError) as err:
+            parse_csv(p)
+        assert err.value.row == 3
+
+    @pytest.mark.parametrize("block_size", [5, 64, 1 << 16])
+    def test_layouts_read_alike(self, tmp_path, monkeypatch, block_size):
+        monkeypatch.setattr(ingest, "_BLOCK_SIZE", block_size)
+        rng = np.random.default_rng(8)
+        table = np.column_stack([np.arange(40) * 0.1, rng.uniform(-1e3, 1e3, (40, 4))])
+        cells = [[repr(v) for v in row] for row in table.tolist()]
+        cells[3][1] = cells[17][4] = ""
+        names = ["time_s", "lead_x", "lead_y", "follow_x", "follow_y"]
+
+        def text(rows, end="\n"):
+            return end.join(",".join(r) for r in rows) + end
+
+        reordered = [4, 0, 2, 1, 3]
+        layouts = {
+            "lf": text([names, *cells]),
+            "crlf": text([names, *cells], "\r\n"),
+            "blank_lines": text([names, *cells[:5], [], [], *cells[5:], []]),
+            "no_final_newline": text([names, *cells])[:-1],
+            "extra_column": text([r + [x] for r, x in zip([names, *cells],
+                                                          ["note", *"ab" * 20])]),
+            "reordered": text([[r[j] for j in reordered] for r in [names, *cells]]),
+            "quoted": text([names, *[[f'"{c}"' for c in r] for r in cells]]),
+        }
+        row_path, row_wise = [], ingest._parse_rows
+
+        def spy(*args):
+            row_path.append(args)
+            return row_wise(*args)
+        monkeypatch.setattr(ingest, "_parse_rows", spy)
+        want_t, want_pos = table[:, 0], table[:, 1:].copy()
+        want_pos[3, 0] = want_pos[17, 3] = math.nan
+        for name, body in layouts.items():
+            p = tmp_path / f"{name}.csv"
+            p.write_bytes(body.encode())
+            t, pos = parse_csv(p)
+            np.testing.assert_array_equal(t, want_t, err_msg=name)
+            np.testing.assert_array_equal(pos, want_pos, err_msg=name)
+            # only the quoted file goes through the row-wise path
+            assert len(row_path) == (name == "quoted"), name
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
