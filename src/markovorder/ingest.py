@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -148,9 +149,17 @@ def _check_increasing(t: np.ndarray, name: str) -> None:
         )
 
 
+@contextmanager
 def _csv_file(path: Path):
-    """``path`` opened for the csv module, skipping a UTF-8 byte-order mark."""
-    return path.open(newline="", encoding="utf-8-sig")
+    """``path`` opened for the csv module, skipping a UTF-8 byte-order mark;
+    text that is not UTF-8 raises :class:`SchemaMismatchError` naming it."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start:exc.start + 1].hex()
+            raise SchemaMismatchError(
+                f"{path.name}: not UTF-8 text (cannot decode byte 0x{byte})") from None
 
 
 def _parse_row(row: list[str], cols: list[int], names: list[str], idx: int,
@@ -230,7 +239,7 @@ def parse_csv(path: str | Path,
     :class:`UnparsableRowError` with the 1-based data row index.  Timestamps
     must be present, finite (else :class:`NonFiniteValueError`) and strictly
     increasing.  Blank lines are skipped and a UTF-8 byte-order mark is
-    ignored.
+    ignored; a file that is not UTF-8 raises :class:`SchemaMismatchError`.
 
     Data lines are read in blocks of about 64 KiB, and each plain block (no
     quote, no bare ``\\r``, one cell per header column on every line, no
@@ -520,8 +529,9 @@ def read_trajectory(path: str | Path) -> Trajectory:
     """Read a canonical trajectory CSV (and its sidecar, when present).
 
     ``a1`` is read as the actions only when every row has one.  A row that
-    is not one number per column raises :class:`UnparsableRowError`, a
-    malformed sidecar :class:`SchemaMismatchError` naming it.
+    is not one number per column raises :class:`UnparsableRowError`; a
+    malformed sidecar or a file that is not UTF-8 raises
+    :class:`SchemaMismatchError` naming it.
     """
     path = Path(path)
     if not path.exists():

@@ -21,10 +21,16 @@ frequencies and separations.  The product form is doubly robust: the
 population cross-moment vanishes if either the forward or the backward CCF
 estimate is correct.
 
-The bootstrap runs in row blocks of 64 replicates, each drawing its
-multipliers and keeping only the replicates' sups.  The blocks draw the
-same normal stream as one (B, n) draw and give the same rows of the
-product, so the p-value is bit-identical to a one-shot bootstrap while the
+Given the data, a replicate ``g @ S`` of the (n_pad, p) real summand table
+S with i.i.d. standard normal g is exactly N(0, S.T @ S), and so is ``h @ F``
+for p normals h and any F with ``F.T @ F == S.T @ S``.  When n_pad > 2p
+(T - 2k > 384 at the defaults) the replicates are drawn through the Gram
+matrix's p x p Cholesky factor (``_bootstrap_factor``): p-values keep their
+law but not their bits, and the observed statistic does not change.  The
+replicates run in row blocks of 64, each drawing its multipliers and keeping
+only the replicates' sups; the blocks draw the same normal stream as one
+(B, r) draw and give the same rows of the product, so the p-value is
+bit-identical to a one-shot bootstrap through the same factor while the
 working set of a lag test stays small.
 
 With the default kernel estimator both residual tables come from one
@@ -215,6 +221,22 @@ def _shift_range(k: int, n_shifts: int) -> range:
     return range(k + 1, k + 1 + n_shifts)
 
 
+def _bootstrap_factor(real: np.ndarray) -> np.ndarray:
+    """The matrix F the bootstrap multiplies its normal rows with, one with
+    ``F.T @ F == real.T @ real`` for the (n_pad, p) real summand table.
+
+    With more than 2p rows it is the p x p Cholesky factor of the table's
+    Gram matrix, so a replicate costs p draws instead of n_pad; otherwise,
+    or when the Gram matrix is not positive definite, it is ``real``.
+    """
+    if real.shape[0] > 2 * real.shape[1]:
+        try:
+            return np.linalg.cholesky(real.T @ real).T
+        except np.linalg.LinAlgError:
+            pass
+    return real
+
+
 class _Standardized(Trajectory):
     """A trajectory :func:`estimate_order` standardized once for all its
     lags; :func:`lag_test` takes its states as they are."""
@@ -267,12 +289,13 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     scale = np.sqrt(lengths)
     sup_obs = float(np.max(np.abs(summands.sum(axis=0)) / scale))
 
-    # row blocks: the same normal stream and product rows as one (B, n_pad) draw
+    # row blocks: the same normal stream and product rows as one (B, r) draw
     sup_boot = np.empty(cfg.n_bootstrap)
-    real = summands.view(float)
+    factor = _bootstrap_factor(summands.view(float))
+    del summands   # the bootstrap needs only its factor
     for lo in range(0, cfg.n_bootstrap, _BOOT_BLOCK):
         rows = min(_BOOT_BLOCK, cfg.n_bootstrap - lo)
-        boot = (rng.standard_normal((rows, n_pad)) @ real).view(complex)
+        boot = (rng.standard_normal((rows, factor.shape[0])) @ factor).view(complex)
         sup_boot[lo:lo + rows] = np.max(np.abs(boot) / scale, axis=1)
     if not (np.isfinite(sup_obs) and np.isfinite(sup_boot).all()):
         raise NonFiniteValueError(

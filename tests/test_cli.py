@@ -184,6 +184,24 @@ class TestTest:
         assert manifest["environment"]["heap_kept"] is False
         assert (tmp_path / "h" / "results.json").exists()
 
+    def test_non_utf8_file_is_per_item_error(self, corpus, tmp_path):
+        assert run(self.args(corpus, tmp_path / "ref")) == 0
+        (corpus / "zz_latin1.csv").write_bytes(b"time_s,v0,a1\r\n0.0,1.0\xe9,\r\n")
+        out = tmp_path / "latin1"
+        assert run(self.args(corpus, out)) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        errors = [r for r in results if "error" in r]
+        assert len(results) == 5 and [r["trajectory_id"] for r in errors] == ["zz_latin1"]
+        assert errors[0]["error"].startswith("SchemaMismatchError: zz_latin1.csv: not UTF-8")
+        ref = json.loads((tmp_path / "ref" / "results.json").read_text())["results"]
+        assert [r for r in results if "error" not in r] == ref
+
+    def test_only_non_utf8_files_is_data_error(self, tmp_path):
+        corpus = tmp_path / "latin1"
+        corpus.mkdir()
+        (corpus / "a.csv").write_bytes(b"time_s,v0,a1\r\n0.0,1.0\xe9,\r\n")
+        assert run(self.args(corpus, tmp_path / "out")) == 2
+
     def test_duplicate_id_is_per_item_error(self, corpus, tmp_path):
         assert run(self.args(corpus, tmp_path / "ref")) == 0
         first = sorted(corpus.glob("*.csv"))[0]
@@ -458,6 +476,26 @@ class TestIngestCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("nonsense,columns\n1,2\n")
         assert run(["ingest", bad, "--out", tmp_path / "ing4"]) == 2
+
+    def write_latin1(self, path):
+        self.write_raw(path)
+        path.write_bytes(path.read_bytes().replace(b"0.0\n", b"0.0\xe9\n", 1))
+        return path
+
+    def test_non_utf8_among_valid(self, tmp_path):
+        good = self.write_raw(tmp_path / "good.csv")
+        bad = self.write_latin1(tmp_path / "latin1.csv")
+        out = tmp_path / "ing6"
+        assert run(["ingest", good, bad, "--out", out, "--segment-len", 120]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_inputs"] == [str(bad)]
+        assert manifest["trajectories_written"] == 2
+        assert sorted(p.name for p in out.glob("*.csv")) == ["good_seg000.csv",
+                                                               "good_seg001.csv"]
+
+    def test_only_non_utf8_is_data_error(self, tmp_path):
+        bad = self.write_latin1(tmp_path / "latin1.csv")
+        assert run(["ingest", bad, "--out", tmp_path / "ing7"]) == 2
 
 
 class TestReportCommand:

@@ -248,6 +248,18 @@ class TestParseCsv(object):
         with pytest.raises(SchemaMismatchError):
             parse_csv(p)
 
+    @pytest.mark.parametrize("where", ["header", "data", "late data"])
+    def test_non_utf8_is_schema_error_naming_file(self, tmp_path, where):
+        rows = ["time_s,lead_x,lead_y,follow_x,follow_y"]
+        rows += [f"{i},{10 + i},0,{i},0" for i in range(20000)]   # > one 64 KiB block
+        at = {"header": 0, "data": 3, "late data": 19000}[where]
+        text = "\n".join(rows) + "\n"
+        cut = text.index("\n", sum(len(r) + 1 for r in rows[:at]))
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(text[:cut].encode() + b"\xe9" + text[cut:].encode())
+        with pytest.raises(SchemaMismatchError, match=r"latin1\.csv: not UTF-8 .*0xe9"):
+            parse_csv(p)
+
     def test_unparsable_row_reported(self, tmp_path):
         rows = ["time_s,lead_lat,lead_lon,follow_lat,follow_lon"]
         rows += [f"{i},28.0,-82.0,28.0,-82.0" for i in range(6)]
@@ -548,6 +560,12 @@ class TestCanonicalFiles:
             read_trajectory(p)
         if error is UnparsableRowError:
             assert err.value.row == 2
+
+    def test_non_utf8_is_schema_error_naming_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"time_s,v0,a1\n0.0,1.0,0.5\n1.0,2.0,0.5\xe9\n")
+        with pytest.raises(SchemaMismatchError, match=r"latin1\.csv: not UTF-8"):
+            read_trajectory(p)
 
     def test_round_trip_generic_dimension(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from conftest import ar1_trajectory, iid_trajectory, q_products, var1_trajectory
 
@@ -163,9 +164,9 @@ class TestLagTest:
             lag_test(traj, 1, FAST, np.random.default_rng(3))
 
 
-def one_shot_lag_test(traj, k, cfg, rng):
-    """Reference lag test whose bootstrap is one (B, n_pad) multiplier draw
-    and one product; returns (sup_stat, p_value)."""
+def summand_table(traj, k, cfg, rng):
+    """The lag test's (n_pad, p/2) complex summand table and its per-column
+    lengths, drawing the frequencies from ``rng`` as ``lag_test`` does."""
     states = standardize(traj)[0].states
     mus = rng.standard_normal((cfg.n_freqs, traj.dim))
     nus = rng.standard_normal((cfg.n_freqs, traj.dim))
@@ -179,10 +180,29 @@ def one_shot_lag_test(traj, k, cfg, rng):
         n_q = n_eff - q + 1
         summands[:n_q, i * M:(i + 1) * M] = (fwd[:, q - 1:q - 1 + n_q] * bwd[:, :n_q]).T
         lengths[i * M:(i + 1) * M] = n_q
+    return summands, lengths
+
+
+def boot_sups(factor, lengths, B, rng):
+    """Sups of B replicates drawn in one (B, r) draw through ``factor``."""
+    boot = (rng.standard_normal((B, factor.shape[0])) @ factor).view(complex)
+    return np.max(np.abs(boot) / np.sqrt(lengths), axis=1)
+
+
+def one_shot_lag_test(traj, k, cfg, rng):
+    """Reference lag test whose bootstrap is one (B, r) multiplier draw and
+    one product with the chosen factor: the (n_pad, p) real summand table,
+    or on long series (n_pad > 2p) the p x p Cholesky factor of its Gram
+    matrix; returns (sup_stat, p_value)."""
+    summands, lengths = summand_table(traj, k, cfg, rng)
     sup_obs = float(np.max(np.abs(summands.sum(axis=0)) / np.sqrt(lengths)))
-    mult = rng.standard_normal((cfg.n_bootstrap, n_pad))
-    boot = (mult @ summands.view(float)).view(complex)
-    sup_boot = np.max(np.abs(boot) / np.sqrt(lengths), axis=1)
+    factor = summands.view(float)
+    if factor.shape[0] > 2 * factor.shape[1]:
+        try:
+            factor = np.linalg.cholesky(factor.T @ factor).T
+        except np.linalg.LinAlgError:
+            pass
+    sup_boot = boot_sups(factor, lengths, cfg.n_bootstrap, rng)
     return sup_obs, (1 + np.count_nonzero(sup_boot >= sup_obs)) / (cfg.n_bootstrap + 1)
 
 
@@ -210,6 +230,60 @@ class TestBlockedBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestFactorBootstrap:
+    def setup_method(self):
+        traj = var1_trajectory(VAR1_COEFFS, 1000, seed=2)
+        self.summands, self.lengths = summand_table(traj, 1, TestConfig(),
+                                                    np.random.default_rng(0))
+
+    def test_factor_reproduces_gram(self):
+        real = self.summands.view(float)
+        factor = markov_mod._bootstrap_factor(real)
+        assert factor.shape == (192, 192)
+        gram = real.T @ real   # entries near zero are exact only to the largest's scale
+        np.testing.assert_allclose(factor.T @ factor, gram, rtol=1e-12,
+                                   atol=1e-12 * np.abs(gram).max())
+
+    def test_short_table_is_its_own_factor(self):
+        real = self.summands[:384].view(float)
+        assert markov_mod._bootstrap_factor(real) is real
+
+    def test_factor_sups_follow_the_summand_law(self):
+        # both draws are N(0, real.T @ real): their sups must share a law
+        real = self.summands.view(float)
+        factor = markov_mod._bootstrap_factor(real)
+        direct = boot_sups(real, self.lengths, 2000, np.random.default_rng(1))
+        through = boot_sups(factor, self.lengths, 2000, np.random.default_rng(2))
+        assert ks_2samp(direct, through).pvalue > 0.01
+
+    def test_zero_column_falls_back_to_the_table(self):
+        real = self.summands.view(float).copy()
+        real[:, 5] = 0.0
+        assert markov_mod._bootstrap_factor(real) is real
+        assert np.isfinite(boot_sups(real, self.lengths, 64, np.random.default_rng(3))).all()
+
+    def test_zero_frequency_lag_test_stays_finite(self, monkeypatch):
+        # a zero forward frequency makes its residuals, and so 2 * n_shifts
+        # real columns of the table, exactly zero: Cholesky fails and the
+        # lag test multiplies the table itself
+        def with_zero_mu(d, M, rng):
+            mus, nus = rng.standard_normal((M, d)), rng.standard_normal((M, d))
+            mus[0] = 0.0
+            return mus, nus
+        monkeypatch.setattr(markov_mod, "_draw_frequencies", with_zero_mu)
+        traj = var1_trajectory(VAR1_COEFFS, 500, seed=4)
+        res = lag_test(traj, 1, TestConfig(), np.random.default_rng(5))
+        assert np.isfinite(res.sup_stat) and 0.0 < res.p_value <= 1.0
+
+    def test_non_finite_table_still_raises(self, monkeypatch):
+        def nan_tables(states, k, mus, nus):
+            table = np.full((mus.shape[0], states.shape[0] - k), np.nan, dtype=complex)
+            return table, table
+        monkeypatch.setattr(markov_mod._ccf, "loo_window_residuals", nan_tables)
+        with pytest.raises(NonFiniteValueError):
+            lag_test(iid_trajectory(600, 1, seed=6), 1, TestConfig(), np.random.default_rng(3))
 
 
 class TestEstimateOrder:
