@@ -431,6 +431,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
+    jobs = _converted("jobs", _merged(args, "jobs", 1), int)
     reps = int(args.replications)
     if reps < 1:
         raise MarkovOrderError("replications must be >= 1")
@@ -447,7 +448,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     trajs = [gen(T, trajectory_rng(cfg.rng_seed, f"calib_{i:05d}_gen"), f"calib_{i:05d}")
              for i in range(reps)]
-    items = batch_test(trajs, cfg)
+    items = batch_test(trajs, cfg, jobs=jobs)
     failed = next((it for it in items if it.error is not None), None)
     if failed is not None:
         raise MarkovOrderError(f"replication {failed.trajectory_id}: {failed.error}")
@@ -475,7 +476,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     _write_json(out_dir / "calibration.json", payload)
     _write_manifest(out_dir, "calibrate", asdict(cfg),
                     [Path(args.spec)] if args.spec else [], t0,
-                    heap_kept=heap_kept)
+                    jobs=jobs, heap_kept=heap_kept)
     for row in per_lag:
         verdict = "PASS" if row["within_band"] else "FAIL"
         sys.stdout.write(
@@ -565,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--band-lo", type=float, default=0.01, dest="band_lo")
     sp.add_argument("--band-hi", type=float, default=0.12, dest="band_hi")
     sp.add_argument("--out", default=None)
+    sp.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
     sp.add_argument("--config", default=None)
     _add_config_flags(sp, TestConfig, _TEST_FLAGS)
     sp.set_defaults(func=cmd_calibrate)

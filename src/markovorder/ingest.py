@@ -31,6 +31,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -477,6 +478,13 @@ def ingest_file(path: str | Path, cfg: IngestConfig,
 _CANONICAL_COLUMNS = ("v0", "v1", "gap")
 
 
+@lru_cache(maxsize=2)
+def _time_cells(n: int, dt: float) -> tuple[str, ...]:
+    """The ``repr`` of each time stamp ``i * dt``, i < n, formatted once for
+    every segment of the same length and step."""
+    return tuple(map(repr, (np.arange(n) * dt).tolist()))
+
+
 def write_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Write the canonical trajectory CSV plus its JSON metadata sidecar.
 
@@ -484,17 +492,19 @@ def write_trajectory(traj: Trajectory, path: str | Path) -> Path:
     ``time_s, x0, x1, ..., a1`` otherwise, with ``repr`` floats, an empty
     ``a1`` cell when there are no actions, and ``\\r\\n`` line ends; the
     sidecar carries id, dt and metadata.  Output is byte-deterministic.
+    Cells are formatted a column at a time, and the time column, the same
+    for every segment of one length and step, comes from a small cache.
     """
     path = Path(path)
     cols = list(_CANONICAL_COLUMNS) if traj.dim == 3 else [f"x{j}" for j in range(traj.dim)]
-    table = [np.arange(traj.length) * traj.dt, traj.states]
+    columns = [_time_cells(traj.length, traj.dt)]
+    columns += [map(repr, col) for col in traj.states.T.tolist()]
     if traj.actions is not None:
-        table.append(traj.actions)
+        columns.append(map(repr, traj.actions.tolist()))
     end = "\r\n" if traj.actions is not None else ",\r\n"
-    lines = [",".join(["time_s", *cols, "a1"]) + "\r\n"]
-    lines += [",".join(map(repr, row)) + end for row in np.column_stack(table).tolist()]
     with path.open("w", newline="") as fh:
-        fh.writelines(lines)
+        fh.write(",".join(["time_s", *cols, "a1"]) + "\r\n")
+        fh.write(end.join(map(",".join, zip(*columns))) + end)
     sidecar = path.with_suffix(".json")
     sidecar.write_text(json.dumps(
         {"id": traj.id, "dt": traj.dt, "metadata": dict(traj.metadata)},

@@ -27,9 +27,11 @@ for p normals h and any F with ``F.T @ F == S.T @ S``.  When n_pad > 2p
 (T - 2k > 384 at the defaults) the replicates are drawn through the Gram
 matrix's p x p Cholesky factor (``_bootstrap_factor``): p-values keep their
 law but not their bits, and the observed statistic does not change.  The
-replicates run in row blocks of 64, each drawing its multipliers and keeping
-only the replicates' sups; the blocks draw the same normal stream as one
-(B, r) draw and give the same rows of the product, so the p-value is
+replicates run in near-equal row blocks of at most about 40,000 normals
+(but at least 64 rows), each drawing its multipliers and keeping only the
+replicates' sups: a short series' 300 replicates form one block, and the
+factor path's two.  The blocks draw the same normal stream as one (B, r)
+draw and give the same rows of the product, so the p-value is
 bit-identical to a one-shot bootstrap through the same factor while the
 working set of a lag test stays small.
 
@@ -81,7 +83,8 @@ __all__ = [
 ]
 
 _MIN_CELL_LENGTH = 4  # shortest usable summand series for one separation
-_BOOT_BLOCK = 64      # multiplier bootstrap replicates drawn per product
+_BOOT_CELLS = 40_000  # most normals one bootstrap block draws ...
+_BOOT_ROWS = 64       # ... unless that leaves it fewer replicates than this
 
 
 @dataclass(frozen=True)
@@ -293,10 +296,14 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     sup_boot = np.empty(cfg.n_bootstrap)
     factor = _bootstrap_factor(summands.view(float))
     del summands   # the bootstrap needs only its factor
-    for lo in range(0, cfg.n_bootstrap, _BOOT_BLOCK):
-        rows = min(_BOOT_BLOCK, cfg.n_bootstrap - lo)
-        boot = (rng.standard_normal((rows, factor.shape[0])) @ factor).view(complex)
-        sup_boot[lo:lo + rows] = np.max(np.abs(boot) / scale, axis=1)
+    r = factor.shape[0]
+    n_blocks = -(-cfg.n_bootstrap // max(_BOOT_ROWS, _BOOT_CELLS // r))
+    step = -(-cfg.n_bootstrap // n_blocks)   # near-equal blocks
+    for lo in range(0, cfg.n_bootstrap, step):
+        rows = min(step, cfg.n_bootstrap - lo)
+        boot = np.abs((rng.standard_normal((rows, r)) @ factor).view(complex))
+        boot /= scale
+        sup_boot[lo:lo + rows] = np.max(boot, axis=1)
     if not (np.isfinite(sup_obs) and np.isfinite(sup_boot).all()):
         raise NonFiniteValueError(
             f"lag {k} test statistic is not finite (observed sup {sup_obs})"

@@ -397,6 +397,17 @@ class TestCalibrate:
         manifest = json.loads((tmp_path / "cal2" / "manifest.json").read_text())
         assert manifest["environment"]["jobs"] == 1
 
+    def test_jobs_do_not_change_calibration(self, tmp_path):
+        payloads = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            assert run(["calibrate", "--replications", 4, "--length", 60, "--kmax", 1,
+                        "--bootstrap", 19, "--jobs", jobs, "--out", out]) == 0
+            payloads.append((out / "calibration.json").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"]["jobs"] == jobs
+        assert payloads[0] == payloads[1]
+
     def test_true_order_given_as_string(self, tmp_path):
         got = []
         for name, true_order in (("int", 1), ("str", "1")):

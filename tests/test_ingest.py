@@ -573,3 +573,31 @@ class TestCanonicalFiles:
         back = read_trajectory(write_trajectory(traj, tmp_path / "d2.csv"))
         np.testing.assert_array_equal(back.states, traj.states)
         assert back.actions is None
+
+
+def reference_bytes(traj):
+    """The canonical CSV as one ``repr`` per cell over the stacked table."""
+    cols = ["v0", "v1", "gap"] if traj.dim == 3 else [f"x{j}" for j in range(traj.dim)]
+    table = [np.arange(traj.length) * traj.dt, traj.states]
+    if traj.actions is not None:
+        table.append(traj.actions)
+    end = "\r\n" if traj.actions is not None else ",\r\n"
+    lines = [",".join(["time_s", *cols, "a1"]) + "\r\n"]
+    lines += [",".join(map(repr, row)) + end for row in np.column_stack(table).tolist()]
+    return "".join(lines).encode()
+
+
+class TestWriterBytes:
+    # the time cells are cached by (length, dt): a short column must not be
+    # served to a longer segment, nor one step's column to another step
+    @pytest.mark.parametrize("d, with_actions", [(3, True), (2, False)])
+    def test_matches_one_repr_per_cell(self, tmp_path, d, with_actions):
+        ingest._time_cells.cache_clear()
+        rng = np.random.default_rng(d)
+        for i, (T, dt) in enumerate([(800, 0.1), (1200, 0.1), (800, 0.1),
+                                     (1200, 0.1), (1200, 0.04)]):
+            actions = rng.standard_normal(T) if with_actions else None
+            traj = make_trajectory(rng.standard_normal((T, d)) * 30.0, dt=dt,
+                                   actions=actions, id=f"w{i}")
+            path = write_trajectory(traj, tmp_path / f"w{i}.csv")
+            assert path.read_bytes() == reference_bytes(traj), (T, dt)

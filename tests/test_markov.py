@@ -217,9 +217,18 @@ class TestBlockedBootstrap:
         assert res.sup_stat == sup
         assert res.p_value == p
 
+    @pytest.mark.parametrize("T", [120, 600])   # one block by default; two through the factor
+    @pytest.mark.parametrize("rows", [64, 7])
+    def test_small_budget_gives_equal_results(self, monkeypatch, T, rows):
+        traj = var1_trajectory(VAR1_COEFFS, T, seed=T)
+        default = lag_test(traj, 1, TestConfig(), np.random.default_rng(7))
+        monkeypatch.setattr(markov_mod, "_BOOT_CELLS", 1)
+        monkeypatch.setattr(markov_mod, "_BOOT_ROWS", rows)
+        assert lag_test(traj, 1, TestConfig(), np.random.default_rng(7)) == default
+
     def test_peak_allocation_bounded(self):
-        # one (300, n_pad) multiplier draw with its product and |product|
-        # peaked at 1615 KB; row blocks keep the working set small
+        # at T=120 the 300 replicates are one (300, n_pad) block: its draw,
+        # product and |product| (scaled in place) stay under a megabyte
         traj = var1_trajectory(VAR1_COEFFS, 120, seed=3)
         lag_test(traj, 1, TestConfig(), np.random.default_rng(0))
         tracemalloc.start()
