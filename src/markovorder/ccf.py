@@ -11,9 +11,12 @@ and evaluation deterministic and closed form.
 leave-one-out residuals from one kernel matrix over the windows of the
 series (one scalar bandwidth per (trajectory, lag), leave-one-out as the
 zeroed diagonal), built in symmetric square tiles so that its memory
-grows linearly in the series length.  Each fitted CCF is a convex
-combination of unit-modulus numbers, so its modulus never exceeds 1 (up to
-rounding), and the residual at zero frequency is exactly 0.  :class:`KernelCcf` is the same regression
+grows linearly in the series length.  The cos and sin bases of the targets
+come from one half-angle tangent (:func:`_cos_sin`), because numpy vectorizes
+``tan`` but may evaluate ``cos`` and ``sin`` one element at a time.  Each
+fitted CCF is a convex combination of unit-modulus numbers, so its modulus
+never exceeds 1 (up to rounding), and the residual at zero frequency is
+exactly 0.  :class:`KernelCcf` is the same regression
 over explicit pairs, without leave-one-out: refit without each pair in turn,
 it is the brute-force reference of the residuals in the test suite.
 :func:`exact_ccf_discrete` is the exact CCF of a finite-state chain.
@@ -113,6 +116,25 @@ class KernelCcf:
         return values
 
 
+def _cos_sin(phase: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """Write ``cos(phase)`` and ``sin(phase)`` into ``cos_out``/``sin_out``.
+
+    Both come from the half-angle tangent ``t = tan(phase / 2)``:
+    ``cos = 2 / (1 + t^2) - 1`` and ``sin = t * 2 / (1 + t^2)``.  Halving
+    is exact, ``tan(±0) = ±0`` gives exactly (1, ±0), ``tan`` is odd, so
+    ``cos`` is exactly even and ``sin`` exactly odd, and the tangent of a
+    double is finite (below about 1.7e16), so ``t^2`` cannot overflow.  The
+    results are within about 3e-16 absolute of libm's.  ``phase`` is
+    overwritten with the tangent.
+    """
+    t = np.tan(np.multiply(phase, 0.5, out=phase), out=phase)
+    np.multiply(t, t, out=cos_out)
+    cos_out += 1.0
+    np.divide(2.0, cos_out, out=cos_out)
+    np.multiply(t, cos_out, out=sin_out)
+    cos_out -= 1.0
+
+
 def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
                          nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out forward and backward kernel CCF residuals at lag k.
@@ -140,6 +162,11 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     whose forward or backward weights all underflow (one about 36
     bandwidths or more from every other window) is refitted with its
     logits shifted by their max.
+
+    The cos and sin bases of the targets come from :func:`_cos_sin`, one
+    vectorized half-angle tangent at a fraction of the cost of numpy's
+    ``cos`` and ``sin``.  They agree with libm's within about 3e-16
+    absolute, and a zero frequency still gives exactly (1, 0).
     """
     T, d = states.shape
     n = T - k
@@ -157,10 +184,8 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     fits = ((slice(0, w), slice(0, n)), (slice(w, 2 * w), slice(1, n + 1)))
     basis_t = np.zeros((2 * w, n + 1))
     for (rows, cols), freqs, targets in zip(fits, (mus, nus), (states[k:], states[:n])):
-        phase = freqs @ targets.T
         part = basis_t[rows, cols]
-        np.cos(phase, out=part[:M])
-        np.sin(phase, out=part[M:-1])
+        _cos_sin(freqs @ targets.T, part[:M], part[M:-1])
         part[-1] = 1.0
 
     acc = np.zeros_like(basis_t)

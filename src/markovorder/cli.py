@@ -204,7 +204,8 @@ def _config(cls, args: argparse.Namespace, flags: dict):
     for flag, field in flags.items():
         value = _merged(args, flag, None)
         if value is not None:
-            values[field] = _converted(flag, value, type(getattr(cls, field)))
+            kind = type(getattr(cls, field))
+            values[field] = _converted(flag, value, _whole if kind is int else kind)
     try:
         return cls(**values)
     except ValueError as exc:   # a TypeError here is a bug in the flag table
@@ -315,7 +316,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = _read_json(spec_path)
     gen = _build_generator(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _converted("seed", _merged(args, "seed", 0), int)
+    seed = _converted("seed", _merged(args, "seed", 0), _whole)
     count = int(args.count)
     T = args.length if args.length is not None else _spec_value(spec, "length", _whole, 300)
     name = spec.get("name", spec_path.stem)
@@ -340,7 +341,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
-    jobs = _converted("jobs", _merged(args, "jobs", 1), int)
+    jobs = _converted("jobs", _merged(args, "jobs", 1), _whole)
     files = [p for p in _collect_csvs(args.trajectories) if not p.name.endswith(".json")]
     trajs, items, seen = [], [], {}
     for path in files:
@@ -431,7 +432,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
-    jobs = _converted("jobs", _merged(args, "jobs", 1), int)
+    jobs = _converted("jobs", _merged(args, "jobs", 1), _whole)
     reps = int(args.replications)
     if reps < 1:
         raise MarkovOrderError("replications must be >= 1")
@@ -507,7 +508,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         comparisons = _compare_cohorts(*orders_by_cohort.values(), tests)
     kmax = _merged(args, "kmax", None)
     top = max(max(orders) for orders in orders_by_cohort.values())
-    k_max = max(TestConfig.k_max, int(top)) if kmax is None else _converted("kmax", kmax, int)
+    k_max = max(TestConfig.k_max, int(top)) if kmax is None else _converted("kmax", kmax, _whole)
     written = write_report_files(out_dir, cohorts, orders_by_cohort, comparisons, k_max=k_max)
     _write_manifest(out_dir, "report", {"kmax": k_max},
                     inputs, t0, extra={"files": [str(p) for p in written], **tests})

@@ -222,6 +222,35 @@ def test_loo_window_residuals_zero_and_negated_frequency(monkeypatch):
     np.testing.assert_array_equal(neg_bwd, bwd.conj())
 
 
+def _cos_sin_of(phase):
+    out = np.empty((2, *phase.shape))
+    ccf._cos_sin(phase.copy(), out[0], out[1])
+    return out
+
+
+class TestCosSin:
+    # the half-angle tangent stands in for libm's cos and sin in the bases
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_close_to_libm(self, scale):
+        phase = np.random.default_rng(13).standard_normal((32, 1999)) * scale
+        cos, sin = _cos_sin_of(phase)
+        np.testing.assert_allclose(cos, np.cos(phase), rtol=0.0, atol=4.5e-16)
+        np.testing.assert_allclose(sin, np.sin(phase), rtol=0.0, atol=4.5e-16)
+        assert np.abs(cos * cos + sin * sin - 1.0).max() <= 1e-15
+
+    def test_zero_phase_is_exact(self):
+        cos, sin = _cos_sin_of(np.array([0.0, -0.0]))
+        np.testing.assert_array_equal(cos, [1.0, 1.0])
+        np.testing.assert_array_equal(sin, [0.0, 0.0])
+
+    def test_cos_even_sin_odd_exactly(self):
+        phase = np.random.default_rng(14).standard_normal((32, 119)) * 5.0
+        cos, sin = _cos_sin_of(phase)
+        neg_cos, neg_sin = _cos_sin_of(-phase)
+        np.testing.assert_array_equal(neg_cos, cos)
+        np.testing.assert_array_equal(neg_sin, -sin)
+
+
 class TestExactDiscrete:
     def test_identity_chain(self):
         P = np.eye(3)

@@ -657,6 +657,20 @@ class TestConfigFile:
         assert payload["config"] == asdict(TestConfig(
             k_max=1, n_bootstrap=19, n_freqs=4, min_effective_length=20, rng_seed=5))
 
+    @pytest.mark.parametrize("key", ["kmax", "seed", "jobs"])
+    def test_fractional_whole_number_is_data_error(self, corpus, tmp_path, capsys, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"bootstrap": 19, "freqs": 4, key: 1.9}))
+        assert run(["test", corpus, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: --{key}: bad value 1.9") and "Traceback" not in err
+        cfg.write_text(json.dumps({"bootstrap": 19, "freqs": 4, key: 2.0}))
+        assert run(["test", corpus, "--config", cfg, "--out", tmp_path / "ok"]) == 0
+        payload = json.loads((tmp_path / "ok" / "results.json").read_text())
+        manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+        assert {"kmax": payload["config"]["k_max"], "seed": payload["config"]["rng_seed"],
+                "jobs": manifest["environment"]["jobs"]}[key] == 2
+
     @pytest.mark.parametrize("flags, cls", [(cli._TEST_FLAGS, TestConfig),
                                             (cli._INGEST_FLAGS, IngestConfig)])
     def test_flag_table_names_each_field_once(self, flags, cls):
