@@ -456,7 +456,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     orders = [it.estimate.order for it in items]
     lags = [res for it in items for res in it.estimate.per_lag]
 
-    band_lo, band_hi = float(args.band_lo), float(args.band_hi)
+    # the default size band follows alpha: [0.01, 0.12] at alpha = 0.05
+    band_lo = cfg.alpha / 5 if args.band_lo is None else float(args.band_lo)
+    band_hi = 2.4 * cfg.alpha if args.band_hi is None else float(args.band_hi)
     per_lag = []
     for k in sorted({res.k for res in lags}):
         rejects = [res.reject for res in lags if res.k == k]
@@ -564,8 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replications", type=int, default=200)
     sp.add_argument("--length", type=int, default=300)
     sp.add_argument("--dim", type=int, default=3)
-    sp.add_argument("--band-lo", type=float, default=0.01, dest="band_lo")
-    sp.add_argument("--band-hi", type=float, default=0.12, dest="band_hi")
+    sp.add_argument("--band-lo", type=float, default=None, dest="band_lo",
+                    help="lowest rejection rate that passes (default alpha/5)")
+    sp.add_argument("--band-hi", type=float, default=None, dest="band_hi",
+                    help="highest rejection rate that passes (default 2.4 alpha)")
     sp.add_argument("--out", default=None)
     sp.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
     sp.add_argument("--config", default=None)

@@ -35,6 +35,15 @@ draw and give the same rows of the product, so the p-value is
 bit-identical to a one-shot bootstrap through the same factor while the
 working set of a lag test stays small.
 
+The multiplier bootstrap for maxima needs each lag's multipliers to be
+i.i.d. standard normal given the data, not independent of another lag's,
+so :func:`estimate_order` draws one multiplier matrix M per trajectory and
+every lag takes its multipliers from M's leading columns (a lag whose
+factor is wider than M draws its own): ``per_lag[k - 1]`` equals
+``lag_test(traj, k, cfg, children[k - 1], multipliers=M)``.  p-values keep
+their law but not the bits of one draw per lag; ``lag_test`` without
+``multipliers`` draws as before.
+
 With the default kernel estimator both residual tables come from one
 Gaussian kernel matrix over the length-k windows of the standardized
 series, with one scalar bandwidth per (trajectory, lag); each residual
@@ -246,7 +255,8 @@ class _Standardized(Trajectory):
 
 
 def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
-             rng: np.random.Generator) -> MarkovTestResult:
+             rng: np.random.Generator,
+             multipliers: np.ndarray | None = None) -> MarkovTestResult:
     """Multiplier-bootstrap test of the k-th order Markov null.
 
     The trajectory is standardized internally (per trajectory), except when
@@ -254,12 +264,20 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     generator's initial state the result is bit-for-bit reproducible; the
     p-value follows the add-one rule ``(1 + #{sup_b >= sup_obs}) / (B + 1)``
     and never depends on ``cfg.alpha`` (only the reject flag does).
+
+    ``multipliers``, a (B, width) matrix of standard normals, gives the
+    bootstrap its multipliers: replicate b takes the first r entries of row
+    b, for a factor of r rows.  Without it, or when the factor has more rows
+    than the matrix has columns, the bootstrap draws them from ``rng``.
     """
     n_eff = traj.length - k
     if n_eff < cfg.min_effective_length:
         raise TrajectoryTooShortError(
             f"T - k = {n_eff} below min_effective_length = {cfg.min_effective_length}"
         )
+    if multipliers is not None and multipliers.shape[0] != cfg.n_bootstrap:
+        raise ValueError(f"multipliers has {multipliers.shape[0]} rows, "
+                         f"n_bootstrap is {cfg.n_bootstrap}")
     if not isinstance(traj, _Standardized):
         traj, _ = standardize(traj)
     states = traj.states
@@ -297,11 +315,14 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     factor = _bootstrap_factor(summands.view(float))
     del summands   # the bootstrap needs only its factor
     r = factor.shape[0]
+    if multipliers is not None and multipliers.shape[1] < r:
+        multipliers = None   # a table wider than the matrix draws its own
     n_blocks = -(-cfg.n_bootstrap // max(_BOOT_ROWS, _BOOT_CELLS // r))
     step = -(-cfg.n_bootstrap // n_blocks)   # near-equal blocks
     for lo in range(0, cfg.n_bootstrap, step):
         rows = min(step, cfg.n_bootstrap - lo)
-        boot = np.abs((rng.standard_normal((rows, r)) @ factor).view(complex))
+        boot = np.abs(((rng.standard_normal((rows, r)) if multipliers is None
+                        else multipliers[lo:lo + rows, :r]) @ factor).view(complex))
         boot /= scale
         sup_boot[lo:lo + rows] = np.max(boot, axis=1)
     if not (np.isfinite(sup_obs) and np.isfinite(sup_boot).all()):
@@ -320,11 +341,16 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     """Estimate the Markov order as the first accepted lag in 1..k_max.
 
     Every lag in the (possibly length-reduced) search range is tested so the
-    full p-value trace is available; each lag consumes an independent child
-    generator, so per-lag p-values do not depend on alpha or on how many
-    lags a caller chooses to inspect.  The trajectory is standardized once
-    and every lag tests the same standardized states, so
-    ``per_lag[k - 1]`` equals ``lag_test(traj, k, cfg, children[k - 1])``.
+    full p-value trace is available.  Each lag draws its frequencies from
+    its own child of ``rng`` (``children = rng.spawn(k_max)``), and the lags
+    share one bootstrap multiplier matrix ``M``, the transpose of a
+    ``(width, B)`` standard normal draw from ``rng`` after the spawn.  A lag
+    reads only M's first r columns, the first r * B normals of that draw,
+    so per-lag results do not depend on alpha or on k_max.  The trajectory
+    is standardized once and every lag tests the same standardized states,
+    so ``per_lag[k - 1]`` equals
+    ``lag_test(traj, k, cfg, children[k - 1], multipliers=M)``.  Sharing M
+    changes the p-values' bits, not their law (see the module docstring).
 
     Raises
     ------
@@ -341,7 +367,14 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
         rng = trajectory_rng(cfg.rng_seed, traj.id)
     children = rng.spawn(k_eff)
     std = _Standardized(standardize(traj)[0].states, traj.dt, id=traj.id)
-    per_lag = tuple(lag_test(std, k, cfg, children[k - 1])
+    # a lag's factor has T - 2k rows, or p on the Cholesky path (more than
+    # 2p rows); drawn as (width, B), its first r columns are the first r * B
+    # normals of the stream whatever the width, so k_max cannot move a lag
+    p = 2 * cfg.n_freqs * cfg.n_shifts
+    width = max(n if n <= 2 * p else p
+                for n in (traj.length - 2 * k for k in range(1, k_eff + 1)))
+    multipliers = rng.standard_normal((width, cfg.n_bootstrap)).T
+    per_lag = tuple(lag_test(std, k, cfg, children[k - 1], multipliers=multipliers)
                     for k in range(1, k_eff + 1))
     order = next((r.k for r in per_lag if not r.reject), None)
     capped = order is None

@@ -397,6 +397,21 @@ class TestCalibrate:
         manifest = json.loads((tmp_path / "cal2" / "manifest.json").read_text())
         assert manifest["environment"]["jobs"] == 1
 
+    @pytest.mark.parametrize("alpha, flags, band", [
+        (0.10, [], [0.02, 0.24]),
+        (0.05, [], [0.01, 0.12]),
+        (0.10, ["--band-lo", 0.05, "--band-hi", 0.15], [0.05, 0.15]),
+    ])
+    def test_size_band_follows_alpha(self, tmp_path, alpha, flags, band):
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--replications", 1, "--length", 60, "--dim", 1,
+                    "--kmax", 1, "--freqs", 4, "--bootstrap", 19, "--alpha", alpha,
+                    *flags, "--out", out]) == 0
+        payload = json.loads((out / "calibration.json").read_text())
+        assert payload["size_band"] == band
+        rate = payload["per_lag"][0]["rejection_rate"]
+        assert payload["per_lag"][0]["within_band"] == (band[0] <= rate <= band[1])
+
     def test_jobs_do_not_change_calibration(self, tmp_path):
         payloads = []
         for jobs in (1, 2):

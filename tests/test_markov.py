@@ -241,6 +241,13 @@ class TestBlockedBootstrap:
         assert peak < 1 << 20
 
 
+def with_zero_mu(d, M, rng):
+    """``_draw_frequencies`` with the first forward frequency set to zero."""
+    mus, nus = rng.standard_normal((M, d)), rng.standard_normal((M, d))
+    mus[0] = 0.0
+    return mus, nus
+
+
 class TestFactorBootstrap:
     def setup_method(self):
         traj = var1_trajectory(VAR1_COEFFS, 1000, seed=2)
@@ -277,10 +284,6 @@ class TestFactorBootstrap:
         # a zero forward frequency makes its residuals, and so 2 * n_shifts
         # real columns of the table, exactly zero: Cholesky fails and the
         # lag test multiplies the table itself
-        def with_zero_mu(d, M, rng):
-            mus, nus = rng.standard_normal((M, d)), rng.standard_normal((M, d))
-            mus[0] = 0.0
-            return mus, nus
         monkeypatch.setattr(markov_mod, "_draw_frequencies", with_zero_mu)
         traj = var1_trajectory(VAR1_COEFFS, 500, seed=4)
         res = lag_test(traj, 1, TestConfig(), np.random.default_rng(5))
@@ -295,9 +298,34 @@ class TestFactorBootstrap:
             lag_test(iid_trajectory(600, 1, seed=6), 1, TestConfig(), np.random.default_rng(3))
 
 
+class TestSharedMultipliers:
+    def test_wrong_row_count_raises(self):
+        traj = iid_trajectory(100, 1, seed=6)
+        with pytest.raises(ValueError, match="rows"):
+            lag_test(traj, 1, FAST, np.random.default_rng(3),
+                     multipliers=np.zeros((FAST.n_bootstrap - 1, 98)))
+
+    def test_narrow_matrix_draws_from_the_child(self):
+        # a factor wider than the matrix takes the child's draw, as without one
+        traj = iid_trajectory(90, 1, seed=6)
+        narrow = np.zeros((FAST.n_bootstrap, 87))   # the table has n_pad = 88 rows
+        assert lag_test(traj, 1, FAST, np.random.default_rng(3), multipliers=narrow) \
+            == lag_test(traj, 1, FAST, np.random.default_rng(3))
+
+    def test_table_fallback_draws_from_the_child(self, monkeypatch):
+        # a zero frequency makes Cholesky fail at T=500, so the lag multiplies
+        # its (498, p) table, wider than the trajectory's p columns
+        monkeypatch.setattr(markov_mod, "_draw_frequencies", with_zero_mu)
+        traj = var1_trajectory(VAR1_COEFFS, 500, seed=4)
+        cfg = TestConfig(k_max=1, rng_seed=2)
+        est = estimate_order(traj, cfg)
+        child = trajectory_rng(cfg.rng_seed, traj.id).spawn(1)[0]
+        assert est.per_lag[0] == lag_test(traj, 1, cfg, child)
+
+
 class TestEstimateOrder:
     def test_cap_rule(self, monkeypatch):
-        def always_reject(traj, k, cfg, rng):
+        def always_reject(traj, k, cfg, rng, multipliers=None):
             return markov_mod.MarkovTestResult(k=k, sup_stat=9.9, p_value=0.001,
                                                reject=True, n_effective=traj.length - k)
         monkeypatch.setattr(markov_mod, "lag_test", always_reject)
@@ -309,12 +337,43 @@ class TestEstimateOrder:
 
     def test_per_lag_equals_lag_test(self):
         # estimate_order standardizes once; each lag must still match the
-        # public lag_test, which standardizes on its own, bit for bit
+        # public lag_test, which standardizes on its own, bit for bit, given
+        # the trajectory's multiplier matrix (T - 2 = 88 <= 2p = 96: every
+        # lag multiplies its table, the widest at lag 1)
         traj = var1_trajectory(VAR1_COEFFS, 90, seed=14)
         est = estimate_order(traj, FAST)
-        children = trajectory_rng(FAST.rng_seed, traj.id).spawn(FAST.k_max)
+        rng = trajectory_rng(FAST.rng_seed, traj.id)
+        children = rng.spawn(FAST.k_max)
+        multipliers = rng.standard_normal((traj.length - 2, FAST.n_bootstrap)).T
         for k in range(1, FAST.k_max + 1):
-            assert est.per_lag[k - 1] == lag_test(traj, k, FAST, children[k - 1])
+            assert est.per_lag[k - 1] == lag_test(traj, k, FAST, children[k - 1],
+                                                  multipliers=multipliers)
+
+    # T=120: every lag multiplies its table; T=600: every lag draws through
+    # its Cholesky factor; T=390: lags 1-2 (n_pad 388, 386 > 2p = 384) take
+    # the factor and lag 3 the table, so the matrix widens from k_max 3 on
+    @pytest.mark.parametrize("T", [120, 390, 600])
+    def test_per_lag_independent_of_kmax_and_alpha(self, T):
+        traj = var1_trajectory(VAR1_COEFFS, T, seed=T + 1)
+        full = estimate_order(traj, TestConfig(k_max=8, rng_seed=3)).per_lag
+        for k_max in (1, 3):
+            assert estimate_order(traj, TestConfig(k_max=k_max, rng_seed=3)).per_lag \
+                == full[:k_max]
+        strict, loose = (estimate_order(traj, TestConfig(k_max=3, alpha=a, rng_seed=3))
+                         for a in (0.01, 0.10))
+        assert [r.p_value for r in strict.per_lag] == [r.p_value for r in loose.per_lag]
+        assert [r.sup_stat for r in strict.per_lag] == [r.sup_stat for r in loose.per_lag]
+
+    def test_size_on_var1_null(self):
+        # the bootstrap that test runs: every lag of a trajectory shares its
+        # multiplier matrix, and each lag's size must stay in band
+        cfg = TestConfig(k_max=2, alpha=0.05, rng_seed=7)
+        reps, rejections = 400, np.zeros(2)
+        for i in range(reps):
+            est = estimate_order(var1_trajectory(VAR1_COEFFS, 120, seed=40000 + i), cfg)
+            rejections += [r.reject for r in est.per_lag]
+        rates = rejections / reps
+        assert ((0.01 <= rates) & (rates <= 0.12)).all(), rates
 
     def test_first_acceptance_invariant(self):
         traj = ar1_trajectory(0.6, 400, seed=11)
