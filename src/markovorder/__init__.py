@@ -6,7 +6,7 @@ Markov order with a bootstrap-calibrated conditional-independence test, then
 summarize and compare cohorts with pooled t and variance-ratio F tests.
 """
 
-from .core import ScalingParams, Trajectory, make_trajectory, standardize, unstandardize
+from .core import Trajectory, make_trajectory, standardize
 from .ccf import exact_ccf_discrete
 from .markov import (
     BatchItem,
@@ -16,7 +16,6 @@ from .markov import (
     batch_test,
     estimate_order,
     lag_test,
-    sample_frequencies,
     trajectory_rng,
 )
 from .cohorts import (
@@ -35,11 +34,10 @@ from .synthetic import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
 __version__ = "0.1.0"
 
 __all__ = [
-    "Trajectory", "ScalingParams", "make_trajectory", "standardize", "unstandardize",
+    "Trajectory", "make_trajectory", "standardize",
     "exact_ccf_discrete",
     "TestConfig", "MarkovTestResult", "OrderEstimate", "BatchItem",
-    "sample_frequencies", "lag_test",
-    "estimate_order", "batch_test", "trajectory_rng",
+    "lag_test", "estimate_order", "batch_test", "trajectory_rng",
     "CohortSummary", "TTestResult", "FTestResult", "summarize_orders",
     "pooled_t_test", "pooled_t_test_from_stats", "f_test", "f_test_from_stats",
     "reg_inc_beta", "t_cdf", "f_cdf",

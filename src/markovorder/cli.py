@@ -133,34 +133,48 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    """Flag value if given, else config-file value, else default.
+def _text(value) -> str:
+    """``value`` if it is a string: the conversion of the flags that take text."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
 
-    Config files may use either hyphenated or underscored keys.
-    """
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_file_config", {})
-    return cfg.get(key, cfg.get(key.replace("-", "_"), default))
+
+def _setting(args: argparse.Namespace, flag: str, default=None, kind=int):
+    """``kind`` of the flag's value if given, else of the config file's
+    (keyed by the flag's name, hyphenated or underscored; null counts as
+    absent), else of ``default``, else None; an int flag takes whole numbers
+    only (``_whole``).  A value ``kind`` rejects is a data error naming the
+    flag."""
+    key, cfg = flag.replace("-", "_"), getattr(args, "_file_config", {})
+    value = next((v for v in (getattr(args, key, None), cfg.get(flag), cfg.get(key), default)
+                  if v is not None), None)
+    if value is None:
+        return None
+    try:
+        return (_whole if kind is int else kind)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MarkovOrderError(f"--{flag}: bad value {value!r}: {exc}") from None
 
 
 def _out_dir(args: argparse.Namespace, default: str) -> Path:
-    """The output directory from ``--out``, the config file or ``default``;
-    a value that is not a string is a data error naming ``--out``."""
-    out = _merged(args, "out", default)
-    if not isinstance(out, str):
-        raise MarkovOrderError(f"--out: bad value {out!r}: expected a path")
-    return Path(out)
+    """The output directory from ``--out``, the config file or ``default``."""
+    return Path(_setting(args, "out", default, _text))
 
 
 def _load_file_config(args: argparse.Namespace) -> None:
+    """Read ``--config``: a JSON object whose keys are flags of the
+    subcommand (hyphenated or underscored); any other key is a data error."""
     cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         cfg = _read_json(path)
         if not isinstance(cfg, dict):
             raise MarkovOrderError(f"config file {path} must hold a JSON object")
+        unknown = [key for key in cfg if key.replace("-", "_") not in args.config_keys]
+        if unknown:
+            raise MarkovOrderError(f"config file {path}: {', '.join(map(repr, unknown))} "
+                                   f"is not a flag of {args.command}")
     args._file_config = cfg
 
 
@@ -187,14 +201,6 @@ def _add_config_flags(sp: argparse.ArgumentParser, cls, flags: dict) -> None:
                         help=f"{_FLAG_HELP.get(flag, field)} (default {default})")
 
 
-def _converted(flag: str, value, kind):
-    """``kind(value)``; a value it rejects is a data error naming the flag."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MarkovOrderError(f"--{flag}: bad value {value!r}: {exc}") from None
-
-
 def _config(cls, args: argparse.Namespace, flags: dict):
     """``cls`` built from the flags and config-file keys that are given;
     every other field keeps the dataclass default.  A value that does not
@@ -202,10 +208,9 @@ def _config(cls, args: argparse.Namespace, flags: dict):
     error naming the flag."""
     values = {}
     for flag, field in flags.items():
-        value = _merged(args, flag, None)
+        value = _setting(args, flag, kind=type(getattr(cls, field)))
         if value is not None:
-            kind = type(getattr(cls, field))
-            values[field] = _converted(flag, value, _whole if kind is int else kind)
+            values[field] = value
     try:
         return cls(**values)
     except ValueError as exc:   # a TypeError here is a bug in the flag table
@@ -235,11 +240,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _config(IngestConfig, args, _INGEST_FLAGS)
     files = _collect_csvs(args.inputs)
-    meta = {}
-    if args.cohort:
-        meta["cohort"] = args.cohort
-    if args.scenario:
-        meta["scenario"] = args.scenario
+    meta = {key: _setting(args, key, None, _text) for key in ("cohort", "scenario")}
+    meta = {key: value for key, value in meta.items() if value}
 
     written, failures, cohort_counts = [], [], {}
     for path in files:
@@ -316,9 +318,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = _read_json(spec_path)
     gen = _build_generator(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _converted("seed", _merged(args, "seed", 0), _whole)
-    count = int(args.count)
-    T = args.length if args.length is not None else _spec_value(spec, "length", _whole, 300)
+    seed = _setting(args, "seed", 0)
+    count = _setting(args, "count", 1)
+    T = _setting(args, "length")
+    if T is None:
+        T = _spec_value(spec, "length", _whole, 300)
     name = spec.get("name", spec_path.stem)
     cohort = spec.get("cohort")
 
@@ -341,7 +345,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
-    jobs = _converted("jobs", _merged(args, "jobs", 1), _whole)
+    jobs = _setting(args, "jobs", 1)
     files = [p for p in _collect_csvs(args.trajectories) if not p.name.endswith(".json")]
     trajs, items, seen = [], [], {}
     for path in files:
@@ -410,7 +414,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args, "comparison")
     t0 = time.perf_counter()
     path_a, path_b = Path(args.results_a), Path(args.results_b)
-    label_a, label_b = (args.labels.split(",") + ["a", "b"])[:2] if args.labels else ("a", "b")
+    labels = _setting(args, "labels", None, _text)
+    label_a, label_b = (labels.split(",") + ["a", "b"])[:2] if labels else ("a", "b")
     if label_a == label_b:
         raise MarkovOrderError(f"--labels: both cohorts are labeled {label_a!r}")
     orders_a = _orders_from_results(path_a)
@@ -432,17 +437,21 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
-    jobs = _converted("jobs", _merged(args, "jobs", 1), _whole)
-    reps = int(args.replications)
+    jobs = _setting(args, "jobs", 1)
+    reps = _setting(args, "replications", 200)
     if reps < 1:
         raise MarkovOrderError("replications must be >= 1")
-    T = int(args.length)
-    if args.spec:
-        spec = _read_json(Path(args.spec))
+    T = _setting(args, "length", 300)
+    dim = _setting(args, "dim", 3)
+    # the default size band follows alpha: [0.01, 0.12] at alpha = 0.05
+    band_lo = _setting(args, "band-lo", cfg.alpha / 5, float)
+    band_hi = _setting(args, "band-hi", 2.4 * cfg.alpha, float)
+    spec_path = _setting(args, "spec", None, _text)
+    if spec_path:
+        spec = _read_json(Path(spec_path))
         gen = _build_generator(spec)
         true_order = _spec_value(spec, "true_order", lambda v: v if v is None else _whole(v), None)
     else:
-        dim = int(args.dim)
         iid = VarSpec(coeffs=(np.zeros((dim, dim)),), noise_cov=np.eye(dim), burn_in=0)
         gen = lambda n, rng, id: gen_var(iid, n, rng, id=id)  # noqa: E731
         true_order = 1
@@ -456,9 +465,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     orders = [it.estimate.order for it in items]
     lags = [res for it in items for res in it.estimate.per_lag]
 
-    # the default size band follows alpha: [0.01, 0.12] at alpha = 0.05
-    band_lo = cfg.alpha / 5 if args.band_lo is None else float(args.band_lo)
-    band_hi = 2.4 * cfg.alpha if args.band_hi is None else float(args.band_hi)
     per_lag = []
     for k in sorted({res.k for res in lags}):
         rejects = [res.reject for res in lags if res.k == k]
@@ -478,7 +484,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         payload["order_recovery_rate"] = orders.count(true_order) / reps
     _write_json(out_dir / "calibration.json", payload)
     _write_manifest(out_dir, "calibrate", asdict(cfg),
-                    [Path(args.spec)] if args.spec else [], t0,
+                    [Path(spec_path)] if spec_path else [], t0,
                     jobs=jobs, heap_kept=heap_kept)
     for row in per_lag:
         verdict = "PASS" if row["within_band"] else "FAIL"
@@ -508,9 +514,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     comparisons, tests = [], {}
     if len(cohorts) == 2:
         comparisons = _compare_cohorts(*orders_by_cohort.values(), tests)
-    kmax = _merged(args, "kmax", None)
     top = max(max(orders) for orders in orders_by_cohort.values())
-    k_max = max(TestConfig.k_max, int(top)) if kmax is None else _converted("kmax", kmax, _whole)
+    k_max = _setting(args, "kmax", max(TestConfig.k_max, top))
     written = write_report_files(out_dir, cohorts, orders_by_cohort, comparisons, k_max=k_max)
     _write_manifest(out_dir, "report", {"kmax": k_max},
                     inputs, t0, extra={"files": [str(p) for p in written], **tests})
@@ -538,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate ground-truth trajectories")
     sp.add_argument("spec", help="JSON generator spec (kind: var|chain|hidden)")
-    sp.add_argument("--count", type=int, default=1)
+    sp.add_argument("--count", type=int, default=None, help="trajectories (default 1)")
     sp.add_argument("--length", type=int, default=None, help="samples per trajectory")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
@@ -563,9 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("calibrate", help="Monte Carlo size/power study")
     sp.add_argument("--spec", default=None, help="generator spec JSON (default iid normal)")
-    sp.add_argument("--replications", type=int, default=200)
-    sp.add_argument("--length", type=int, default=300)
-    sp.add_argument("--dim", type=int, default=3)
+    sp.add_argument("--replications", type=int, default=None, help="(default 200)")
+    sp.add_argument("--length", type=int, default=None, help="(default 300)")
+    sp.add_argument("--dim", type=int, default=None, help="i.i.d. null's dimension (default 3)")
     sp.add_argument("--band-lo", type=float, default=None, dest="band_lo",
                     help="lowest rejection rate that passes (default alpha/5)")
     sp.add_argument("--band-hi", type=float, default=None, dest="band_hi",
@@ -582,6 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kmax", type=int, default=None)
     sp.add_argument("--config", default=None)
     sp.set_defaults(func=cmd_report)
+    for sp in sub.choices.values():   # the keys a --config file may hold
+        sp.set_defaults(config_keys={a.dest for a in sp._actions if a.option_strings}
+                        - {"help", "config"})
     return parser
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveDtError,
 )
 
-__all__ = ["Trajectory", "ScalingParams", "make_trajectory", "standardize", "unstandardize"]
+__all__ = ["Trajectory", "make_trajectory", "standardize"]
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -117,29 +117,6 @@ class Trajectory:
                           id=self.id, metadata=dict(self.metadata))
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Per-dimension affine map recorded by :func:`standardize`.
-
-    ``original = standardized * std + mean`` inverts the transform exactly.
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        std = np.asarray(self.std, dtype=float)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise DimensionMismatchError("mean and std must be 1-d arrays of equal length")
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise NonFiniteValueError("scaling parameters must be finite")
-        if (std <= 0).any():
-            raise DegenerateDimensionError("standard deviations must be > 0")
-        object.__setattr__(self, "mean", _frozen_array(mean))
-        object.__setattr__(self, "std", _frozen_array(std))
-
-
 def make_trajectory(
     states: Sequence[Sequence[float]] | np.ndarray,
     dt: float,
@@ -172,7 +149,7 @@ def make_trajectory(
                       metadata=dict(metadata) if metadata else {})
 
 
-def standardize(traj: Trajectory, min_std: float = 1e-10) -> tuple[Trajectory, ScalingParams]:
+def standardize(traj: Trajectory, min_std: float = 1e-10) -> Trajectory:
     """Shift/scale each state dimension to sample mean 0 and sample std 1.
 
     The sample standard deviation uses the n-1 divisor, so three points
@@ -188,14 +165,4 @@ def standardize(traj: Trajectory, min_std: float = 1e-10) -> tuple[Trajectory, S
     if (std <= min_std).any():
         bad = np.nonzero(std <= min_std)[0].tolist()
         raise DegenerateDimensionError(f"constant state dimension(s) {bad}")
-    params = ScalingParams(mean=mean, std=std)
-    return traj.with_states((traj.states - mean) / std), params
-
-
-def unstandardize(traj: Trajectory, params: ScalingParams) -> Trajectory:
-    """Invert :func:`standardize`; exact round trip up to float rounding."""
-    if params.mean.shape[0] != traj.dim:
-        raise DimensionMismatchError(
-            f"params dimension {params.mean.shape[0]} != trajectory dimension {traj.dim}"
-        )
-    return traj.with_states(traj.states * params.std + params.mean)
+    return traj.with_states((traj.states - mean) / std)

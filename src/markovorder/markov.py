@@ -24,25 +24,21 @@ estimate is correct.
 Given the data, a replicate ``g @ S`` of the (n_pad, p) real summand table
 S with i.i.d. standard normal g is exactly N(0, S.T @ S), and so is ``h @ F``
 for p normals h and any F with ``F.T @ F == S.T @ S``.  When n_pad > 2p
-(T - 2k > 384 at the defaults) the replicates are drawn through the Gram
-matrix's p x p Cholesky factor (``_bootstrap_factor``): p-values keep their
-law but not their bits, and the observed statistic does not change.  The
-replicates run in near-equal row blocks of at most about 40,000 normals
-(but at least 64 rows), each drawing its multipliers and keeping only the
-replicates' sups: a short series' 300 replicates form one block, and the
-factor path's two.  The blocks draw the same normal stream as one (B, r)
-draw and give the same rows of the product, so the p-value is
-bit-identical to a one-shot bootstrap through the same factor while the
-working set of a lag test stays small.
+(T - 2k > 384 at the defaults) the replicates are drawn through a p x p
+factor of the Gram matrix (``_bootstrap_factor``): its Cholesky factor, or,
+when the Gram matrix is singular (a finite-state chain, a zero frequency),
+``sqrt(w) * V.T`` from its eigendecomposition.  No factor has more than 2p
+rows.  p-values keep their law but not their bits, and the observed
+statistic does not change.
 
 The multiplier bootstrap for maxima needs each lag's multipliers to be
 i.i.d. standard normal given the data, not independent of another lag's,
 so :func:`estimate_order` draws one multiplier matrix M per trajectory and
-every lag takes its multipliers from M's leading columns (a lag whose
-factor is wider than M draws its own): ``per_lag[k - 1]`` equals
+every lag takes its multipliers from M's leading columns:
+``per_lag[k - 1]`` equals
 ``lag_test(traj, k, cfg, children[k - 1], multipliers=M)``.  p-values keep
 their law but not the bits of one draw per lag; ``lag_test`` without
-``multipliers`` draws as before.
+``multipliers`` draws its own from its generator.
 
 With the default kernel estimator both residual tables come from one
 Gaussian kernel matrix over the length-k windows of the standardized
@@ -84,7 +80,6 @@ __all__ = [
     "MarkovTestResult",
     "OrderEstimate",
     "BatchItem",
-    "sample_frequencies",
     "lag_test",
     "estimate_order",
     "batch_test",
@@ -92,8 +87,6 @@ __all__ = [
 ]
 
 _MIN_CELL_LENGTH = 4  # shortest usable summand series for one separation
-_BOOT_CELLS = 40_000  # most normals one bootstrap block draws ...
-_BOOT_ROWS = 64       # ... unless that leaves it fewer replicates than this
 
 
 @dataclass(frozen=True)
@@ -206,18 +199,9 @@ def trajectory_rng(seed: int, trajectory_id: str) -> np.random.Generator:
 def _draw_frequencies(d: int, M: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The forward and backward frequencies ``mus``, ``nus``, each (M, d)."""
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
     mus = rng.standard_normal((M, d))
     nus = rng.standard_normal((M, d))
     return mus, nus
-
-
-def sample_frequencies(d: int, M: int, rng: np.random.Generator) -> list:
-    """Draw M independent (mu, nu) frequency pairs, standard normal per
-    component (states are standardized upstream, so unit scale is natural).
-    """
-    return list(zip(*_draw_frequencies(d, M, rng)))
 
 
 def _shift_range(k: int, n_shifts: int) -> range:
@@ -233,20 +217,30 @@ def _shift_range(k: int, n_shifts: int) -> range:
     return range(k + 1, k + 1 + n_shifts)
 
 
+def _factor_rows(n_pad: int, p: int) -> int:
+    """Rows of the bootstrap factor of an (n_pad, p) summand table: n_pad
+    while it is at most 2p, else p."""
+    return n_pad if n_pad <= 2 * p else p
+
+
 def _bootstrap_factor(real: np.ndarray) -> np.ndarray:
     """The matrix F the bootstrap multiplies its normal rows with, one with
     ``F.T @ F == real.T @ real`` for the (n_pad, p) real summand table.
 
-    With more than 2p rows it is the p x p Cholesky factor of the table's
-    Gram matrix, so a replicate costs p draws instead of n_pad; otherwise,
-    or when the Gram matrix is not positive definite, it is ``real``.
+    With at most 2p rows it is ``real``.  Otherwise it is p x p, so a
+    replicate costs p draws instead of n_pad: the Cholesky factor of the
+    table's Gram matrix, or, when that is not positive definite,
+    ``sqrt(w) * V.T`` from its eigendecomposition (eigenvalues w clipped at
+    zero).
     """
-    if real.shape[0] > 2 * real.shape[1]:
-        try:
-            return np.linalg.cholesky(real.T @ real).T
-        except np.linalg.LinAlgError:
-            pass
-    return real
+    if _factor_rows(*real.shape) == real.shape[0]:
+        return real
+    gram = real.T @ real
+    try:
+        return np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(gram)
+        return (V * np.sqrt(np.clip(w, 0.0, None))).T
 
 
 class _Standardized(Trajectory):
@@ -267,19 +261,18 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
 
     ``multipliers``, a (B, width) matrix of standard normals, gives the
     bootstrap its multipliers: replicate b takes the first r entries of row
-    b, for a factor of r rows.  Without it, or when the factor has more rows
-    than the matrix has columns, the bootstrap draws them from ``rng``.
+    b, for a factor of r rows (see :func:`estimate_order`).  Without it the
+    bootstrap draws a (B, r) matrix from ``rng``.  A matrix with another row
+    count than B, or fewer columns than the factor has rows, raises
+    ``ValueError`` once the factor is known.
     """
     n_eff = traj.length - k
     if n_eff < cfg.min_effective_length:
         raise TrajectoryTooShortError(
             f"T - k = {n_eff} below min_effective_length = {cfg.min_effective_length}"
         )
-    if multipliers is not None and multipliers.shape[0] != cfg.n_bootstrap:
-        raise ValueError(f"multipliers has {multipliers.shape[0]} rows, "
-                         f"n_bootstrap is {cfg.n_bootstrap}")
     if not isinstance(traj, _Standardized):
-        traj, _ = standardize(traj)
+        traj = standardize(traj)
     states = traj.states
     d = states.shape[1]
 
@@ -309,26 +302,24 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
 
     scale = np.sqrt(lengths)
     sup_obs = float(np.max(np.abs(summands.sum(axis=0)) / scale))
-
-    # row blocks: the same normal stream and product rows as one (B, r) draw
-    sup_boot = np.empty(cfg.n_bootstrap)
-    factor = _bootstrap_factor(summands.view(float))
-    del summands   # the bootstrap needs only its factor
-    r = factor.shape[0]
-    if multipliers is not None and multipliers.shape[1] < r:
-        multipliers = None   # a table wider than the matrix draws its own
-    n_blocks = -(-cfg.n_bootstrap // max(_BOOT_ROWS, _BOOT_CELLS // r))
-    step = -(-cfg.n_bootstrap // n_blocks)   # near-equal blocks
-    for lo in range(0, cfg.n_bootstrap, step):
-        rows = min(step, cfg.n_bootstrap - lo)
-        boot = np.abs(((rng.standard_normal((rows, r)) if multipliers is None
-                        else multipliers[lo:lo + rows, :r]) @ factor).view(complex))
-        boot /= scale
-        sup_boot[lo:lo + rows] = np.max(boot, axis=1)
-    if not (np.isfinite(sup_obs) and np.isfinite(sup_boot).all()):
+    # checked before the factor, which eigh would refuse: a non-finite
+    # summand makes its column's sum, and so sup_obs, non-finite
+    if not np.isfinite(sup_obs):
         raise NonFiniteValueError(
             f"lag {k} test statistic is not finite (observed sup {sup_obs})"
         )
+
+    factor = _bootstrap_factor(summands.view(float))
+    del summands   # the bootstrap needs only its factor
+    r = factor.shape[0]
+    if multipliers is not None and (multipliers.shape[0] != cfg.n_bootstrap
+                                    or multipliers.shape[1] < r):
+        raise ValueError(f"multipliers has shape {multipliers.shape}, not "
+                         f"{cfg.n_bootstrap} rows of at least {r} columns")
+    boot = np.abs(((rng.standard_normal((cfg.n_bootstrap, r)) if multipliers is None
+                    else multipliers[:, :r]) @ factor).view(complex))
+    boot /= scale
+    sup_boot = boot.max(axis=1)
 
     n_ge = int(np.count_nonzero(sup_boot >= sup_obs))
     p_value = (1 + n_ge) / (cfg.n_bootstrap + 1)
@@ -344,9 +335,11 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     full p-value trace is available.  Each lag draws its frequencies from
     its own child of ``rng`` (``children = rng.spawn(k_max)``), and the lags
     share one bootstrap multiplier matrix ``M``, the transpose of a
-    ``(width, B)`` standard normal draw from ``rng`` after the spawn.  A lag
-    reads only M's first r columns, the first r * B normals of that draw,
-    so per-lag results do not depend on alpha or on k_max.  The trajectory
+    ``(width, B)`` standard normal draw from ``rng`` after the spawn.  The
+    width is the most rows any lag's factor has (T - 2k while that is at
+    most 2p, else p), so every lag reads M.  A lag reads only M's first r
+    columns, the first r * B normals of that draw, so per-lag results do
+    not depend on alpha or on k_max.  The trajectory
     is standardized once and every lag tests the same standardized states,
     so ``per_lag[k - 1]`` equals
     ``lag_test(traj, k, cfg, children[k - 1], multipliers=M)``.  Sharing M
@@ -366,13 +359,12 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     if rng is None:
         rng = trajectory_rng(cfg.rng_seed, traj.id)
     children = rng.spawn(k_eff)
-    std = _Standardized(standardize(traj)[0].states, traj.dt, id=traj.id)
-    # a lag's factor has T - 2k rows, or p on the Cholesky path (more than
-    # 2p rows); drawn as (width, B), its first r columns are the first r * B
-    # normals of the stream whatever the width, so k_max cannot move a lag
+    std = _Standardized(standardize(traj).states, traj.dt, id=traj.id)
+    # a lag's table has T - 2k rows; drawn as (width, B), a factor's first r
+    # columns are the first r * B normals of the stream whatever the width,
+    # so k_max cannot move a lag
     p = 2 * cfg.n_freqs * cfg.n_shifts
-    width = max(n if n <= 2 * p else p
-                for n in (traj.length - 2 * k for k in range(1, k_eff + 1)))
+    width = max(_factor_rows(traj.length - 2 * k, p) for k in range(1, k_eff + 1))
     multipliers = rng.standard_normal((width, cfg.n_bootstrap)).T
     per_lag = tuple(lag_test(std, k, cfg, children[k - 1], multipliers=multipliers)
                     for k in range(1, k_eff + 1))

@@ -90,12 +90,12 @@ def implied_ccf(states, freqs, k: int = 1):
     ``f * std`` times ``exp(i f . mean)``.
     """
     freqs = np.asarray(freqs, dtype=float)
-    z_traj, params = standardize(make_trajectory(states, dt=1.0))
-    z = z_traj.states
-    scaled = freqs * params.std
+    traj = make_trajectory(states, dt=1.0)
+    z = standardize(traj).states
+    scaled = freqs * traj.states.std(axis=0, ddof=1)
     fwd, bwd = loo_window_residuals(z, k, scaled, scaled)
     n = z.shape[0] - k
-    shift = np.exp(1j * (freqs @ params.mean))[:, None]
+    shift = np.exp(1j * (freqs @ traj.states.mean(axis=0)))[:, None]
     return (shift * (np.exp(1j * (scaled @ z[k:].T)) - fwd),
             shift * (np.exp(1j * (scaled @ z[:n].T)) - bwd))
 

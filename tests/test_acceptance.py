@@ -151,7 +151,7 @@ def test_criterion_07_statistic_nullity_and_symmetry():
     worst_conj = 0.0
     draws = 0
     for ti in range(10):
-        traj, _ = standardize(iid_trajectory(120, 2, seed=600 + ti))
+        traj = standardize(iid_trajectory(120, 2, seed=600 + ti))
         for _ in range(10):
             k = int(rng.integers(1, 6))
             mu = rng.standard_normal(2)

@@ -690,3 +690,63 @@ class TestConfigFile:
                                             (cli._INGEST_FLAGS, IngestConfig)])
     def test_flag_table_names_each_field_once(self, flags, cls):
         assert sorted(flags.values()) == sorted(f.name for f in fields(cls))
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["calibrate", "--length", 60, "--dim", 1, "--kmax", 1, "--freqs", 4, "--bootstrap", 19],
+         {"replications": 2, "kmaxx": 3}, "kmaxx"),
+        (["test", "CORPUS"], {"k_max": 1}, "k_max"),
+        (["synth", "SPEC"], {"spec": "other.json"}, "spec"),
+        (["report", "a=RESULTS"], {"jobs": 2}, "jobs"),
+    ])
+    def test_unknown_key_is_data_error_naming_it(self, corpus, tmp_path, capsys,
+                                                 argv, config, key):
+        names = {"CORPUS": corpus, "SPEC": write_spec(tmp_path),
+                 "a=RESULTS": f"a={fake_results(tmp_path, 'ok', [1, 2])}"}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = [names.get(a, a) for a in argv]
+        assert run([*argv, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: config file {cfg}: {key!r} is not a flag of "
+                              f"{argv[0]}") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_calibrate_reads_its_flags_from_config(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"replications": 2, "length": 60, "dim": 1, "kmax": 1,
+                                   "freqs": 4, "bootstrap": 19, "band-lo": 0.0,
+                                   "band_hi": 1.0}))
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "cal"]) == 0
+        payload = json.loads((tmp_path / "cal" / "calibration.json").read_text())
+        assert (payload["replications"], payload["length"]) == (2, 60)
+        assert payload["size_band"] == [0.0, 1.0]
+        assert payload["per_lag"][0]["n"] == 2 and payload["per_lag"][0]["within_band"]
+        assert run(["calibrate", "--config", cfg, "--replications", 1,
+                    "--out", tmp_path / "flag"]) == 0
+        assert json.loads((tmp_path / "flag" / "calibration.json").read_text())[
+            "replications"] == 1
+
+    def test_synth_reads_count_and_length_from_config(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"count": 3, "length": 40}))
+        assert run(["synth", write_spec(tmp_path), "--config", cfg,
+                    "--out", tmp_path / "s"]) == 0
+        files = sorted((tmp_path / "s").glob("*.csv"))
+        assert len(files) == 3
+        assert len(files[0].read_text().splitlines()) == 41   # header and 40 rows
+
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["calibrate"], {"replications": 1.5}, "--replications"),
+        (["calibrate"], {"band-hi": "high"}, "--band-hi"),
+        (["calibrate"], {"spec": 5}, "--spec"),
+        (["synth", "SPEC"], {"count": "two"}, "--count"),
+        (["synth", "SPEC"], {"length": 40.5}, "--length"),
+    ])
+    def test_bad_config_value_is_data_error_naming_flag(self, tmp_path, capsys,
+                                                        argv, config, flag):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = [write_spec(tmp_path) if a == "SPEC" else a for a in argv]
+        assert run([*argv, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {flag}: bad value ") and "Traceback" not in err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovorder import make_trajectory, standardize, unstandardize
+from markovorder import make_trajectory, standardize
 from markovorder.errors import (
     DegenerateDimensionError,
     DimensionMismatchError,
@@ -61,20 +61,18 @@ def test_states_are_immutable():
 
 def test_standardize_three_points():
     traj = make_trajectory([[1.0], [2.0], [3.0]], dt=1.0)
-    out, params = standardize(traj)
+    out = standardize(traj)
     np.testing.assert_allclose(out.states[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
-    assert params.mean[0] == pytest.approx(2.0)
-    assert params.std[0] == pytest.approx(1.0)
 
 
 def test_standardize_idempotent():
     rng = np.random.default_rng(3)
     traj = make_trajectory(rng.standard_normal((50, 2)), dt=0.5)
-    once, params1 = standardize(traj)
-    twice, params2 = standardize(once)
+    once = standardize(traj)
+    twice = standardize(once)
     np.testing.assert_allclose(twice.states, once.states, atol=1e-10)
-    np.testing.assert_allclose(params2.mean, [0.0, 0.0], atol=1e-10)
-    np.testing.assert_allclose(params2.std, [1.0, 1.0], atol=1e-10)
+    np.testing.assert_allclose(once.states.mean(axis=0), [0.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(once.states.std(axis=0, ddof=1), [1.0, 1.0], atol=1e-10)
 
 
 def test_constant_dimension_rejected():
@@ -90,20 +88,9 @@ def test_standardize_round_trip(rows):
     arr = np.asarray(rows)
     if (arr.std(axis=0, ddof=1) <= 1e-6).any():
         return  # near-degenerate dimensions are rejected by contract
-    traj = make_trajectory(arr, dt=1.0)
-    std, params = standardize(traj)
-    back = unstandardize(std, params)
-    np.testing.assert_allclose(back.states, traj.states, rtol=0, atol=1e-10 * max(1, np.abs(arr).max()))
+    std = standardize(make_trajectory(arr, dt=1.0))
     assert np.abs(std.states.mean(axis=0)).max() < 1e-10
     np.testing.assert_allclose(std.states.std(axis=0, ddof=1), 1.0, atol=1e-10)
-
-
-def test_unstandardize_dimension_check():
-    traj = make_trajectory([[1.0], [2.0], [3.0]], dt=1.0)
-    std, params = standardize(traj)
-    other = make_trajectory([[1.0, 2.0], [3.0, 4.0]], dt=1.0)
-    with pytest.raises(DimensionMismatchError):
-        unstandardize(other, params)
 
 
 def test_duration_counts_samples():

@@ -7,12 +7,13 @@ from scipy.stats import ks_2samp
 from conftest import ar1_trajectory, iid_trajectory, q_products, var1_trajectory
 
 from markovorder import (
+    ChainSpec,
     TestConfig,
     batch_test,
     estimate_order,
+    gen_chain,
     lag_test,
     make_trajectory,
-    sample_frequencies,
     standardize,
     trajectory_rng,
 )
@@ -28,21 +29,19 @@ VAR1_COEFFS = [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]]
 
 class TestSampleFrequencies:
     def test_reproducible(self):
-        a = sample_frequencies(3, 4, np.random.default_rng(7))
-        b = sample_frequencies(3, 4, np.random.default_rng(7))
-        for (m1, n1), (m2, n2) in zip(a, b):
-            np.testing.assert_array_equal(m1, m2)
-            np.testing.assert_array_equal(n1, n2)
+        a = markov_mod._draw_frequencies(3, 4, np.random.default_rng(7))
+        b = markov_mod._draw_frequencies(3, 4, np.random.default_rng(7))
+        for m, n in zip(a, b):
+            np.testing.assert_array_equal(m, n)
 
     def test_shapes(self):
-        pairs = sample_frequencies(3, 32, np.random.default_rng(0))
-        assert len(pairs) == 32
-        assert all(m.shape == (3,) and n.shape == (3,) for m, n in pairs)
+        mus, nus = markov_mod._draw_frequencies(3, 32, np.random.default_rng(0))
+        assert mus.shape == nus.shape == (32, 3)
 
     def test_different_seeds_differ(self):
-        a = sample_frequencies(2, 1, np.random.default_rng(1))
-        b = sample_frequencies(2, 1, np.random.default_rng(2))
-        assert not np.array_equal(a[0][0], b[0][0])
+        a = markov_mod._draw_frequencies(2, 1, np.random.default_rng(1))
+        b = markov_mod._draw_frequencies(2, 1, np.random.default_rng(2))
+        assert not np.array_equal(a[0], b[0])
 
 
 def _statistic(states, k, mu, nu):
@@ -54,7 +53,7 @@ def _statistic(states, k, mu, nu):
 
 class TestLagStatistic:
     def setup_method(self):
-        self.states = standardize(iid_trajectory(80, 2, seed=3))[0].states
+        self.states = standardize(iid_trajectory(80, 2, seed=3)).states
 
     def test_zero_mu_exact_zero(self):
         val = _statistic(self.states, 2, np.zeros(2), np.array([0.5, 1.0]))
@@ -76,7 +75,7 @@ class TestLagStatistic:
         # population value is 0 under independence; Monte Carlo bound
         mu, nu = np.array([1.0]), np.array([1.0])
         for seed in range(20):
-            states = standardize(iid_trajectory(2000, 1, seed=100 + seed))[0].states
+            states = standardize(iid_trajectory(2000, 1, seed=100 + seed)).states
             assert abs(_statistic(states, 2, mu, nu)) <= 0.1
 
 
@@ -167,7 +166,7 @@ class TestLagTest:
 def summand_table(traj, k, cfg, rng):
     """The lag test's (n_pad, p/2) complex summand table and its per-column
     lengths, drawing the frequencies from ``rng`` as ``lag_test`` does."""
-    states = standardize(traj)[0].states
+    states = standardize(traj).states
     mus = rng.standard_normal((cfg.n_freqs, traj.dim))
     nus = rng.standard_normal((cfg.n_freqs, traj.dim))
     fwd, bwd = markov_mod._ccf.loo_window_residuals(states, k, mus, nus)
@@ -192,16 +191,19 @@ def boot_sups(factor, lengths, B, rng):
 def one_shot_lag_test(traj, k, cfg, rng):
     """Reference lag test whose bootstrap is one (B, r) multiplier draw and
     one product with the chosen factor: the (n_pad, p) real summand table,
-    or on long series (n_pad > 2p) the p x p Cholesky factor of its Gram
-    matrix; returns (sup_stat, p_value)."""
+    or on long series (n_pad > 2p) a p x p factor of its Gram matrix, the
+    Cholesky factor or, where that fails, the eigendecomposition's; returns
+    (sup_stat, p_value)."""
     summands, lengths = summand_table(traj, k, cfg, rng)
     sup_obs = float(np.max(np.abs(summands.sum(axis=0)) / np.sqrt(lengths)))
     factor = summands.view(float)
     if factor.shape[0] > 2 * factor.shape[1]:
+        gram = factor.T @ factor
         try:
-            factor = np.linalg.cholesky(factor.T @ factor).T
+            factor = np.linalg.cholesky(gram).T
         except np.linalg.LinAlgError:
-            pass
+            w, V = np.linalg.eigh(gram)
+            factor = (V * np.sqrt(np.clip(w, 0.0, None))).T
     sup_boot = boot_sups(factor, lengths, cfg.n_bootstrap, rng)
     return sup_obs, (1 + np.count_nonzero(sup_boot >= sup_obs)) / (cfg.n_bootstrap + 1)
 
@@ -217,15 +219,6 @@ class TestBlockedBootstrap:
         assert res.sup_stat == sup
         assert res.p_value == p
 
-    @pytest.mark.parametrize("T", [120, 600])   # one block by default; two through the factor
-    @pytest.mark.parametrize("rows", [64, 7])
-    def test_small_budget_gives_equal_results(self, monkeypatch, T, rows):
-        traj = var1_trajectory(VAR1_COEFFS, T, seed=T)
-        default = lag_test(traj, 1, TestConfig(), np.random.default_rng(7))
-        monkeypatch.setattr(markov_mod, "_BOOT_CELLS", 1)
-        monkeypatch.setattr(markov_mod, "_BOOT_ROWS", rows)
-        assert lag_test(traj, 1, TestConfig(), np.random.default_rng(7)) == default
-
     def test_peak_allocation_bounded(self):
         # at T=120 the 300 replicates are one (300, n_pad) block: its draw,
         # product and |product| (scaled in place) stay under a megabyte
@@ -239,6 +232,22 @@ class TestBlockedBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def assert_factor_reproduces_gram(factor, real):
+    gram = real.T @ real   # entries near zero are exact only to the largest's scale
+    np.testing.assert_allclose(factor.T @ factor, gram, rtol=1e-12,
+                               atol=1e-12 * np.abs(gram).max())
+
+
+def chain_trajectory(T, seed):
+    """A 3-state first-order chain on the line: its summand tables have
+    rank 12 of p = 192, so no lag's Gram matrix is positive definite."""
+    P = np.array([[0.70, 0.20, 0.10],
+                  [0.15, 0.60, 0.25],
+                  [0.05, 0.35, 0.60]])
+    spec = ChainSpec(order=1, transition=P, embedding=np.array([-1.2, 0.0, 1.4]))
+    return gen_chain(spec, T, np.random.default_rng(seed), id=f"chain_{seed}")
 
 
 def with_zero_mu(d, M, rng):
@@ -258,9 +267,7 @@ class TestFactorBootstrap:
         real = self.summands.view(float)
         factor = markov_mod._bootstrap_factor(real)
         assert factor.shape == (192, 192)
-        gram = real.T @ real   # entries near zero are exact only to the largest's scale
-        np.testing.assert_allclose(factor.T @ factor, gram, rtol=1e-12,
-                                   atol=1e-12 * np.abs(gram).max())
+        assert_factor_reproduces_gram(factor, real)
 
     def test_short_table_is_its_own_factor(self):
         real = self.summands[:384].view(float)
@@ -274,16 +281,44 @@ class TestFactorBootstrap:
         through = boot_sups(factor, self.lengths, 2000, np.random.default_rng(2))
         assert ks_2samp(direct, through).pvalue > 0.01
 
-    def test_zero_column_falls_back_to_the_table(self):
+    def test_zero_column_gets_the_eigh_factor(self):
         real = self.summands.view(float).copy()
         real[:, 5] = 0.0
-        assert markov_mod._bootstrap_factor(real) is real
-        assert np.isfinite(boot_sups(real, self.lengths, 64, np.random.default_rng(3))).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(real.T @ real)
+        factor = markov_mod._bootstrap_factor(real)
+        assert factor.shape == (192, 192)
+        assert_factor_reproduces_gram(factor, real)
+        assert np.isfinite(boot_sups(factor, self.lengths, 64, np.random.default_rng(3))).all()
+
+    def test_chain_lags_get_a_p_by_p_factor(self):
+        # T - 2k > 384 at every lag: each factor is p x p although no
+        # Cholesky factorisation succeeds
+        traj = chain_trajectory(600, seed=3)
+        for k in range(1, 11):
+            summands, _ = summand_table(traj, k, TestConfig(), np.random.default_rng(k))
+            real = summands.view(float)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(real.T @ real)
+            factor = markov_mod._bootstrap_factor(real)
+            assert factor.shape == (192, 192)
+            assert_factor_reproduces_gram(factor, real)
+
+    def test_chain_per_lag_equals_lag_test_with_the_matrix(self):
+        traj = chain_trajectory(600, seed=4)
+        cfg = TestConfig(rng_seed=1)
+        est = estimate_order(traj, cfg)
+        rng = trajectory_rng(cfg.rng_seed, traj.id)
+        children = rng.spawn(cfg.k_max)
+        multipliers = rng.standard_normal((192, cfg.n_bootstrap)).T
+        for k in range(1, cfg.k_max + 1):
+            assert est.per_lag[k - 1] == lag_test(traj, k, cfg, children[k - 1],
+                                                  multipliers=multipliers)
 
     def test_zero_frequency_lag_test_stays_finite(self, monkeypatch):
         # a zero forward frequency makes its residuals, and so 2 * n_shifts
         # real columns of the table, exactly zero: Cholesky fails and the
-        # lag test multiplies the table itself
+        # lag test draws through the eigendecomposition's factor
         monkeypatch.setattr(markov_mod, "_draw_frequencies", with_zero_mu)
         traj = var1_trajectory(VAR1_COEFFS, 500, seed=4)
         res = lag_test(traj, 1, TestConfig(), np.random.default_rng(5))
@@ -305,22 +340,27 @@ class TestSharedMultipliers:
             lag_test(traj, 1, FAST, np.random.default_rng(3),
                      multipliers=np.zeros((FAST.n_bootstrap - 1, 98)))
 
-    def test_narrow_matrix_draws_from_the_child(self):
-        # a factor wider than the matrix takes the child's draw, as without one
+    def test_narrow_matrix_raises(self):
         traj = iid_trajectory(90, 1, seed=6)
         narrow = np.zeros((FAST.n_bootstrap, 87))   # the table has n_pad = 88 rows
-        assert lag_test(traj, 1, FAST, np.random.default_rng(3), multipliers=narrow) \
-            == lag_test(traj, 1, FAST, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="columns"):
+            lag_test(traj, 1, FAST, np.random.default_rng(3), multipliers=narrow)
 
-    def test_table_fallback_draws_from_the_child(self, monkeypatch):
-        # a zero frequency makes Cholesky fail at T=500, so the lag multiplies
-        # its (498, p) table, wider than the trajectory's p columns
+    def test_eigh_factor_takes_the_shared_matrix(self, monkeypatch):
+        # a zero frequency makes Cholesky fail at T=500; the lag's p x p
+        # factor reads the trajectory's p columns like any other
         monkeypatch.setattr(markov_mod, "_draw_frequencies", with_zero_mu)
         traj = var1_trajectory(VAR1_COEFFS, 500, seed=4)
         cfg = TestConfig(k_max=1, rng_seed=2)
         est = estimate_order(traj, cfg)
-        child = trajectory_rng(cfg.rng_seed, traj.id).spawn(1)[0]
-        assert est.per_lag[0] == lag_test(traj, 1, cfg, child)
+        rng = trajectory_rng(cfg.rng_seed, traj.id)
+        child = rng.spawn(1)[0]
+        multipliers = rng.standard_normal((192, cfg.n_bootstrap)).T
+        assert est.per_lag[0] == lag_test(traj, 1, cfg, child, multipliers=multipliers)
+        # all-zero multipliers give all-zero replicates: the smallest p-value
+        zeros = np.zeros((cfg.n_bootstrap, 192))
+        assert lag_test(traj, 1, cfg, np.random.default_rng(0), multipliers=zeros).p_value \
+            == 1 / (cfg.n_bootstrap + 1)
 
 
 class TestEstimateOrder:
