@@ -2,8 +2,9 @@
 
 Subcommands: ``ingest`` (raw files to canonical trajectories), ``synth``
 (seeded ground-truth generators), ``test`` (batch order estimation),
-``compare`` (two-cohort t/F comparison), ``calibrate`` (Monte Carlo
-size/power study) and ``report`` (summary tables, histograms, box stats).
+``calibrate`` (Monte Carlo size/power study) and ``report`` (summary
+tables, histograms, box stats, and for two cohorts the pooled t and F
+tests).
 
 Every run writes a manifest (seed, configuration hash, input digests, wall
 time, and the environment: numpy version, BLAS thread variables, cores,
@@ -20,7 +21,9 @@ largest input order.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.  A
 setting its config rejects, an ``--out`` that is not a string (checked
 before any work), a malformed results file (an order that is not a whole
-number >= 1 included) and a repeated cohort label are data errors.
+number >= 1, or above its entry's ``k_max``, included) and a cohort label
+that is repeated or empty or holds other than letters, digits, ``_``, ``.``
+and ``-`` are data errors.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
 import time
 import traceback
@@ -377,6 +381,12 @@ def cmd_test(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a JSON whole number >= 1 (``2.0`` included)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()) and value >= 1
+
+
 def _orders_from_results(path: Path) -> list[int]:
     if not path.exists():
         raise EmptyCohortError(f"missing results file: {path}")
@@ -384,52 +394,30 @@ def _orders_from_results(path: Path) -> list[int]:
     results = payload.get("results", []) if isinstance(payload, dict) else payload
     if not (isinstance(results, list) and all(isinstance(r, dict) for r in results)):
         raise MarkovOrderError(f"{path}: results must be a list of JSON objects")
-    orders = [r["order"] for r in results if "order" in r and not r.get("error")]
-    for order in orders:
-        if (isinstance(order, bool) or not isinstance(order, (int, float))
-                or not float(order).is_integer() or order < 1):
+    entries = [r for r in results if "order" in r and not r.get("error")]
+    for r in entries:
+        order, k_max = r["order"], r.get("k_max", r["order"])
+        if not _is_count(order):
             raise MarkovOrderError(f"{path}: order {order!r} is not a whole number >= 1")
-    if not orders:
+        if not (_is_count(k_max) and order <= k_max):   # the bins run to the largest order
+            raise MarkovOrderError(f"{path}: order {order!r} is not <= its k_max {k_max!r}")
+    if not entries:
         raise EmptyCohortError(f"no usable orders in {path}")
-    return [int(o) for o in orders]
+    return [int(r["order"]) for r in entries]
 
 
-def _compare_cohorts(orders_a: list[int], orders_b: list[int], payload: dict) -> list:
-    """The pooled t and F tests that succeed; ``payload`` gets each test's
-    result or, for a degenerate cohort, its error, which invalidates that
-    test, not the whole comparison."""
-    comparisons = []
+def _compare_cohorts(orders_a: list[int], orders_b: list[int]) -> dict:
+    """The pooled t and F tests by name: each test's result or, for a
+    degenerate cohort, ``{"error": message}``, which invalidates that test,
+    not the whole comparison."""
+    tests: dict = {}
     for name, test in (("t_test", pooled_t_test), ("f_test", f_test)):
         try:
-            res = test(orders_a, orders_b)
-            payload[name] = asdict(res)
-            comparisons.append(res)
+            tests[name] = test(orders_a, orders_b)
         except MarkovOrderError as exc:
-            payload[name] = {"error": str(exc)}
+            tests[name] = {"error": str(exc)}
             log.warning("%s unavailable: %s", name, exc)
-    return comparisons
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args, "comparison")
-    t0 = time.perf_counter()
-    path_a, path_b = Path(args.results_a), Path(args.results_b)
-    labels = _setting(args, "labels", None, _text)
-    label_a, label_b = (labels.split(",") + ["a", "b"])[:2] if labels else ("a", "b")
-    if label_a == label_b:
-        raise MarkovOrderError(f"--labels: both cohorts are labeled {label_a!r}")
-    orders_a = _orders_from_results(path_a)
-    orders_b = _orders_from_results(path_b)
-    summary = {label_a: summarize_orders(orders_a), label_b: summarize_orders(orders_b)}
-    payload: dict = {"cohorts": {k: asdict(v) for k, v in summary.items()}}
-    comparisons = _compare_cohorts(orders_a, orders_b, payload)
-    _write_json(out_dir / "comparison.json", payload)
-    table = render_summary(summary, comparisons, format="markdown")
-    (out_dir / "comparison.md").write_text(table)
-    _write_manifest(out_dir, "compare", {"labels": [label_a, label_b]},
-                    [path_a, path_b], t0)
-    sys.stdout.write(table)
-    return 0
+    return tests
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -505,21 +493,22 @@ def cmd_report(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise MarkovOrderError(f"expected label=path, got {item!r}")
         label, path = item.split("=", 1)
+        if not re.fullmatch(r"[\w.-]+", label):   # it names files and table cells
+            raise MarkovOrderError(f"cohort label {label!r} must be letters, digits, "
+                                   "'_', '.' or '-'")
         if label in cohorts:
             raise MarkovOrderError(f"cohort label {label!r} given twice")
         orders = _orders_from_results(Path(path))
         cohorts[label] = summarize_orders(orders)
         orders_by_cohort[label] = orders
         inputs.append(Path(path))
-    comparisons, tests = [], {}
-    if len(cohorts) == 2:
-        comparisons = _compare_cohorts(*orders_by_cohort.values(), tests)
+    tests = _compare_cohorts(*orders_by_cohort.values()) if len(cohorts) == 2 else {}
     top = max(max(orders) for orders in orders_by_cohort.values())
     k_max = _setting(args, "kmax", max(TestConfig.k_max, top))
-    written = write_report_files(out_dir, cohorts, orders_by_cohort, comparisons, k_max=k_max)
+    written = write_report_files(out_dir, cohorts, orders_by_cohort, tests, k_max=k_max)
     _write_manifest(out_dir, "report", {"kmax": k_max},
-                    inputs, t0, extra={"files": [str(p) for p in written], **tests})
-    sys.stdout.write(render_summary(cohorts, comparisons, format="markdown"))
+                    inputs, t0, extra={"files": [str(p) for p in written]})
+    sys.stdout.write(render_summary(cohorts, tests, format="markdown"))
     return 0
 
 
@@ -557,14 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None)
     _add_config_flags(sp, TestConfig, _TEST_FLAGS)
     sp.set_defaults(func=cmd_test)
-
-    sp = sub.add_parser("compare", help="t/F comparison of two result sets")
-    sp.add_argument("results_a", help="results.json of the first cohort")
-    sp.add_argument("results_b", help="results.json of the second cohort")
-    sp.add_argument("--labels", default=None, help="comma-separated cohort labels")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("calibrate", help="Monte Carlo size/power study")
     sp.add_argument("--spec", default=None, help="generator spec JSON (default iid normal)")

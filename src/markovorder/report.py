@@ -103,74 +103,59 @@ def _fmt(value: float, places: int) -> str:
     return f"{value:.{places}f}"
 
 
-def _comparison_cells(comp) -> tuple[str, list[str]]:
+def _comparison_row(comp) -> list[str]:
     if isinstance(comp, TTestResult):
-        return "t", [_fmt(comp.t, 4), _fmt(comp.p_one_tailed, 4),
-                     _fmt(comp.p_two_tailed, 4), "yes" if comp.significant else "no"]
+        return ["t", _fmt(comp.t, 4), _fmt(comp.p_one_tailed, 4),
+                _fmt(comp.p_two_tailed, 4), "yes" if comp.significant else "no"]
     if isinstance(comp, FTestResult):
-        return "F", [_fmt(comp.f, 4), _fmt(comp.upper_tail_prob, 4),
-                     _fmt(comp.cdf, 4), "yes" if comp.significant else "no"]
+        return ["F", _fmt(comp.f, 4), _fmt(comp.upper_tail_prob, 4),
+                _fmt(comp.cdf, 4), "yes" if comp.significant else "no"]
     raise TypeError(f"unsupported comparison {type(comp).__name__}")
 
 
 def render_summary(cohorts: Mapping[str, CohortSummary],
-                   comparisons: Sequence = (), format: str = "markdown") -> str:
+                   tests: Mapping[str, object] | None = None, format: str = "markdown") -> str:
     """Render per-cohort rows and comparison rows as markdown, CSV or JSON.
 
+    ``tests`` maps a test's name (``t_test``, ``f_test``) to its result or,
+    for a test the cohorts make degenerate, to ``{"error": message}``.
     Cohort rows carry mean/std of the order (2 decimals) and %MP / %HOMP
     (2 decimals); comparison rows carry the statistic and probabilities
-    (4 decimals).  Output is deterministic for identical inputs.
+    (4 decimals), and a failed test has none.  The JSON holds each test
+    under its name: its result's fields, or the error.  Output is
+    deterministic for identical inputs.
     """
-    cohort_header = ["cohort", "n", "mean_order", "std_order", "pct_mp", "pct_homp"]
-    cohort_rows = [
-        [label, str(s.n), _fmt(s.mean, 2), _fmt(s.std, 2),
-         _fmt(s.pct_mp, 2), _fmt(s.pct_homp, 2)]
-        for label, s in cohorts.items()
-    ]
-    comp_header = ["test", "statistic", "p_upper", "p_alt", "significant"]
-    comp_rows = []
-    for comp in comparisons:
-        name, cells = _comparison_cells(comp)
-        comp_rows.append([name, *cells])
-
+    tests = tests or {}
     if format == "json":
         return json.dumps({
             "cohorts": {label: asdict(s) for label, s in cohorts.items()},
-            "comparisons": [asdict(c) for c in comparisons],
+            **{name: c if isinstance(c, dict) else asdict(c) for name, c in tests.items()},
         }, indent=2, sort_keys=True) + "\n"
 
+    tables = [(["cohort", "n", "mean_order", "std_order", "pct_mp", "pct_homp"],
+               [[label, str(s.n), _fmt(s.mean, 2), _fmt(s.std, 2),
+                 _fmt(s.pct_mp, 2), _fmt(s.pct_homp, 2)] for label, s in cohorts.items()])]
+    comp_rows = [_comparison_row(c) for c in tests.values() if not isinstance(c, dict)]
+    if comp_rows:
+        tables.append((["test", "statistic", "p_upper", "p_alt", "significant"], comp_rows))
     if format == "csv":
-        lines = [",".join(cohort_header)]
-        lines += [",".join(r) for r in cohort_rows]
-        if comp_rows:
-            lines.append(",".join(comp_header))
-            lines += [",".join(r) for r in comp_rows]
-        return "\n".join(lines) + "\n"
-
-    if format == "markdown":
-        def table(header: list[str], rows: list[list[str]]) -> list[str]:
-            out = ["| " + " | ".join(header) + " |",
-                   "|" + "|".join(["---"] * len(header)) + "|"]
-            out += ["| " + " | ".join(r) + " |" for r in rows]
-            return out
-
-        lines = table(cohort_header, cohort_rows)
-        if comp_rows:
-            lines.append("")
-            lines += table(comp_header, comp_rows)
-        return "\n".join(lines) + "\n"
-
+        return "".join(",".join(row) + "\n" for header, rows in tables for row in [header, *rows])
+    if format == "markdown":   # a blank line between the tables
+        return "\n".join(f"| {' | '.join(header)} |\n" + "|---" * len(header) + "|\n"
+                         + "".join(f"| {' | '.join(row)} |\n" for row in rows)
+                         for header, rows in tables)
     raise ValueError(f"unknown format {format!r}")
 
 
 def write_report_files(out_dir: str | Path,
                        cohorts: Mapping[str, CohortSummary],
                        orders_by_cohort: Mapping[str, Sequence[int]],
-                       comparisons: Sequence = (), k_max: int = 10) -> list[Path]:
-    """Write summary.{md,csv,json}, histogram_<cohort>.csv and
-    box_<cohort>.json; returns the written paths.  An order outside
-    1..k_max raises :class:`OutOfRangeOrderError` before anything is
-    written."""
+                       tests: Mapping[str, object] | None = None,
+                       k_max: int = 10) -> list[Path]:
+    """Write summary.{md,csv,json} (``tests`` as in :func:`render_summary`),
+    histogram_<cohort>.csv and box_<cohort>.json; returns the written
+    paths.  An order outside 1..k_max raises :class:`OutOfRangeOrderError`
+    before anything is written."""
     hists = {label: order_histogram(orders, k_max) for label, orders in orders_by_cohort.items()}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +163,7 @@ def write_report_files(out_dir: str | Path,
     for fmt, name in (("markdown", "summary.md"), ("csv", "summary.csv"),
                       ("json", "summary.json")):
         p = out_dir / name
-        p.write_text(render_summary(cohorts, comparisons, format=fmt))
+        p.write_text(render_summary(cohorts, tests, format=fmt))
         written.append(p)
     for label, orders in orders_by_cohort.items():
         hist = hists[label]

@@ -7,6 +7,7 @@ import pytest
 
 from markovorder import cli
 from markovorder.cli import main
+from markovorder.cohorts import f_test, pooled_t_test
 from markovorder.ingest import IngestConfig
 from markovorder.markov import MarkovTestResult, OrderEstimate, TestConfig
 
@@ -295,11 +296,12 @@ def fake_results(tmp_path, name, orders):
 
 
 class TestCompare:
+    """The two-cohort t and F tests of ``report``, read from summary.json."""
+
     def test_cohort_against_itself(self, tmp_path, capsys):
         p = fake_results(tmp_path, "same", [1, 2, 2, 3, 4])
-        assert run(["compare", p, p, "--labels", "x,y",
-                    "--out", tmp_path / "cmp"]) == 0
-        payload = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert run(["report", f"x={p}", f"y={p}", "--out", tmp_path / "cmp"]) == 0
+        payload = json.loads((tmp_path / "cmp" / "summary.json").read_text())
         assert payload["t_test"]["t"] == pytest.approx(0.0, abs=1e-12)
         assert payload["f_test"]["f"] == pytest.approx(1.0, abs=1e-12)
 
@@ -309,22 +311,35 @@ class TestCompare:
         wide = np.clip(np.round(rng.normal(2, 0.6 * np.sqrt(10), size=50)), 1, 10).astype(int)
         pa = fake_results(tmp_path, "wide", wide.tolist())
         pb = fake_results(tmp_path, "tight", tight.tolist())
-        assert run(["compare", pa, pb, "--out", tmp_path / "cmp2"]) == 0
-        payload = json.loads((tmp_path / "cmp2" / "comparison.json").read_text())
+        assert run(["report", f"a={pa}", f"b={pb}", "--out", tmp_path / "cmp2"]) == 0
+        payload = json.loads((tmp_path / "cmp2" / "summary.json").read_text())
         assert payload["f_test"]["significant"] is True
         assert payload["f_test"]["f"] > 3.0
 
+    def test_values_equal_direct_calls(self, tmp_path):
+        orders_a, orders_b = [1, 1, 2, 3, 2, 1], [1, 2, 4, 5, 2, 3, 7]
+        pa = fake_results(tmp_path, "av", orders_a)
+        pb = fake_results(tmp_path, "hv", orders_b)
+        # the first label=path given is the first cohort of both tests
+        assert run(["report", f"hv={pb}", f"av={pa}", "--out", tmp_path / "ba"]) == 0
+        assert run(["report", f"av={pa}", f"hv={pb}", "--out", tmp_path / "ab"]) == 0
+        for out, (a, b) in (("ab", (orders_a, orders_b)), ("ba", (orders_b, orders_a))):
+            payload = json.loads((tmp_path / out / "summary.json").read_text())
+            assert payload["t_test"] == asdict(pooled_t_test(a, b))
+            assert payload["f_test"] == asdict(f_test(a, b))
+
     def test_missing_cohort_file(self, tmp_path, capsys):
         p = fake_results(tmp_path, "ok", [1, 2, 3])
-        rc = run(["compare", p, tmp_path / "absent.json", "--out", tmp_path / "c"])
+        rc = run(["report", f"a={p}", f"b={tmp_path / 'absent.json'}", "--out", tmp_path / "c"])
         assert rc == 2
         assert "absent.json" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_degenerate_cohort_keeps_t_test(self, tmp_path):
         pa = fake_results(tmp_path, "spread", [1, 2, 3, 4, 5])
         pb = fake_results(tmp_path, "flat", [1, 1, 1, 1])
-        assert run(["compare", pa, pb, "--out", tmp_path / "cmp3"]) == 0
-        payload = json.loads((tmp_path / "cmp3" / "comparison.json").read_text())
+        assert run(["report", f"a={pa}", f"b={pb}", "--out", tmp_path / "cmp3"]) == 0
+        payload = json.loads((tmp_path / "cmp3" / "summary.json").read_text())
         assert "t" in payload["t_test"]
         assert "error" in payload["f_test"]
 
@@ -332,8 +347,8 @@ class TestCompare:
         pa = fake_results(tmp_path, "a", [1, 2, 2, 3])
         pb = tmp_path / "bare.json"
         pb.write_text(json.dumps(json.loads(pa.read_text())["results"]))
-        assert run(["compare", pa, pb, "--out", tmp_path / "cmp"]) == 0
-        payload = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert run(["report", f"a={pa}", f"b={pb}", "--out", tmp_path / "cmp"]) == 0
+        payload = json.loads((tmp_path / "cmp" / "summary.json").read_text())
         assert payload["cohorts"]["a"] == payload["cohorts"]["b"]
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", '{"results": 5}', '{"results": ["x"]}'])
@@ -341,11 +356,9 @@ class TestCompare:
         good = fake_results(tmp_path, "ok", [1, 2, 3])
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        for argv in (["compare", good, bad, "--out", tmp_path / "cmp"],
-                     ["report", f"a={good}", f"b={bad}", "--out", tmp_path / "rep"]):
-            assert run(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"data error: {bad}: ") and "Traceback" not in err
+        assert run(["report", f"a={good}", f"b={bad}", "--out", tmp_path / "rep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("order", ["x", None, 0, 1.5, True, [2]],
                              ids=["text", "null", "zero", "fraction", "bool", "list"])
@@ -353,29 +366,32 @@ class TestCompare:
         good = fake_results(tmp_path, "ok", [1, 2, 3])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([{"order": order}, {"order": 1}]))
-        for argv in (["compare", good, bad, "--out", tmp_path / "cmp"],
-                     ["report", f"a={good}", f"b={bad}", "--out", tmp_path / "rep"]):
-            assert run(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"data error: {bad}: order ") and "Traceback" not in err
-        assert not (tmp_path / "cmp").exists() and not (tmp_path / "rep").exists()
+        assert run(["report", f"a={good}", f"b={bad}", "--out", tmp_path / "rep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: order ") and "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("order, k_max", [(10**20, 10), (1e20, 10), (4, 3), (2, "x")],
+                             ids=["huge-int", "huge-float", "above", "bad-kmax"])
+    def test_order_above_its_kmax_is_data_error_naming_file(self, tmp_path, capsys,
+                                                            order, k_max):
+        good = fake_results(tmp_path, "ok", [1, 2, 3])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"order": 1, "k_max": 3}, {"order": order, "k_max": k_max}]))
+        assert run(["report", f"a={good}", f"b={bad}", "--out", tmp_path / "rep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: order {order!r} is not <= its k_max ")
+        assert "Traceback" not in err and not (tmp_path / "rep").exists()
 
     def test_whole_float_order_reads_as_int(self, tmp_path):
         floats = tmp_path / "floats.json"
-        floats.write_text(json.dumps([{"order": 1.0}, {"order": 2.0}, {"order": 2}]))
+        floats.write_text(json.dumps([{"order": 1.0}, {"order": 2.0, "k_max": 2.0},
+                                      {"order": 2}]))
         ints = fake_results(tmp_path, "ints", [1, 2, 2])
         for name, p in (("f", floats), ("i", ints)):
             assert run(["report", f"a={p}", "--out", tmp_path / name]) == 0
         for name in ("summary.json", "histogram_a.csv"):
             assert (tmp_path / "f" / name).read_text() == (tmp_path / "i" / name).read_text()
-
-    def test_repeated_label_is_data_error(self, tmp_path, capsys):
-        pa = fake_results(tmp_path, "a", [1, 2, 3])
-        pb = fake_results(tmp_path, "b", [2, 3, 4])
-        out = tmp_path / "cmp"
-        assert run(["compare", pa, pb, "--labels", "x,x", "--out", out]) == 2
-        assert "'x'" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestCalibrate:
@@ -539,9 +555,11 @@ class TestReportCommand:
         p = fake_results(tmp_path, "flat", [1, 1, 1, 1])
         out = tmp_path / "rep0"
         assert run(["report", f"a={p}", f"b={p}", "--out", out]) == 0
-        assert (out / "summary.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["t_test"] == {"error": "pooled variance is zero"}
+        assert summary["f_test"] == {"error": "denominator cohort variance is zero"}
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "error" in manifest["t_test"] and "error" in manifest["f_test"]
+        assert "t_test" not in manifest and "f_test" not in manifest
         assert "| a |" in capsys.readouterr().out
 
     def test_repeated_label_is_data_error(self, tmp_path, capsys):
@@ -551,6 +569,22 @@ class TestReportCommand:
         assert run(["report", f"x={pa}", f"x={pb}", "--out", out]) == 2
         assert "'x'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["", "av,x", "a|b", "a/b"])
+    def test_unsafe_label_is_data_error_naming_it(self, tmp_path, capsys, label):
+        # a label names the histogram and box files and a cell of each table
+        pa = fake_results(tmp_path, "av", [1, 1, 2])
+        pb = fake_results(tmp_path, "hv", [2, 3, 4])
+        out = tmp_path / "rep"
+        assert run(["report", f"ok={pa}", f"{label}={pb}", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cohort label {label!r} ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_single_cohort_summary_has_no_tests(self, tmp_path):
+        p = fake_results(tmp_path, "av", [1, 2, 3])
+        assert run(["report", f"av={p}", "--out", tmp_path / "rep"]) == 0
+        assert set(json.loads((tmp_path / "rep" / "summary.json").read_text())) == {"cohorts"}
 
     @pytest.mark.parametrize("top, bins", [(3, 10), (12, 12)])
     def test_default_bins_reach_the_largest_order(self, tmp_path, top, bins):
@@ -578,6 +612,13 @@ class TestExitCodes:
         assert main(["no-such-command"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_compare_is_a_usage_error(self, tmp_path, capsys):
+        # the t and F tests come from report alone
+        p = fake_results(tmp_path, "ok", [1, 2, 3])
+        assert run(["compare", p, p, "--out", tmp_path / "cmp"]) == 1
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert run(["test", tmp_path / "missing_dir_x", "--out", tmp_path / "o"]) == 2
 
@@ -592,7 +633,7 @@ class TestExitCodes:
         assert "internal error: IndexError" in err
         assert "Traceback" in err and "slicing slip" in err
 
-    @pytest.mark.parametrize("site", ["config", "synth", "calibrate", "compare", "report"])
+    @pytest.mark.parametrize("site", ["config", "synth", "calibrate", "report"])
     def test_file_not_json_is_data_error_naming_it(self, tmp_path, capsys, site):
         bad = tmp_path / "broken.json"
         bad.write_text("{")
@@ -602,7 +643,6 @@ class TestExitCodes:
             "synth": ["synth", bad, "--out", tmp_path / "s"],
             "calibrate": ["calibrate", "--spec", bad, "--replications", 1,
                           "--out", tmp_path / "c"],
-            "compare": ["compare", good, bad, "--out", tmp_path / "cmp"],
             "report": ["report", f"a={good}", f"b={bad}", "--out", tmp_path / "r"],
         }[site]
         assert run(argv) == 2

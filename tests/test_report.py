@@ -92,12 +92,36 @@ class TestRender:
     def test_csv_and_json_formats(self):
         orders_a, orders_b = [1, 1, 2, 3], [1, 2, 2, 5, 7]
         cohorts = {"a": summarize_orders(orders_a), "b": summarize_orders(orders_b)}
-        comps = [pooled_t_test(orders_a, orders_b), f_test(orders_a, orders_b)]
-        csv_text = render_summary(cohorts, comps, format="csv")
+        tests = {"t_test": pooled_t_test(orders_a, orders_b), "f_test": f_test(orders_a, orders_b)}
+        csv_text = render_summary(cohorts, tests, format="csv")
         assert csv_text.startswith("cohort,n,mean_order,std_order,pct_mp,pct_homp")
-        payload = json.loads(render_summary(cohorts, comps, format="json"))
+        payload = json.loads(render_summary(cohorts, tests, format="json"))
         assert set(payload["cohorts"]) == {"a", "b"}
-        assert len(payload["comparisons"]) == 2
+        assert payload["t_test"]["df"] == 7 and payload["f_test"]["df_num"] == 3
+
+    def test_failed_test_has_a_json_entry_and_no_row(self):
+        orders_a, orders_b = [1, 1, 2, 3], [1, 2, 2, 5, 7]
+        cohorts = {"a": summarize_orders(orders_a), "b": summarize_orders(orders_b)}
+        tests = {"t_test": pooled_t_test(orders_a, orders_b),
+                 "f_test": {"error": "denominator cohort variance is zero"}}
+        assert render_summary(cohorts, tests, format="markdown") == (
+            "| cohort | n | mean_order | std_order | pct_mp | pct_homp |\n"
+            "|---|---|---|---|---|---|\n"
+            "| a | 4 | 1.75 | 0.96 | 50.00 | 50.00 |\n"
+            "| b | 5 | 3.40 | 2.51 | 20.00 | 80.00 |\n"
+            "\n"
+            "| test | statistic | p_upper | p_alt | significant |\n"
+            "|---|---|---|---|---|\n"
+            "| t | -1.2309 | 0.8710 | 0.2581 | no |\n")
+        assert render_summary(cohorts, tests, format="csv") == (
+            "cohort,n,mean_order,std_order,pct_mp,pct_homp\n"
+            "a,4,1.75,0.96,50.00,50.00\n"
+            "b,5,3.40,2.51,20.00,80.00\n"
+            "test,statistic,p_upper,p_alt,significant\n"
+            "t,-1.2309,0.8710,0.2581,no\n")
+        payload = json.loads(render_summary(cohorts, tests, format="json"))
+        assert payload["f_test"] == {"error": "denominator cohort variance is zero"}
+        assert payload["t_test"]["t"] == pytest.approx(-1.2309, abs=1e-4)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -114,8 +138,8 @@ def test_kde_density_integrates_to_one():
 def test_write_report_files(tmp_path):
     orders = {"av": [1, 1, 1, 2], "hv": [1, 2, 3, 5, 9]}
     cohorts = {k: summarize_orders(v) for k, v in orders.items()}
-    comps = [pooled_t_test(orders["av"], orders["hv"])]
-    written = write_report_files(tmp_path, cohorts, orders, comps, k_max=10)
+    tests = {"t_test": pooled_t_test(orders["av"], orders["hv"])}
+    written = write_report_files(tmp_path, cohorts, orders, tests, k_max=10)
     names = {p.name for p in written}
     assert {"summary.md", "summary.csv", "summary.json",
             "histogram_av.csv", "histogram_hv.csv",
