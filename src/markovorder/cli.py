@@ -19,11 +19,12 @@ Each test and ingest flag takes its type and default from the field of
 largest input order.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.  A
-setting its config rejects, an ``--out`` that is not a string (checked
-before any work), a malformed results file (an order that is not a whole
-number >= 1, or above its entry's ``k_max``, included) and a cohort label
-that is repeated or empty or holds other than letters, digits, ``_``, ``.``
-and ``-`` are data errors.
+setting its config rejects (a bool for a whole number and a count below its
+least value included), an ``--out`` that is not a string (checked before
+any work), a malformed results file (an order that is not a whole number
+>= 1, or above its entry's ``k_max``, included) and a cohort label that is
+repeated or empty or holds other than letters, digits, ``_``, ``.`` and
+``-`` are data errors.
 """
 
 from __future__ import annotations
@@ -144,21 +145,24 @@ def _text(value) -> str:
     return value
 
 
-def _setting(args: argparse.Namespace, flag: str, default=None, kind=int):
+def _setting(args: argparse.Namespace, flag: str, default=None, kind=int, least=None):
     """``kind`` of the flag's value if given, else of the config file's
     (keyed by the flag's name, hyphenated or underscored; null counts as
     absent), else of ``default``, else None; an int flag takes whole numbers
-    only (``_whole``).  A value ``kind`` rejects is a data error naming the
-    flag."""
+    only (``_whole``).  A value ``kind`` rejects, or one below ``least``, is
+    a data error naming the flag."""
     key, cfg = flag.replace("-", "_"), getattr(args, "_file_config", {})
     value = next((v for v in (getattr(args, key, None), cfg.get(flag), cfg.get(key), default)
                   if v is not None), None)
     if value is None:
         return None
     try:
-        return (_whole if kind is int else kind)(value)
+        out = (_whole if kind is int else kind)(value)
+        if least is not None and out < least:
+            raise ValueError(f"must be >= {least}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise MarkovOrderError(f"--{flag}: bad value {value!r}: {exc}") from None
+    return out
 
 
 def _out_dir(args: argparse.Namespace, default: str) -> Path:
@@ -217,7 +221,7 @@ def _config(cls, args: argparse.Namespace, flags: dict):
             values[field] = value
     try:
         return cls(**values)
-    except ValueError as exc:   # a TypeError here is a bug in the flag table
+    except (ValueError, MarkovOrderError) as exc:   # a TypeError is a flag table bug
         named = [f"--{flag}" for flag, field in flags.items()
                  if field in values and field in str(exc)]
         raise MarkovOrderError(f"{', '.join(named) or 'bad setting'}: {exc}") from None
@@ -276,9 +280,11 @@ def _array(value) -> np.ndarray:
 
 
 def _whole(value) -> int:
-    """``value`` as an int; a fractional number is rejected, not truncated."""
+    """``value`` as an int; a bool or a fraction is rejected, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     out = int(value)
-    if out != float(value):
+    if not isinstance(value, int) and out != float(value):
         raise ValueError(f"{value!r} is not a whole number")
     return out
 
@@ -323,7 +329,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     gen = _build_generator(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = _setting(args, "seed", 0)
-    count = _setting(args, "count", 1)
+    count = _setting(args, "count", 1, least=0)
     T = _setting(args, "length")
     if T is None:
         T = _spec_value(spec, "length", _whole, 300)
@@ -349,7 +355,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
-    jobs = _setting(args, "jobs", 1)
+    jobs = _setting(args, "jobs", 1, least=1)
     files = [p for p in _collect_csvs(args.trajectories) if not p.name.endswith(".json")]
     trajs, items, seen = [], [], {}
     for path in files:
@@ -382,9 +388,11 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def _is_count(value) -> bool:
-    """Whether ``value`` is a JSON whole number >= 1 (``2.0`` included)."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()) and value >= 1
+    """Whether ``value`` is a whole number >= 1 by ``_whole``."""
+    try:
+        return _whole(value) >= 1
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _orders_from_results(path: Path) -> list[int]:
@@ -399,11 +407,12 @@ def _orders_from_results(path: Path) -> list[int]:
         order, k_max = r["order"], r.get("k_max", r["order"])
         if not _is_count(order):
             raise MarkovOrderError(f"{path}: order {order!r} is not a whole number >= 1")
-        if not (_is_count(k_max) and order <= k_max):   # the bins run to the largest order
+        # the bins run to the largest order
+        if not (_is_count(k_max) and _whole(order) <= _whole(k_max)):
             raise MarkovOrderError(f"{path}: order {order!r} is not <= its k_max {k_max!r}")
     if not entries:
         raise EmptyCohortError(f"no usable orders in {path}")
-    return [int(r["order"]) for r in entries]
+    return [_whole(r["order"]) for r in entries]
 
 
 def _compare_cohorts(orders_a: list[int], orders_b: list[int]) -> dict:
@@ -425,12 +434,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
-    jobs = _setting(args, "jobs", 1)
-    reps = _setting(args, "replications", 200)
-    if reps < 1:
-        raise MarkovOrderError("replications must be >= 1")
+    jobs = _setting(args, "jobs", 1, least=1)
+    reps = _setting(args, "replications", 200, least=1)
     T = _setting(args, "length", 300)
-    dim = _setting(args, "dim", 3)
+    dim = _setting(args, "dim", 3, least=1)
     # the default size band follows alpha: [0.01, 0.12] at alpha = 0.05
     band_lo = _setting(args, "band-lo", cfg.alpha / 5, float)
     band_hi = _setting(args, "band-hi", 2.4 * cfg.alpha, float)

@@ -11,8 +11,8 @@ Turns raw leader/follower position files into analysis-ready trajectories:
 
 Stages 1-3 pass plain arrays: time stamps ``t`` of shape (n,) and positions
 ``pos`` of shape (n, 4) with columns lead a, lead b, follow a, follow b,
-where (a, b) is (x, y) in meters or (lat, lon) in degrees and NaN marks a
-missing coordinate.
+where (a, b) is (x, y) in meters or (lat, lon) in degrees, as the file's
+header alone decides, and NaN marks a missing coordinate.
 
 Raw files are parsed a block of data lines at a time straight into arrays;
 a file that is quoted or malformed anywhere is parsed again row by row
@@ -51,10 +51,7 @@ from .errors import (
 )
 
 __all__ = [
-    "CsvSchema",
     "IngestConfig",
-    "PLANAR_SCHEMA",
-    "GEODETIC_SCHEMA",
     "detect_schema",
     "parse_csv",
     "latlon_to_local",
@@ -74,25 +71,9 @@ EARTH_RADIUS_M = 6_371_000.0
 _BLOCK_SIZE = 1 << 16   # characters of data lines parse_csv reads at a time
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for raw files; ``kind`` is "planar" or "geodetic"."""
-
-    kind: str
-    time: str
-    lead_a: str
-    lead_b: str
-    follow_a: str
-    follow_b: str
-
-    def required(self) -> list[str]:
-        return [self.time, self.lead_a, self.lead_b, self.follow_a, self.follow_b]
-
-
-PLANAR_SCHEMA = CsvSchema(kind="planar", time="time_s", lead_a="lead_x",
-                          lead_b="lead_y", follow_a="follow_x", follow_b="follow_y")
-GEODETIC_SCHEMA = CsvSchema(kind="geodetic", time="time_s", lead_a="lead_lat",
-                            lead_b="lead_lon", follow_a="follow_lat", follow_b="follow_lon")
+# raw layouts by kind: the time stamp, then lead a, lead b, follow a, follow b
+_LAYOUTS = {"planar": ("time_s", "lead_x", "lead_y", "follow_x", "follow_y"),
+            "geodetic": ("time_s", "lead_lat", "lead_lon", "follow_lat", "follow_lon")}
 
 
 @dataclass(frozen=True)
@@ -101,7 +82,8 @@ class IngestConfig:
 
     ``segment_mode`` selects between cutting fixed-length segments
     ("fixed", discarding the remainder) and keeping whole trajectories that
-    exceed ``min_length`` ("min").  Durations count T * dt seconds.
+    exceed ``min_length`` ("min").  Durations count T * dt seconds and must
+    be finite.
     """
 
     resample_dt: float = 1.0
@@ -112,6 +94,9 @@ class IngestConfig:
     segment_mode: str = "fixed"
 
     def __post_init__(self):
+        for name in ("resample_dt", "segment_length", "min_length", "trim_head", "trim_tail"):
+            if not math.isfinite(getattr(self, name)):
+                raise InsufficientDataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.resample_dt <= 0:
             raise InsufficientSpanError(f"resample_dt must be > 0, got {self.resample_dt}")
         if not (self.segment_length >= self.min_length > 0):
@@ -125,14 +110,15 @@ class IngestConfig:
             raise InsufficientDataError(f"unknown segment_mode {self.segment_mode!r}")
 
 
-def detect_schema(header: Sequence[str]) -> CsvSchema:
-    """Pick the canonical planar or geodetic schema matching a header."""
+def detect_schema(header: Sequence[str], name: str = "raw file") -> str:
+    """The layout, "planar" or "geodetic", whose columns the header of the
+    file ``name`` holds (planar first, if it holds both)."""
     cols = set(header)
-    for schema in (PLANAR_SCHEMA, GEODETIC_SCHEMA):
-        if all(c in cols for c in schema.required()):
-            return schema
+    for kind, names in _LAYOUTS.items():
+        if cols.issuperset(names):
+            return kind
     raise SchemaMismatchError(
-        f"header {sorted(cols)} matches neither the planar nor the geodetic column set"
+        f"{name}: header {sorted(cols)} matches neither the planar nor the geodetic column set"
     )
 
 
@@ -163,7 +149,7 @@ def _csv_file(path: Path):
                 f"{path.name}: not UTF-8 text (cannot decode byte 0x{byte})") from None
 
 
-def _parse_row(row: list[str], cols: list[int], names: list[str], idx: int,
+def _parse_row(row: list[str], cols: list[int], names: Sequence[str], idx: int,
                name: str, earlier: list[float]) -> list[float]:
     """Cell-by-cell parse of a data row with blank, absent or bad cells.
 
@@ -186,7 +172,7 @@ def _parse_row(row: list[str], cols: list[int], names: list[str], idx: int,
     return vals
 
 
-def _parse_rows(reader, cols: list[int], names: list[str], name: str) -> np.ndarray:
+def _parse_rows(reader, cols: list[int], names: Sequence[str], name: str) -> np.ndarray:
     """The (n, 5) table of a csv reader's data rows, parsed row by row."""
     cells = itemgetter(*cols)
     flat: list[float] = []
@@ -232,11 +218,12 @@ def _parse_blocks(fh, width: int, cols: list[int]) -> np.ndarray:
             return np.concatenate(parts)
 
 
-def parse_csv(path: str | Path,
-              schema: CsvSchema | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read time stamps ``t`` (n,) and positions ``pos`` (n, 4) from a CSV file.
+def parse_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, str]:
+    """Read time stamps ``t`` (n,), positions ``pos`` (n, 4) and the layout
+    ``kind`` that :func:`detect_schema` finds in the header from a CSV file.
 
-    Empty cells become NaN (missing); non-numeric cells raise
+    A header that holds neither layout raises :class:`SchemaMismatchError`
+    naming the file.  Empty cells become NaN (missing); non-numeric cells raise
     :class:`UnparsableRowError` with the 1-based data row index.  Timestamps
     must be present, finite (else :class:`NonFiniteValueError`) and strictly
     increasing.  Blank lines are skipped and a UTF-8 byte-order mark is
@@ -245,22 +232,16 @@ def parse_csv(path: str | Path,
     Data lines are read in blocks of about 64 KiB, and each plain block (no
     quote, no bare ``\\r``, one cell per header column on every line, no
     blank or NaN time cell) is converted into an array in one pass over its
-    schema columns.  At the first block that is not plain, or at a cell that
+    layout's columns.  At the first block that is not plain, or at a cell that
     is not a number, the whole file is parsed again row by row through the
     csv module.  Only that path reads quoted or malformed files and raises
     parse errors, so each error keeps its row and message.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     with _csv_file(path) as fh:
         header = next(csv.reader(fh), [])
-        if schema is None:
-            schema = detect_schema(header)
-        names = schema.required()
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise SchemaMismatchError(f"{path.name}: header lacks columns {missing}")
+        kind = detect_schema(header, path.name)
+        names = _LAYOUTS[kind]
         where = {c: j for j, c in enumerate(header)}   # a repeated name maps to its last column
         cols = [where[c] for c in names]
         try:
@@ -272,7 +253,7 @@ def parse_csv(path: str | Path,
             table = _parse_rows(reader, cols, names, path.name)
     t = table[:, 0]
     _check_increasing(t, path.name)
-    return t, table[:, 1:]
+    return t, table[:, 1:], kind
 
 
 def latlon_to_local(lat: float | np.ndarray, lon: float | np.ndarray,
@@ -294,8 +275,7 @@ def latlon_to_local(lat: float | np.ndarray, lon: float | np.ndarray,
     return x, y
 
 
-def project_records(t: np.ndarray, pos: np.ndarray,
-                    earth_radius: float = EARTH_RADIUS_M) -> tuple[np.ndarray, np.ndarray]:
+def project_records(t: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Convert geodetic positions (lat, lon) to planar meters (x, y).
 
     The origin is the first finite follower position.  A vehicle's position
@@ -308,7 +288,7 @@ def project_records(t: np.ndarray, pos: np.ndarray,
     lat, lon = pos[:, 0::2], pos[:, 1::2]
     both = np.isfinite(lat) & np.isfinite(lon)
     x, y = latlon_to_local(np.where(both, lat, math.nan), np.where(both, lon, math.nan),
-                           o_lat, o_lon, earth_radius)
+                           o_lat, o_lon)
     out = np.empty_like(pos)
     out[:, 0::2], out[:, 1::2] = x, y
     return t, out
@@ -453,15 +433,11 @@ def segment(traj: Trajectory, cfg: IngestConfig) -> list[Trajectory]:
 
 
 def ingest_file(path: str | Path, cfg: IngestConfig,
-                schema: CsvSchema | None = None,
                 metadata: dict | None = None) -> list[Trajectory]:
     """Full pipeline for one raw file; returns the analysis-ready segments."""
     path = Path(path)
-    t, pos = parse_csv(path, schema)
-    if schema is None:
-        with _csv_file(path) as fh:
-            schema = detect_schema(next(csv.reader(fh)))
-    if schema.kind == "geodetic":
+    t, pos, kind = parse_csv(path)
+    if kind == "geodetic":
         t, pos = project_records(t, pos)
     t, pos = interpolate_gaps(t, pos)
     t, pos = resample(t, pos, cfg.resample_dt)
@@ -544,8 +520,6 @@ def read_trajectory(path: str | Path) -> Trajectory:
     :class:`SchemaMismatchError` naming it.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     with _csv_file(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

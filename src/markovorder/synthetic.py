@@ -61,6 +61,8 @@ class VarSpec:
         if not coeffs:
             raise DimensionMismatchError("need at least one lag coefficient matrix")
         d = coeffs[0].shape[0]
+        if d < 1:
+            raise DimensionMismatchError("the dimension must be >= 1")
         for a in coeffs:
             if a.shape != (d, d):
                 raise DimensionMismatchError(f"lag matrices must all be ({d}, {d})")

@@ -75,6 +75,7 @@ class TestSynth:
         ({"kind": "hidden", "means": [[0.0], [1.0]]}, "persistence"),
         ({"kind": "chain", "order": "one", "transition": [[1.0]],
           "embedding": [[0.0]]}, "order"),
+        ({**VAR1_SPEC, "burn_in": True}, "burn_in"),
     ])
     def test_malformed_spec_is_data_error_naming_key(self, tmp_path, capsys, spec, key):
         path = write_spec(tmp_path, spec, name="bad.json")
@@ -539,6 +540,17 @@ class TestIngestCommand:
         bad = self.write_latin1(tmp_path / "latin1.csv")
         assert run(["ingest", bad, "--out", tmp_path / "ing7"]) == 2
 
+    @pytest.mark.parametrize("flag", ["resample-dt", "segment-len", "min-len",
+                                      "trim-head", "trim-tail"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_duration_is_data_error_naming_flag(self, tmp_path, capsys,
+                                                          flag, value):
+        raw = self.write_raw(tmp_path / "run.csv")
+        assert run(["ingest", raw, f"--{flag}", value, "--out", tmp_path / "ing"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: --{flag}: ") and "Traceback" not in err
+        assert f"must be finite, got {value}" in err
+
 
 class TestReportCommand:
     def test_writes_files_and_table(self, tmp_path, capsys):
@@ -660,6 +672,10 @@ class TestExitCodes:
         (["test", "CORPUS"], {"jobs": "two"}, "--jobs"),
         (["calibrate", "--bootstrap", 0], None, "--bootstrap"),
         (["ingest", "CORPUS", "--resample-dt", 0], None, "resample_dt"),
+        (["test", "CORPUS", "--jobs", -3], None, "--jobs"),
+        (["calibrate", "--dim", 0], None, "--dim"),
+        (["calibrate", "--dim", -1], None, "--dim"),
+        (["calibrate", "--jobs", 0], None, "--jobs"),
     ])
     def test_bad_setting_is_data_error(self, corpus, tmp_path, capsys, argv, config, flag):
         argv = [corpus if a == "CORPUS" else a for a in argv]
@@ -781,6 +797,9 @@ class TestConfigFile:
         (["calibrate"], {"spec": 5}, "--spec"),
         (["synth", "SPEC"], {"count": "two"}, "--count"),
         (["synth", "SPEC"], {"length": 40.5}, "--length"),
+        (["synth", "SPEC"], {"count": -2}, "--count"),
+        (["calibrate"], {"kmax": True}, "--kmax"),
+        (["calibrate"], {"dim": 0}, "--dim"),
     ])
     def test_bad_config_value_is_data_error_naming_flag(self, tmp_path, capsys,
                                                         argv, config, flag):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from markovorder.errors import (
     UnparsableRowError,
 )
 from markovorder.ingest import (
-    GEODETIC_SCHEMA,
     IngestConfig,
     derive_state_series,
     detect_schema,
@@ -238,14 +238,14 @@ class TestParseCsv(object):
     def test_well_formed(self, tmp_path):
         p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,10,0,0,0\n1,11,0,1,0\n2,12,0,2,0\n")
-        t, pos = parse_csv(p)
-        assert t.tolist() == [0.0, 1.0, 2.0]
+        t, pos, kind = parse_csv(p)
+        assert kind == "planar" and t.tolist() == [0.0, 1.0, 2.0]
         assert pos.shape == (3, 4)
         assert pos[1].tolist() == [11.0, 0.0, 1.0, 0.0]
 
     def test_missing_timestamp_column(self, tmp_path):
         p = self.write(tmp_path, "lead_x,lead_y,follow_x,follow_y\n1,2,3,4\n")
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(SchemaMismatchError, match=r"^raw\.csv: header .* matches neither"):
             parse_csv(p)
 
     @pytest.mark.parametrize("where", ["header", "data", "late data"])
@@ -272,7 +272,7 @@ class TestParseCsv(object):
     def test_empty_cells_become_missing(self, tmp_path):
         p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,10,0,0,0\n1,,,1,0\n2,12,0,2,0\n")
-        _, pos = parse_csv(p)
+        _, pos, _ = parse_csv(p)
         assert math.isnan(pos[1, 0]) and math.isnan(pos[1, 1])
         assert pos[1, 2:].tolist() == [1.0, 0.0]
 
@@ -315,7 +315,7 @@ class TestParseCsv(object):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + "".join(
             ",".join(quote + c + quote for c in r.split(",")) + "\r\n" for r in rows).encode())
-        t, pos = parse_csv(p)
+        t, pos, _ = parse_csv(p)
         assert t.tolist() == [0.0, 1.0]
         assert pos[0].tolist() == [10.0, 0.0, 0.0, 0.0]
         assert math.isnan(pos[1, 1])
@@ -323,14 +323,14 @@ class TestParseCsv(object):
     def test_short_row_reads_absent_cells_as_missing(self, tmp_path):
         p = self.write(tmp_path, "time_s,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,10,0,0,0\n1,11,0,1\n2,12,0,2,0\n")
-        _, pos = parse_csv(p)
+        _, pos, _ = parse_csv(p)
         assert pos[1, :3].tolist() == [11.0, 0.0, 1.0] and math.isnan(pos[1, 3])
 
     def test_quoted_comma_is_one_cell(self, tmp_path):
         # split at every comma, the second row would have one cell per column
         p = self.write(tmp_path, "time_s,note,extra,lead_x,lead_y,follow_x,follow_y\n"
                                  "0,a,5,10,0,0,0\n1,\"b,c\",11,0,1,0\n")
-        t, pos = parse_csv(p)
+        t, pos, _ = parse_csv(p)
         assert t.tolist() == [0.0, 1.0]
         assert pos[1, :3].tolist() == [0.0, 1.0, 0.0] and math.isnan(pos[1, 3])
 
@@ -376,7 +376,8 @@ class TestParseCsv(object):
         for name, body in layouts.items():
             p = tmp_path / f"{name}.csv"
             p.write_bytes(body.encode())
-            t, pos = parse_csv(p)
+            t, pos, kind = parse_csv(p)
+            assert kind == "planar", name
             np.testing.assert_array_equal(t, want_t, err_msg=name)
             np.testing.assert_array_equal(pos, want_pos, err_msg=name)
             # only the quoted file goes through the row-wise path
@@ -387,10 +388,8 @@ class TestParseCsv(object):
             parse_csv(tmp_path / "nope.csv")
 
     def test_detect_geodetic(self):
-        schema = detect_schema(["time_s", "lead_lat", "lead_lon",
-                                "follow_lat", "follow_lon"])
-        assert schema.kind == "geodetic"
-        assert schema == GEODETIC_SCHEMA
+        assert detect_schema(["time_s", "lead_lat", "lead_lon",
+                              "follow_lat", "follow_lon"]) == "geodetic"
 
 
 class TestPipeline:
@@ -440,6 +439,27 @@ class TestPipeline:
         traj = parts[0]
         assert traj.states[:, 0] == pytest.approx(10.0, abs=1e-6)
         assert traj.states[:, 2] == pytest.approx(30.0, abs=1e-6)
+
+    # the header is read once, for the layout and the data alike; the
+    # row-wise fallback of a quoted file rewinds rather than reopens
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch, quote):
+        lat, lon, fol_lat, fol_lon = self._diagonal_track()
+        geo = self._geodetic_csv(tmp_path / "geo.csv", lat, lon, fol_lat, fol_lon)
+        planar = self._uniform_motion_csv(tmp_path)
+        for p in (geo, planar):
+            p.write_text("".join(quote + line.replace(",", f"{quote},{quote}") + quote + "\n"
+                                 for line in p.read_text().splitlines()))
+        opened, real_open = [], Path.open
+
+        def spy(self, *args, **kwargs):
+            opened.append(self.name)
+            return real_open(self, *args, **kwargs)
+        monkeypatch.setattr(Path, "open", spy)
+        cfg = IngestConfig(resample_dt=1.0, segment_mode="min")
+        for p in (geo, planar):
+            assert len(ingest_file(p, cfg)) == 1
+        assert opened == ["geo.csv", "uniform.csv"]
 
     def _geodetic_csv(self, path, lead_lat, lead_lon, fol_lat, fol_lon):
         def cell(v):

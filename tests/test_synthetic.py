@@ -3,6 +3,7 @@ import pytest
 
 from markovorder import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
 from markovorder.errors import (
+    DimensionMismatchError,
     InsufficientDataError,
     NonStationarySpecError,
     NotStochasticError,
@@ -69,6 +70,10 @@ class TestVar:
     def test_noise_cov_must_be_spd(self):
         with pytest.raises(NonStationarySpecError):
             VarSpec(coeffs=(np.zeros((2, 2)),), noise_cov=np.zeros((2, 2)))
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="dimension must be >= 1"):
+            VarSpec(coeffs=(np.zeros((0, 0)),), noise_cov=np.eye(0))
 
 
 class TestChain:
