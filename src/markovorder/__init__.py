@@ -6,7 +6,7 @@ Markov order with a bootstrap-calibrated conditional-independence test, then
 summarize and compare cohorts with pooled t and variance-ratio F tests.
 """
 
-from .core import Trajectory, make_trajectory, standardize
+from .core import Trajectory, standardize
 from .ccf import exact_ccf_discrete
 from .markov import (
     BatchItem,
@@ -34,7 +34,7 @@ from .synthetic import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
 __version__ = "0.1.0"
 
 __all__ = [
-    "Trajectory", "make_trajectory", "standardize",
+    "Trajectory", "standardize",
     "exact_ccf_discrete",
     "TestConfig", "MarkovTestResult", "OrderEstimate", "BatchItem",
     "lag_test", "estimate_order", "batch_test", "trajectory_rng",

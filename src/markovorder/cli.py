@@ -16,15 +16,15 @@ results do not depend on execution order or ``--jobs``.
 Each test and ingest flag takes its type and default from the field of
 ``TestConfig`` or ``IngestConfig`` it sets.  ``report`` bins orders up to
 ``--kmax`` or, without it, up to the larger of ``TestConfig.k_max`` and the
-largest input order.
+largest input order, and takes no more than 10,000 bins.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.  A
-setting its config rejects (a bool for a whole number and a count below its
+setting its config rejects (a bool for a number and a count below its
 least value included), an ``--out`` that is not a string (checked before
 any work), a malformed results file (an order that is not a whole number
->= 1, or above its entry's ``k_max``, included) and a cohort label that is
-repeated or empty or holds other than letters, digits, ``_``, ``.`` and
-``-`` are data errors.
+>= 1, or above its entry's ``k_max`` or 10,000, included), a ``report
+--kmax`` above 10,000 and a cohort label that is repeated or empty or
+holds other than letters, digits, ``_``, ``.`` and ``-`` are data errors.
 """
 
 from __future__ import annotations
@@ -149,15 +149,16 @@ def _setting(args: argparse.Namespace, flag: str, default=None, kind=int, least=
     """``kind`` of the flag's value if given, else of the config file's
     (keyed by the flag's name, hyphenated or underscored; null counts as
     absent), else of ``default``, else None; an int flag takes whole numbers
-    only (``_whole``).  A value ``kind`` rejects, or one below ``least``, is
-    a data error naming the flag."""
+    only (``_whole``), and no number flag takes a bool (``_real``).  A value
+    ``kind`` rejects, or one below ``least``, is a data error naming the
+    flag."""
     key, cfg = flag.replace("-", "_"), getattr(args, "_file_config", {})
     value = next((v for v in (getattr(args, key, None), cfg.get(flag), cfg.get(key), default)
                   if v is not None), None)
     if value is None:
         return None
     try:
-        out = (_whole if kind is int else kind)(value)
+        out = _NUMBER.get(kind, kind)(value)
         if least is not None and out < least:
             raise ValueError(f"must be >= {least}")
     except (TypeError, ValueError, OverflowError) as exc:
@@ -289,6 +290,16 @@ def _whole(value) -> int:
     return out
 
 
+def _real(value) -> float:
+    """``value`` as a float; a bool is rejected, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+_NUMBER = {int: _whole, float: _real}   # the conversions of number settings
+
+
 def _spec_value(spec: dict, key: str, convert=_array, *default):
     """``convert`` of the spec's value at ``key``, or of ``default`` when the
     key is absent; a missing or unconvertible value is a data error."""
@@ -304,7 +315,7 @@ def _build_generator(spec: dict):
     if not isinstance(spec, dict):
         raise MarkovOrderError("generator spec must be a JSON object")
     kind = spec.get("kind")
-    dt = _spec_value(spec, "dt", float, 1.0)
+    dt = _spec_value(spec, "dt", _real, 1.0)
     if kind == "var":
         vs = VarSpec(coeffs=_spec_value(spec, "coeffs", lambda v: tuple(map(_array, v))),
                      noise_cov=_spec_value(spec, "noise_cov"),
@@ -316,7 +327,7 @@ def _build_generator(spec: dict):
                        embedding=_spec_value(spec, "embedding"))
         return lambda T, rng, id: gen_chain(cs, T, rng, dt=dt, id=id)
     if kind == "hidden":
-        persistence, means = _spec_value(spec, "persistence", float), _spec_value(spec, "means")
+        persistence, means = _spec_value(spec, "persistence", _real), _spec_value(spec, "means")
         return lambda T, rng, id: gen_hidden_state(persistence, means, T, rng, dt=dt, id=id)
     raise MarkovOrderError(f"unknown generator kind {kind!r}; use var, chain or hidden")
 
@@ -395,6 +406,11 @@ def _is_count(value) -> bool:
         return False
 
 
+# report bins orders 1..k_max and takes each cohort's density as a (bins,
+# cohort size) matrix, so an order or --kmax above this is a data error
+_MAX_REPORT_ORDER = 10_000
+
+
 def _orders_from_results(path: Path) -> list[int]:
     if not path.exists():
         raise EmptyCohortError(f"missing results file: {path}")
@@ -410,6 +426,9 @@ def _orders_from_results(path: Path) -> list[int]:
         # the bins run to the largest order
         if not (_is_count(k_max) and _whole(order) <= _whole(k_max)):
             raise MarkovOrderError(f"{path}: order {order!r} is not <= its k_max {k_max!r}")
+        if _whole(order) > _MAX_REPORT_ORDER:
+            raise MarkovOrderError(f"{path}: order {order!r} is above {_MAX_REPORT_ORDER}, "
+                                   "the most bins report takes")
     if not entries:
         raise EmptyCohortError(f"no usable orders in {path}")
     return [_whole(r["order"]) for r in entries]
@@ -512,6 +531,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     tests = _compare_cohorts(*orders_by_cohort.values()) if len(cohorts) == 2 else {}
     top = max(max(orders) for orders in orders_by_cohort.values())
     k_max = _setting(args, "kmax", max(TestConfig.k_max, top))
+    if k_max > _MAX_REPORT_ORDER:
+        raise MarkovOrderError(f"--kmax: bad value {k_max!r}: must be <= {_MAX_REPORT_ORDER}")
     written = write_report_files(out_dir, cohorts, orders_by_cohort, tests, k_max=k_max)
     _write_manifest(out_dir, "report", {"kmax": k_max},
                     inputs, t0, extra={"files": [str(p) for p in written]})

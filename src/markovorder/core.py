@@ -8,13 +8,15 @@ state dimension.
 
 All types here are immutable value objects: arrays are copied on construction
 and marked read-only, so trajectories can be shared freely between workers.
+``Trajectory(...)`` is the one constructor, and ``dataclasses.replace`` the
+one way to copy a trajectory with changed fields; both validate the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .errors import (
     NonPositiveDtError,
 )
 
-__all__ = ["Trajectory", "make_trajectory", "standardize"]
+__all__ = ["Trajectory", "standardize"]
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -41,7 +43,7 @@ class Trajectory:
 
     Parameters
     ----------
-    states : (T, d) array
+    states : (T, d) array or nested sequence
         One row per time step; T >= 2, constant dimension, all finite.
     dt : float
         Sampling interval in seconds, > 0.
@@ -49,8 +51,20 @@ class Trajectory:
         Optional scalar action per step (canonically follower acceleration).
     id : str
         Stable identifier; drives deterministic per-trajectory seeding.
-    metadata : mapping of str to str
-        Free-form labels (cohort, scenario, source, ground-truth order, ...).
+    metadata : mapping of str to str, or None
+        Free-form labels (cohort, scenario, source, ground-truth order, ...);
+        None reads as no labels.
+
+    Raises
+    ------
+    DimensionMismatchError
+        Ragged state vectors, or states that are not (T, d) with d >= 1.
+    NonFiniteValueError
+        NaN/Inf anywhere in states or actions.
+    LengthMismatchError
+        Fewer than 2 states, or actions not matching T.
+    NonPositiveDtError
+        dt <= 0 or non-finite.
     """
 
     states: np.ndarray
@@ -60,9 +74,11 @@ class Trajectory:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
+        try:
+            states = np.asarray(self.states, dtype=float)
+        except ValueError as exc:   # numpy refuses ragged rows
+            raise DimensionMismatchError(f"states must be a (T, d) array: {exc}") from None
         if states.ndim != 2:
-            # ragged input ends up as an object array or a 1-d array
             raise DimensionMismatchError(
                 f"states must be a (T, d) array of constant dimension, got shape {states.shape}"
             )
@@ -87,7 +103,7 @@ class Trajectory:
             object.__setattr__(self, "actions", _frozen_array(actions))
 
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata or {})))
 
     def __reduce__(self):
         # MappingProxyType does not pickle; rebuild through the constructor
@@ -106,48 +122,6 @@ class Trajectory:
         """State dimension d."""
         return self.states.shape[1]
 
-    @property
-    def duration(self) -> float:
-        """Covered time in seconds, counted as T * dt."""
-        return self.length * self.dt
-
-    def with_states(self, states: np.ndarray) -> "Trajectory":
-        """Copy of this trajectory with replaced states (same id/metadata)."""
-        return Trajectory(states=states, dt=self.dt, actions=self.actions,
-                          id=self.id, metadata=dict(self.metadata))
-
-
-def make_trajectory(
-    states: Sequence[Sequence[float]] | np.ndarray,
-    dt: float,
-    actions: Sequence[float] | np.ndarray | None = None,
-    id: str = "",
-    metadata: Mapping[str, str] | None = None,
-) -> Trajectory:
-    """Validate and freeze a trajectory.
-
-    Raises
-    ------
-    DimensionMismatchError
-        Ragged state vectors or zero dimension.
-    NonFiniteValueError
-        NaN/Inf anywhere in states or actions.
-    LengthMismatchError
-        Fewer than 2 states, or actions not matching T.
-    NonPositiveDtError
-        dt <= 0 or non-finite.
-    """
-    if not isinstance(states, np.ndarray):
-        rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in states]
-        if not rows:
-            raise LengthMismatchError("need at least 2 states, got 0")
-        dims = {row.shape for row in rows}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"ragged state vectors with shapes {sorted(dims)}")
-        states = np.stack(rows)
-    return Trajectory(states=states, dt=dt, actions=actions, id=id,
-                      metadata=dict(metadata) if metadata else {})
-
 
 def standardize(traj: Trajectory, min_std: float = 1e-10) -> Trajectory:
     """Shift/scale each state dimension to sample mean 0 and sample std 1.
@@ -165,4 +139,4 @@ def standardize(traj: Trajectory, min_std: float = 1e-10) -> Trajectory:
     if (std <= min_std).any():
         bad = np.nonzero(std <= min_std)[0].tolist()
         raise DegenerateDimensionError(f"constant state dimension(s) {bad}")
-    return traj.with_states((traj.states - mean) / std)
+    return replace(traj, states=(traj.states - mean) / std)

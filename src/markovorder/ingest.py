@@ -30,7 +30,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Trajectory, make_trajectory
+from .core import Trajectory
 from .errors import (
     InsufficientDataError,
     InsufficientSpanError,
@@ -393,22 +393,17 @@ def derive_state_series(lead_positions: Sequence[float],
     v1 = differentiate(follow, dt)
     a1 = differentiate(v1, dt)            # instants 2 .. n-1
     states = np.column_stack([v0[1:], v1[1:], gap[2:]])
-    return make_trajectory(states, dt=dt, actions=a1, id=id, metadata=metadata or {})
-
-
-def _slice_traj(traj: Trajectory, start: int, stop: int, new_id: str,
-                extra_meta: dict | None = None) -> Trajectory:
-    meta = dict(traj.metadata)
-    meta.update(extra_meta or {})
-    actions = traj.actions[start:stop] if traj.actions is not None else None
-    return make_trajectory(traj.states[start:stop], dt=traj.dt, actions=actions,
-                           id=new_id, metadata=meta)
+    return Trajectory(states, dt=dt, actions=a1, id=id, metadata=metadata)
 
 
 def segment(traj: Trajectory, cfg: IngestConfig) -> list[Trajectory]:
     """Trim the ends, then cut fixed-length segments or apply the
     minimum-length filter; may return an empty list.
     """
+    def piece(start: int, stop: int, **changes) -> Trajectory:
+        actions = None if traj.actions is None else traj.actions[start:stop]
+        return replace(traj, states=traj.states[start:stop], actions=actions, **changes)
+
     n_head = int(round(cfg.trim_head / traj.dt))
     n_tail = int(round(cfg.trim_tail / traj.dt))
     lo, hi = n_head, traj.length - n_tail
@@ -419,15 +414,15 @@ def segment(traj: Trajectory, cfg: IngestConfig) -> list[Trajectory]:
             return []
         if lo == 0 and hi == traj.length:
             return [traj]
-        return [_slice_traj(traj, lo, hi, traj.id)]
+        return [piece(lo, hi)]
     n_seg = int(round(cfg.segment_length / traj.dt))
     if n_seg < 2:
         return []
     count = (hi - lo) // n_seg
     return [
-        _slice_traj(traj, lo + i * n_seg, lo + (i + 1) * n_seg,
-                    f"{traj.id}_seg{i:03d}" if count > 1 or traj.id else f"seg{i:03d}",
-                    {"segment_index": str(i)})
+        piece(lo + i * n_seg, lo + (i + 1) * n_seg,
+              id=f"{traj.id}_seg{i:03d}" if count > 1 or traj.id else f"seg{i:03d}",
+              metadata={**traj.metadata, "segment_index": str(i)})
         for i in range(count)
     ]
 
@@ -543,4 +538,4 @@ def read_trajectory(path: str | Path) -> Trajectory:
     else:
         traj_id, metadata = path.stem, {}
         dt = float(table[1, 0] - table[0, 0]) if len(rows) > 1 else 1.0
-    return make_trajectory(states, dt=dt, actions=actions, id=traj_id, metadata=metadata)
+    return Trajectory(states, dt=dt, actions=actions, id=traj_id, metadata=metadata)

@@ -331,10 +331,12 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
                    rng: np.random.Generator | None = None) -> OrderEstimate:
     """Estimate the Markov order as the first accepted lag in 1..k_max.
 
-    Every lag in the (possibly length-reduced) search range is tested so the
-    full p-value trace is available.  Each lag draws its frequencies from
-    its own child of ``rng`` (``children = rng.spawn(k_max)``), and the lags
-    share one bootstrap multiplier matrix ``M``, the transpose of a
+    Every lag in the search range is tested so the full p-value trace is
+    available; the range ends below k_max where T - k would fall under
+    ``min_effective_length`` or T - 2k, the summands of the lag's first
+    separation, under ``_MIN_CELL_LENGTH``.  Each lag draws its frequencies
+    from its own child of ``rng`` (``children = rng.spawn(k_max)``), and the
+    lags share one bootstrap multiplier matrix ``M``, the transpose of a
     ``(width, B)`` standard normal draw from ``rng`` after the spawn.  The
     width is the most rows any lag's factor has (T - 2k while that is at
     most 2p, else p), so every lag reads M.  A lag reads only M's first r
@@ -348,13 +350,15 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     Raises
     ------
     TrajectoryTooShortError
-        If even lag 1 leaves fewer than ``min_effective_length`` samples.
+        If the search range holds not even lag 1.
     """
-    k_eff = min(cfg.k_max, traj.length - cfg.min_effective_length)
+    k_eff = min(cfg.k_max, traj.length - cfg.min_effective_length,
+                (traj.length - _MIN_CELL_LENGTH) // 2)
     if k_eff < 1:
         raise TrajectoryTooShortError(
-            f"T = {traj.length} too short for lag 1 with "
-            f"min_effective_length = {cfg.min_effective_length}"
+            f"T = {traj.length} too short for lag 1, which needs T >= "
+            f"{max(cfg.min_effective_length + 1, _MIN_CELL_LENGTH + 2)} "
+            f"(min_effective_length = {cfg.min_effective_length})"
         )
     if rng is None:
         rng = trajectory_rng(cfg.rng_seed, traj.id)
@@ -397,5 +401,5 @@ def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig,
     if jobs <= 1 or len(work) <= 1:
         return [_batch_worker(w) for w in work]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
         return list(pool.map(_batch_worker, work, chunksize=1))

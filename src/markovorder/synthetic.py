@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Trajectory, make_trajectory
+from .core import Trajectory
 from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -145,7 +145,7 @@ def gen_var(spec: VarSpec, T: int, rng: np.random.Generator,
     states = x[p + spec.burn_in:]
     meta = {"true_order": str(p), "generator": "var"}
     meta.update(metadata or {})
-    return make_trajectory(states, dt=dt, id=id, metadata=meta)
+    return Trajectory(states, dt=dt, id=id, metadata=meta)
 
 
 def gen_chain(spec: ChainSpec, T: int, rng: np.random.Generator,
@@ -164,7 +164,7 @@ def gen_chain(spec: ChainSpec, T: int, rng: np.random.Generator,
     states = spec.embedding[out]
     meta = {"true_order": str(p), "generator": "chain"}
     meta.update(metadata or {})
-    return make_trajectory(states, dt=dt, id=id, metadata=meta)
+    return Trajectory(states, dt=dt, id=id, metadata=meta)
 
 
 def gen_hidden_state(persistence: float, means: Sequence, T: int,
@@ -197,4 +197,4 @@ def gen_hidden_state(persistence: float, means: Sequence, T: int,
         states[t] = mu[regime] + noise[t]
     meta = {"true_order": "none", "generator": "hidden_state"}
     meta.update(metadata or {})
-    return make_trajectory(states, dt=dt, id=id, metadata=meta)
+    return Trajectory(states, dt=dt, id=id, metadata=meta)

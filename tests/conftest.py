@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from markovorder import TestConfig, make_trajectory, standardize
+from markovorder import TestConfig, Trajectory, standardize
 from markovorder.ccf import loo_window_residuals
 
 TestConfig.__test__ = False  # a config dataclass, not a pytest test class
@@ -46,7 +46,7 @@ def ar1_trajectory(rho: float, T: int, seed: int, warmup: int = 300):
     x[0] = e[0]
     for t in range(1, n):
         x[t] = rho * x[t - 1] + e[t]
-    return make_trajectory(x[warmup:][:, None], dt=1.0, id=f"ar1_{seed}")
+    return Trajectory(x[warmup:][:, None], dt=1.0, id=f"ar1_{seed}")
 
 
 def skip_order2_trajectory(coeff: float, T: int, seed: int, warmup: int = 400):
@@ -58,7 +58,7 @@ def skip_order2_trajectory(coeff: float, T: int, seed: int, warmup: int = 400):
     x[:2] = e[:2]
     for t in range(2, n):
         x[t] = coeff * x[t - 2] + e[t]
-    return make_trajectory(x[warmup:][:, None], dt=1.0, id=f"skip2_{seed}")
+    return Trajectory(x[warmup:][:, None], dt=1.0, id=f"skip2_{seed}")
 
 
 def var1_trajectory(coeffs, T: int, seed: int, burn_in: int = 300):
@@ -71,12 +71,12 @@ def var1_trajectory(coeffs, T: int, seed: int, burn_in: int = 300):
     x[0] = e[0]
     for t in range(1, n):
         x[t] = A @ x[t - 1] + e[t]
-    return make_trajectory(x[burn_in:], dt=1.0, id=f"var1_{seed}")
+    return Trajectory(x[burn_in:], dt=1.0, id=f"var1_{seed}")
 
 
 def iid_trajectory(T: int, d: int, seed: int):
     rng = np.random.default_rng(seed)
-    return make_trajectory(rng.standard_normal((T, d)), dt=1.0, id=f"iid_{seed}")
+    return Trajectory(rng.standard_normal((T, d)), dt=1.0, id=f"iid_{seed}")
 
 
 def implied_ccf(states, freqs, k: int = 1):
@@ -90,7 +90,7 @@ def implied_ccf(states, freqs, k: int = 1):
     ``f * std`` times ``exp(i f . mean)``.
     """
     freqs = np.asarray(freqs, dtype=float)
-    traj = make_trajectory(states, dt=1.0)
+    traj = Trajectory(states, dt=1.0)
     z = standardize(traj).states
     scaled = freqs * traj.states.std(axis=0, ddof=1)
     fwd, bwd = loo_window_residuals(z, k, scaled, scaled)

@@ -76,6 +76,7 @@ class TestSynth:
         ({"kind": "chain", "order": "one", "transition": [[1.0]],
           "embedding": [[0.0]]}, "order"),
         ({**VAR1_SPEC, "burn_in": True}, "burn_in"),
+        ({**VAR1_SPEC, "dt": True}, "dt"),
     ])
     def test_malformed_spec_is_data_error_naming_key(self, tmp_path, capsys, spec, key):
         path = write_spec(tmp_path, spec, name="bad.json")
@@ -614,6 +615,29 @@ class TestReportCommand:
         assert "order 12 outside 1..10" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [{"order": 10**20, "k_max": 10**20},
+                                       {"order": 10**20}, {"order": 10_001}],
+                             ids=["huge-with-kmax", "huge-alone", "one-above"])
+    def test_order_above_the_bin_bound_is_data_error_naming_file(self, tmp_path, capsys,
+                                                                 entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"order": 1}, entry]))
+        out = tmp_path / "rep"
+        assert run(["report", f"a={bad}", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: order {entry['order']!r} is above 10000")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_kmax_above_the_bin_bound_is_data_error_naming_flag(self, tmp_path, capsys):
+        p = fake_results(tmp_path, "av", [1, 2, 10_000])
+        for kmax in (10**20, 10_001):
+            assert run(["report", f"av={p}", "--kmax", kmax, "--out", tmp_path / "rep"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: --kmax: bad value ") and "Traceback" not in err
+            assert not (tmp_path / "rep").exists()
+        assert run(["report", f"av={p}", "--kmax", 10_000, "--out", tmp_path / "rep"]) == 0
+        assert len((tmp_path / "rep" / "histogram_av.csv").read_text().splitlines()) == 10_001
+
     def test_label_syntax_required(self, tmp_path):
         pa = fake_results(tmp_path, "av", [1, 2])
         assert run(["report", str(pa), "--out", tmp_path / "r"]) == 2
@@ -800,12 +824,15 @@ class TestConfigFile:
         (["synth", "SPEC"], {"count": -2}, "--count"),
         (["calibrate"], {"kmax": True}, "--kmax"),
         (["calibrate"], {"dim": 0}, "--dim"),
+        (["ingest", "RAW"], {"resample-dt": True}, "--resample-dt"),
+        (["calibrate"], {"band-lo": False}, "--band-lo"),
     ])
     def test_bad_config_value_is_data_error_naming_flag(self, tmp_path, capsys,
                                                         argv, config, flag):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
-        argv = [write_spec(tmp_path) if a == "SPEC" else a for a in argv]
+        argv = [write_spec(tmp_path) if a == "SPEC" else tmp_path if a == "RAW" else a
+                for a in argv]
         assert run([*argv, "--config", cfg, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {flag}: bad value ") and "Traceback" not in err

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markovorder import ingest, make_trajectory
+from markovorder import Trajectory, ingest
 from markovorder.errors import (
     InsufficientDataError,
     InsufficientSpanError,
@@ -166,7 +166,7 @@ class TestDeriveStates:
 def _linear_traj(T, dt=1.0):
     states = np.column_stack([np.full(T, 5.0), np.full(T, 5.0),
                               np.full(T, 20.0) + 0.0 * np.arange(T)])
-    return make_trajectory(states, dt=dt, id="lin")
+    return Trajectory(states, dt=dt, id="lin")
 
 
 class TestSegment:
@@ -533,9 +533,9 @@ class TestProjectLongitudinal:
 class TestCanonicalFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        traj = make_trajectory(rng.standard_normal((40, 3)), dt=0.5, id="rt",
-                               actions=rng.standard_normal(40),
-                               metadata={"cohort": "hv", "scenario": "osc"})
+        traj = Trajectory(rng.standard_normal((40, 3)), dt=0.5, id="rt",
+                          actions=rng.standard_normal(40),
+                          metadata={"cohort": "hv", "scenario": "osc"})
         path = write_trajectory(traj, tmp_path / "rt.csv")
         back = read_trajectory(path)
         np.testing.assert_array_equal(back.states, traj.states)
@@ -545,10 +545,10 @@ class TestCanonicalFiles:
         assert dict(back.metadata) == dict(traj.metadata)
 
     def test_golden_bytes_with_actions(self, tmp_path):
-        traj = make_trajectory([[0.1, 2.5, 30.0], [1 / 3, -1e-05, 29.75],
-                                [12.0, 1e16, 0.2], [-0.0, 7.0, 28.5]], dt=0.1,
-                               actions=[0.0, -0.5, 2.0, 1 / 7], id="g",
-                               metadata={"cohort": "av"})
+        traj = Trajectory([[0.1, 2.5, 30.0], [1 / 3, -1e-05, 29.75],
+                           [12.0, 1e16, 0.2], [-0.0, 7.0, 28.5]], dt=0.1,
+                          actions=[0.0, -0.5, 2.0, 1 / 7], id="g",
+                          metadata={"cohort": "av"})
         path = write_trajectory(traj, tmp_path / "g.csv")
         assert path.read_bytes() == (
             b"time_s,v0,v1,gap,a1\r\n"
@@ -562,7 +562,7 @@ class TestCanonicalFiles:
         )
 
     def test_golden_bytes_without_actions(self, tmp_path):
-        traj = make_trajectory([[1.5, -2.0], [0.1, 3.0], [2.0, 1e-300]], dt=0.5, id="n")
+        traj = Trajectory([[1.5, -2.0], [0.1, 3.0], [2.0, 1e-300]], dt=0.5, id="n")
         path = write_trajectory(traj, tmp_path / "n.csv")
         assert path.read_bytes() == (
             b"time_s,x0,x1,a1\r\n0.0,1.5,-2.0,\r\n0.5,0.1,3.0,\r\n1.0,2.0,1e-300,\r\n"
@@ -589,7 +589,7 @@ class TestCanonicalFiles:
 
     def test_round_trip_generic_dimension(self, tmp_path):
         rng = np.random.default_rng(4)
-        traj = make_trajectory(rng.standard_normal((20, 2)), dt=1.0, id="d2")
+        traj = Trajectory(rng.standard_normal((20, 2)), dt=1.0, id="d2")
         back = read_trajectory(write_trajectory(traj, tmp_path / "d2.csv"))
         np.testing.assert_array_equal(back.states, traj.states)
         assert back.actions is None
@@ -617,7 +617,7 @@ class TestWriterBytes:
         for i, (T, dt) in enumerate([(800, 0.1), (1200, 0.1), (800, 0.1),
                                      (1200, 0.1), (1200, 0.04)]):
             actions = rng.standard_normal(T) if with_actions else None
-            traj = make_trajectory(rng.standard_normal((T, d)) * 30.0, dt=dt,
-                                   actions=actions, id=f"w{i}")
+            traj = Trajectory(rng.standard_normal((T, d)) * 30.0, dt=dt,
+                              actions=actions, id=f"w{i}")
             path = write_trajectory(traj, tmp_path / f"w{i}.csv")
             assert path.read_bytes() == reference_bytes(traj), (T, dt)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from conftest import ar1_trajectory, iid_trajectory, q_products, var1_trajectory
 from markovorder import (
     ChainSpec,
     TestConfig,
+    Trajectory,
     batch_test,
     estimate_order,
     gen_chain,
     lag_test,
-    make_trajectory,
     standardize,
     trajectory_rng,
 )
@@ -146,7 +147,7 @@ class TestLagTest:
         # only near neighbour of window T-2 is the window it cannot use
         x = np.random.default_rng(0).standard_normal((600, 3))
         x[-2:] = 25.0
-        traj = make_trajectory(x, dt=1.0, id="outlier")
+        traj = Trajectory(x, dt=1.0, id="outlier")
         res = lag_test(traj, 1, TestConfig(), np.random.default_rng(1))
         assert np.isfinite(res.sup_stat)
         assert not res.reject
@@ -431,6 +432,16 @@ class TestEstimateOrder:
         assert est.k_max == 5
         assert len(est.per_lag) == 5
 
+    def test_large_kmax_ends_at_first_usable_separation(self):
+        # T=60: lag 29 would leave T - 2k = 2 summands at its first
+        # separation, so the range ends at lag 28 instead of failing, and the
+        # lags it shares with a k_max=26 run keep their results
+        traj = var1_trajectory([[0.5, 0.1], [0.0, 0.4]], 60, seed=60)
+        cfg = TestConfig(k_max=30, n_freqs=4, n_bootstrap=19)
+        est = estimate_order(traj, cfg)
+        assert (est.k_max, len(est.per_lag), est.order) == (28, 28, 1)
+        assert est.per_lag[:26] == estimate_order(traj, replace(cfg, k_max=26)).per_lag
+
     def test_too_short_even_for_lag_one(self):
         traj = iid_trajectory(30, 1, seed=13)
         with pytest.raises(TrajectoryTooShortError):
@@ -462,7 +473,7 @@ class TestBatch:
 
     def test_failures_recorded_not_raised(self):
         good = iid_trajectory(80, 1, seed=21)
-        bad = make_trajectory(np.ones((80, 1)) * 4.2, dt=1.0, id="flat")
+        bad = Trajectory(np.ones((80, 1)) * 4.2, dt=1.0, id="flat")
         items = batch_test([good, bad], FAST)
         assert items[0].error is None
         assert items[1].error is not None
@@ -474,6 +485,18 @@ class TestBatch:
         monkeypatch.setattr(markov_mod, "estimate_order", broken)
         with pytest.raises(IndexError):
             batch_test([iid_trajectory(80, 1, seed=21)], FAST, jobs=1)
+
+    def test_pool_has_no_more_workers_than_trajectories(self, monkeypatch):
+        import concurrent.futures
+        pool, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+        def counted(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        trajs = [iid_trajectory(80, 1, seed=s) for s in (26, 27)]
+        assert batch_test(trajs, FAST, jobs=6) == batch_test(trajs, FAST, jobs=1)
+        assert sizes == [2]
 
     def test_parallel_matches_serial(self):
         trajs = [iid_trajectory(80, 1, seed=s) for s in range(22, 26)]
