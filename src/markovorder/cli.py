@@ -246,11 +246,11 @@ def _collect_csvs(paths: list[str]) -> list[Path]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     out_dir = _out_dir(args, "ingested")
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _config(IngestConfig, args, _INGEST_FLAGS)
     files = _collect_csvs(args.inputs)
     meta = {key: _setting(args, key, None, _text) for key in ("cohort", "scenario")}
     meta = {key: value for key, value in meta.items() if value}
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     written, failures, cohort_counts = [], [], {}
     for path in files:
@@ -338,10 +338,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     spec = _read_json(spec_path)
     gen = _build_generator(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = _setting(args, "seed", 0)
     count = _setting(args, "count", 1, least=0)
-    T = _setting(args, "length")
+    T = _setting(args, "length", least=2)
     if T is None:
         T = _spec_value(spec, "length", _whole, 300)
     name = spec.get("name", spec_path.stem)
@@ -353,6 +352,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         traj = gen(T, trajectory_rng(seed, traj_id), traj_id)
         if cohort:
             traj = replace(traj, metadata={**traj.metadata, "cohort": cohort})
+        if not written:   # made once the spec has given a trajectory
+            out_dir.mkdir(parents=True, exist_ok=True)
         written.append(write_trajectory(traj, out_dir / f"{traj_id}.csv"))
     _write_manifest(out_dir, "synth",
                     {"spec": spec, "seed": seed, "count": count, "length": T},

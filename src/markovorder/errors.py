@@ -46,6 +46,10 @@ class InsufficientSpanError(MarkovOrderError):
     """Records cover less time than one resampling step."""
 
 
+class GridTooLargeError(MarkovOrderError):
+    """A resampling step would make a grid of more rows than the cap."""
+
+
 class NegativeGapError(MarkovOrderError):
     """Follower at or ahead of the leader; gap would be non-positive."""
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .core import Trajectory
 from .errors import (
+    GridTooLargeError,
     InsufficientDataError,
     InsufficientSpanError,
     NegativeGapError,
@@ -69,6 +70,7 @@ __all__ = [
 
 EARTH_RADIUS_M = 6_371_000.0
 _BLOCK_SIZE = 1 << 16   # characters of data lines parse_csv reads at a time
+_MAX_GRID_ROWS = 10_000_000   # resample's grid cap: an hour at 1 kHz is 3.6 M rows
 
 
 # raw layouts by kind: the time stamp, then lead a, lead b, follow a, follow b
@@ -322,13 +324,19 @@ def resample(t: np.ndarray, pos: np.ndarray, dt: float) -> tuple[np.ndarray, np.
 
     Positions must be gap-free (run :func:`interpolate_gaps` first); input
     already on the grid passes through.  Raises
-    :class:`InsufficientSpanError` when the samples span less than ``dt``.
+    :class:`InsufficientSpanError` when the samples span less than ``dt``,
+    and :class:`GridTooLargeError` when the grid would hold more than
+    ``_MAX_GRID_ROWS`` rows.
     """
     if t.shape[0] < 2 or t[-1] - t[0] < dt:
         raise InsufficientSpanError(
             f"records span {0.0 if t.shape[0] == 0 else t[-1] - t[0]:.6g} s < dt = {dt}"
         )
-    n = int(math.floor((t[-1] - t[0]) / dt + 1e-9)) + 1
+    steps = float(t[-1] - t[0]) / dt + 1e-9   # a Python float: inf, not a warning, on overflow
+    if steps >= _MAX_GRID_ROWS:
+        raise GridTooLargeError(f"dt = {dt} makes a grid of {steps + 1:.6g} rows, "
+                                f"above {_MAX_GRID_ROWS}")
+    n = int(math.floor(steps)) + 1
     grid = t[0] + dt * np.arange(n)
     if n == t.shape[0] and np.allclose(grid, t, rtol=0, atol=1e-12):
         return t, pos

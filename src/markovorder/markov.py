@@ -31,6 +31,15 @@ when the Gram matrix is singular (a finite-state chain, a zero frequency),
 rows.  p-values keep their law but not their bits, and the observed
 statistic does not change.
 
+The replicates run in single precision (``_bootstrap_sups``): the
+multipliers and the factor are rounded to float32, and the product, its
+modulus, the scaling and each replicate's max are float32.  The factor
+is computed in double, and so is the observed statistic ``sup_obs``,
+with which each replicate sup is compared in double.  A p-value's error
+is Monte Carlo error, about 0.013 at B = 300 for a p-value near 0.05,
+while rounding moves a replicate sup by under 1e-6 relative, so double
+precision buys nothing there.
+
 The multiplier bootstrap for maxima needs each lag's multipliers to be
 i.i.d. standard normal given the data, not independent of another lag's,
 so :func:`estimate_order` draws one multiplier matrix M per trajectory and
@@ -243,6 +252,28 @@ def _bootstrap_factor(real: np.ndarray) -> np.ndarray:
         return (V * np.sqrt(np.clip(w, 0.0, None))).T
 
 
+def _as_float32(multipliers: np.ndarray) -> np.ndarray:
+    """The multiplier matrix as the C-contiguous float32 matrix the
+    bootstrap multiplies with; no copy when it is one already."""
+    return np.asarray(multipliers, dtype=np.float32, order="C")
+
+
+def _bootstrap_sups(multipliers: np.ndarray, factor: np.ndarray,
+                    scale: np.ndarray) -> np.ndarray:
+    """The B replicate sups ``max |(g @ factor) as complex| / scale`` of the
+    (B, >= r) multipliers' first r columns g, for an (r, p) factor.
+
+    The product, its modulus, the scaling and the max run in single
+    precision on the multipliers and the factor rounded to float32 (see the
+    module docstring); the caller compares the sups with the observed
+    statistic in double.
+    """
+    boot = np.abs((_as_float32(multipliers)[:, :factor.shape[0]]
+                   @ factor.astype(np.float32)).view(np.complex64))
+    boot /= scale.astype(np.float32)   # a float64 divisor would run the float64 loop
+    return boot.max(axis=1)
+
+
 class _Standardized(Trajectory):
     """A trajectory :func:`estimate_order` standardized once for all its
     lags; :func:`lag_test` takes its states as they are."""
@@ -264,7 +295,11 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     b, for a factor of r rows (see :func:`estimate_order`).  Without it the
     bootstrap draws a (B, r) matrix from ``rng``.  A matrix with another row
     count than B, or fewer columns than the factor has rows, raises
-    ``ValueError`` once the factor is known.
+    ``ValueError`` once the factor is known.  The replicates are single
+    precision: a matrix of any float dtype, like the bootstrap's own float64
+    draw, is rounded to float32, so a float64 matrix and its float32
+    rounding give equal results.  ``sup_stat`` is double, and the replicate
+    sups are compared with it in double (see the module docstring).
     """
     n_eff = traj.length - k
     if n_eff < cfg.min_effective_length:
@@ -312,16 +347,15 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     factor = _bootstrap_factor(summands.view(float))
     del summands   # the bootstrap needs only its factor
     r = factor.shape[0]
-    if multipliers is not None and (multipliers.shape[0] != cfg.n_bootstrap
-                                    or multipliers.shape[1] < r):
+    if multipliers is None:
+        multipliers = rng.standard_normal((cfg.n_bootstrap, r))
+    elif multipliers.shape[0] != cfg.n_bootstrap or multipliers.shape[1] < r:
         raise ValueError(f"multipliers has shape {multipliers.shape}, not "
                          f"{cfg.n_bootstrap} rows of at least {r} columns")
-    boot = np.abs(((rng.standard_normal((cfg.n_bootstrap, r)) if multipliers is None
-                    else multipliers[:, :r]) @ factor).view(complex))
-    boot /= scale
-    sup_boot = boot.max(axis=1)
+    sup_boot = _bootstrap_sups(multipliers, factor, scale)
 
-    n_ge = int(np.count_nonzero(sup_boot >= sup_obs))
+    # a float64 scalar, so the float32 sups are compared in float64
+    n_ge = int(np.count_nonzero(sup_boot >= np.float64(sup_obs)))
     p_value = (1 + n_ge) / (cfg.n_bootstrap + 1)
     return MarkovTestResult(k=k, sup_stat=sup_obs, p_value=p_value,
                             reject=(p_value <= cfg.alpha), n_effective=n_eff)
@@ -337,7 +371,8 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     separation, under ``_MIN_CELL_LENGTH``.  Each lag draws its frequencies
     from its own child of ``rng`` (``children = rng.spawn(k_max)``), and the
     lags share one bootstrap multiplier matrix ``M``, the transpose of a
-    ``(width, B)`` standard normal draw from ``rng`` after the spawn.  The
+    ``(width, B)`` standard normal draw from ``rng`` after the spawn,
+    rounded once to the float32 the replicates are computed in.  The
     width is the most rows any lag's factor has (T - 2k while that is at
     most 2p, else p), so every lag reads M.  A lag reads only M's first r
     columns, the first r * B normals of that draw, so per-lag results do
@@ -369,7 +404,7 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     # so k_max cannot move a lag
     p = 2 * cfg.n_freqs * cfg.n_shifts
     width = max(_factor_rows(traj.length - 2 * k, p) for k in range(1, k_eff + 1))
-    multipliers = rng.standard_normal((width, cfg.n_bootstrap)).T
+    multipliers = _as_float32(rng.standard_normal((width, cfg.n_bootstrap)).T)
     per_lag = tuple(lag_test(std, k, cfg, children[k - 1], multipliers=multipliers)
                     for k in range(1, k_eff + 1))
     order = next((r.k for r in per_lag if not r.reject), None)

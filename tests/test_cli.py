@@ -541,6 +541,14 @@ class TestIngestCommand:
         bad = self.write_latin1(tmp_path / "latin1.csv")
         assert run(["ingest", bad, "--out", tmp_path / "ing7"]) == 2
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-12"])
+    def test_grid_above_cap_fails_its_file(self, tmp_path, caplog, dt):
+        raw = self.write_raw(tmp_path / "run.csv", n=3)
+        out = tmp_path / "ing8"
+        assert run(["ingest", raw, "--resample-dt", dt, "--out", out]) == 2
+        assert f"dt = {dt} makes a grid of 2e+" in caplog.text
+        assert json.loads((out / "manifest.json").read_text())["failed_inputs"] == [str(raw)]
+
     @pytest.mark.parametrize("flag", ["resample-dt", "segment-len", "min-len",
                                       "trim-head", "trim-tail"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -657,6 +665,27 @@ class TestExitCodes:
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run(["test", tmp_path / "missing_dir_x", "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["ingest", "RAW"], {"resample-dt": True}, "--resample-dt"),
+        (["synth", "SPEC", "--count", -2], None, "--count"),
+        (["synth", "SPEC", "--length", 0], None, "--length"),
+        (["synth", "SHORT"], None, "need T >= 2"),
+    ])
+    def test_bad_setting_leaves_no_out_directory(self, tmp_path, capsys, argv, config, flag):
+        raw = tmp_path / "tiny.csv"
+        raw.write_text("time_s,lead_x,lead_y,follow_x,follow_y\n"
+                       "0,50,0,0,0\n1,55,0,3.5,0\n2,60,0,7,0\n")
+        files = {"RAW": raw, "SPEC": write_spec(tmp_path),
+                 "SHORT": write_spec(tmp_path, {**VAR1_SPEC, "length": 1}, name="short.json")}
+        argv = [files.get(a, a) for a in argv]
+        if config is not None:
+            (tmp_path / "bad.json").write_text(json.dumps(config))
+            argv += ["--config", tmp_path / "bad.json"]
+        assert run([*argv, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and flag in err
+        assert not (tmp_path / "out").exists()
 
     def test_program_bug_is_internal_error(self, corpus, tmp_path, monkeypatch, capsys):
         from markovorder import markov

@@ -6,6 +6,7 @@ import pytest
 
 from markovorder import Trajectory, ingest
 from markovorder.errors import (
+    GridTooLargeError,
     InsufficientDataError,
     InsufficientSpanError,
     NegativeGapError,
@@ -126,6 +127,22 @@ class TestResample:
     def test_short_span_rejected(self):
         with pytest.raises(InsufficientSpanError):
             resample(*arrays([[0.0, 0.0, 0.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize("dt, rows", [(1e-300, "2e+300"), (1e-12, "2e+12"),
+                                          (5e-324, "inf")])
+    def test_grid_above_cap_rejected(self, dt, rows):
+        three = arrays([[float(i), 50.0 + 5 * i, 0.0, 3.5 * i, 0.0] for i in range(3)])
+        with pytest.raises(GridTooLargeError) as exc:
+            resample(*three, dt)
+        assert str(exc.value) == f"dt = {dt} makes a grid of {rows} rows, above 10000000"
+
+    def test_grid_at_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_MAX_GRID_ROWS", 1000)
+        two = arrays([[0.0, 0.0, 0.0, 0.0, 0.0], [999.0, 999.0, 0.0, 0.0, 0.0]])
+        t, pos = resample(*two, 1.0)
+        assert t.shape == (1000,) and pos[-1, 0] == 999.0
+        with pytest.raises(GridTooLargeError, match="1001 rows, above 1000"):
+            resample(*two, 999.0 / 1000)
 
 
 class TestDifferentiate:

@@ -221,8 +221,9 @@ class TestBlockedBootstrap:
         assert res.p_value == p
 
     def test_peak_allocation_bounded(self):
-        # at T=120 the 300 replicates are one (300, n_pad) block: its draw,
-        # product and |product| (scaled in place) stay under a megabyte
+        # at T=120 the bootstrap draws (300, 118) float64 normals, rounds them
+        # and the (118, 192) table to float32 and takes one float32 product
+        # and its modulus (scaled in place): all of it under a megabyte
         traj = var1_trajectory(VAR1_COEFFS, 120, seed=3)
         lag_test(traj, 1, TestConfig(), np.random.default_rng(0))
         tracemalloc.start()
@@ -332,6 +333,47 @@ class TestFactorBootstrap:
         monkeypatch.setattr(markov_mod._ccf, "loo_window_residuals", nan_tables)
         with pytest.raises(NonFiniteValueError):
             lag_test(iid_trajectory(600, 1, seed=6), 1, TestConfig(), np.random.default_rng(3))
+
+
+class TestSinglePrecisionBootstrap:
+    # the three factors: the table itself (T=120), the Cholesky factor of a
+    # VAR's Gram matrix and the eigh factor of a chain's (both T=600)
+    @pytest.mark.parametrize("kind", ["table", "cholesky", "eigh"])
+    def test_sups_match_a_double_product(self, kind):
+        traj = {"table": lambda: var1_trajectory(VAR1_COEFFS, 120, seed=5),
+                "cholesky": lambda: var1_trajectory(VAR1_COEFFS, 600, seed=5),
+                "eigh": lambda: chain_trajectory(600, seed=5)}[kind]()
+        summands, lengths = summand_table(traj, 1, TestConfig(), np.random.default_rng(1))
+        real = summands.view(float)
+        factor = markov_mod._bootstrap_factor(real)
+        if kind == "table":
+            assert factor is real
+        elif kind == "cholesky":
+            np.testing.assert_array_equal(factor, np.linalg.cholesky(real.T @ real).T)
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(real.T @ real)
+            assert factor.shape == (192, 192)
+        M = np.random.default_rng(2).standard_normal((factor.shape[0], 300)).T
+        single = markov_mod._bootstrap_sups(M, factor, np.sqrt(lengths))
+        double = np.max(np.abs((M @ factor).view(complex)) / np.sqrt(lengths), axis=1)
+        assert single.dtype == np.float32
+        np.testing.assert_allclose(single, double, rtol=1e-5)
+
+    @pytest.mark.parametrize("T", [120, 600])
+    def test_double_multipliers_equal_their_single_rounding(self, monkeypatch, T):
+        sups = []
+        bootstrap_sups = markov_mod._bootstrap_sups
+        monkeypatch.setattr(markov_mod, "_bootstrap_sups",
+                            lambda *args: sups.append(bootstrap_sups(*args)) or sups[-1])
+        traj = var1_trajectory(VAR1_COEFFS, T, seed=T)
+        cfg = TestConfig(k_max=1)
+        M64 = np.random.default_rng(3).standard_normal((min(T - 2, 192), 300)).T
+        double = lag_test(traj, 1, cfg, np.random.default_rng(4), multipliers=M64)
+        single = lag_test(traj, 1, cfg, np.random.default_rng(4),
+                          multipliers=M64.astype(np.float32))
+        assert double == single
+        np.testing.assert_array_equal(sups[0], sups[1])
 
 
 class TestSharedMultipliers:
