@@ -11,12 +11,12 @@ and evaluation deterministic and closed form.
 leave-one-out residuals from one kernel matrix over the windows of the
 series (one scalar bandwidth per (trajectory, lag), leave-one-out as the
 zeroed diagonal), built in symmetric square tiles so that its memory
-grows linearly in the series length.  The cos and sin bases of the targets
-come from one half-angle tangent (:func:`_cos_sin`), because numpy vectorizes
-``tan`` but may evaluate ``cos`` and ``sin`` one element at a time.  Each
-fitted CCF is a convex combination of unit-modulus numbers, so its modulus
-never exceeds 1 (up to rounding), and the residual at zero frequency is
-exactly 0.  :class:`KernelCcf` is the same regression
+grows linearly in the series length.  The cos and sin bases of both fits'
+targets come from one half-angle tangent call (:func:`_cos_sin`), because
+numpy vectorizes ``tan`` but may evaluate ``cos`` and ``sin`` one element
+at a time.  Each fitted CCF is a convex combination of unit-modulus
+numbers, so its modulus never exceeds 1 (up to rounding), and the residual
+at zero frequency is exactly 0.  :class:`KernelCcf` is the same regression
 over explicit pairs, without leave-one-out: refit without each pair in turn,
 it is the brute-force reference of the residuals in the test suite.
 :func:`exact_ccf_discrete` is the exact CCF of a finite-state chain.
@@ -166,27 +166,42 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     The cos and sin bases of the targets come from :func:`_cos_sin`, one
     vectorized half-angle tangent at a fraction of the cost of numpy's
     ``cos`` and ``sin``.  They agree with libm's within about 3e-16
-    absolute, and a zero frequency still gives exactly (1, 0).
+    absolute, and a zero frequency still gives exactly (1, 0).  Both fits'
+    phases take one call on a contiguous (2, M, n) table, faster than on the
+    basis rows' strided outputs, and each residual is written once, into its
+    table.  ``mus`` and ``nus`` that are not both (M, d) raise
+    :class:`DimensionMismatchError`.
     """
     T, d = states.shape
+    if mus.ndim != 2 or mus.shape != nus.shape or mus.shape[1] != d:
+        raise DimensionMismatchError(f"frequencies mus {mus.shape} and nus "
+                                     f"{nus.shape} must both be (M, {d})")
     n = T - k
-    M = mus.shape[0]
-    u = window_embed(states, k) / (1.06 * n ** (-1.0 / (4.0 + k * d)))
-    half_sq = 0.5 * (u * u).sum(axis=1)[:, None]
-    ones = np.ones_like(half_sq)
-    left = np.hstack([u, -half_sq, ones])
-    right_t = np.hstack([u, ones, -half_sq]).T
+    M, kd = mus.shape[0], k * d
+    # left row i is [u_i, -|u_i|^2 / 2, 1] and right_t column j is
+    # [u_j, 1, -|u_j|^2 / 2]; right_t stays the transpose of a C-ordered
+    # array, as BLAS sums a C-ordered one's products in another order
+    left = np.empty((n + 1, kd + 2))
+    bandwidth = 1.06 * n ** (-1.0 / (4.0 + kd))
+    u = np.divide(window_embed(states, k), bandwidth, out=left[:, :kd])
+    np.multiply((u * u).sum(axis=1), -0.5, out=left[:, kd])
+    left[:, kd + 1] = 1.0
+    right_t = left.take([*range(kd), kd + 1, kd], axis=1).T
 
     # Rows cos, sin and 1 of the forward targets X_{s+k} sit in columns
     # 0..n-1, those of the backward targets X_t in columns 1..n; the zero
     # column in each half drops the window outside that fit.
     w = 2 * M + 1
     fits = ((slice(0, w), slice(0, n)), (slice(w, 2 * w), slice(1, n + 1)))
+    phase, cos, sin = np.empty((2, M, n)), np.empty((2, M, n)), np.empty((2, M, n))
+    np.matmul(mus, states[k:].T, out=phase[0])
+    np.matmul(nus, states[:n].T, out=phase[1])
+    _cos_sin(phase, cos, sin)
     basis_t = np.zeros((2 * w, n + 1))
-    for (rows, cols), freqs, targets in zip(fits, (mus, nus), (states[k:], states[:n])):
+    for i, (rows, cols) in enumerate(fits):
         part = basis_t[rows, cols]
-        _cos_sin(freqs @ targets.T, part[:M], part[M:-1])
-        part[-1] = 1.0
+        part[:M], part[M:-1], part[-1] = cos[i], sin[i], 1.0
+    del phase, cos, sin   # the tiles need only basis_t, and T=2000 frees 3 MB
 
     acc = np.zeros_like(basis_t)
     tiles = -(-(n + 1) // _ROW_BLOCK)
@@ -206,7 +221,7 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
 
     # a weight sum not above 1e-280 (or NaN) would come out as 0/0: refit
     # those windows with each fit's logits shifted by their max
-    far = np.flatnonzero(~(acc[[w - 1, -1]] > 1e-280).all(axis=0))
+    far = np.flatnonzero(~(acc[w - 1::w] > 1e-280).all(axis=0))
     for lo in range(0, far.size, _ROW_BLOCK):
         block = far[lo:lo + _ROW_BLOCK]
         logits = left[block] @ right_t
@@ -217,11 +232,11 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
 
     fwd, bwd = np.empty((M, n), dtype=complex), np.empty((M, n), dtype=complex)
     for table, (rows, cols) in zip((fwd, bwd), fits):
-        # residuals basis - fitted / weight sum, built in the accumulator rows
-        fitted = acc[rows, cols]
+        # residuals basis - fitted / weight sum, written once into the table
+        fitted, basis = acc[rows, cols], basis_t[rows, cols]
         np.divide(fitted[:-1], fitted[-1], out=fitted[:-1])
-        np.subtract(basis_t[rows, cols][:-1], fitted[:-1], out=fitted[:-1])
-        table.real, table.imag = fitted[:M], fitted[M:-1]
+        np.subtract(basis[:M], fitted[:M], out=table.real)
+        np.subtract(basis[M:-1], fitted[M:-1], out=table.imag)
     if not (mus.all() and nus.all()):   # a zero frequency's residual is exactly 0
         fwd[~mus.any(axis=1)] = 0.0
         bwd[~nus.any(axis=1)] = 0.0

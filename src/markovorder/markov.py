@@ -266,12 +266,13 @@ def _bootstrap_sups(multipliers: np.ndarray, factor: np.ndarray,
     The product, its modulus, the scaling and the max run in single
     precision on the multipliers and the factor rounded to float32 (see the
     module docstring); the caller compares the sups with the observed
-    statistic in double.
+    statistic in double.  The max runs over a contiguous transposed copy;
+    max is exact, so the order of the reduction moves no bit.
     """
     boot = np.abs((_as_float32(multipliers)[:, :factor.shape[0]]
                    @ factor.astype(np.float32)).view(np.complex64))
     boot /= scale.astype(np.float32)   # a float64 divisor would run the float64 loop
-    return boot.max(axis=1)
+    return np.ascontiguousarray(boot.T).max(axis=0)
 
 
 class _Standardized(Trajectory):
@@ -293,13 +294,15 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     ``multipliers``, a (B, width) matrix of standard normals, gives the
     bootstrap its multipliers: replicate b takes the first r entries of row
     b, for a factor of r rows (see :func:`estimate_order`).  Without it the
-    bootstrap draws a (B, r) matrix from ``rng``.  A matrix with another row
-    count than B, or fewer columns than the factor has rows, raises
-    ``ValueError`` once the factor is known.  The replicates are single
-    precision: a matrix of any float dtype, like the bootstrap's own float64
-    draw, is rounded to float32, so a float64 matrix and its float32
-    rounding give equal results.  ``sup_stat`` is double, and the replicate
-    sups are compared with it in double (see the module docstring).
+    bootstrap draws a (B, r) matrix from ``rng``.  A matrix that is not 2-D,
+    has another row count than B or fewer columns than the factor has rows
+    raises ``ValueError`` once the factor is known, and one that makes a
+    replicate sup NaN or infinite raises ``NonFiniteValueError``.  The
+    replicates are single precision: a matrix of any float dtype, like the
+    bootstrap's own float64 draw, is rounded to float32, so a float64 matrix
+    and its float32 rounding give equal results.  ``sup_stat`` is double,
+    and the replicate sups are compared with it in double (see the module
+    docstring).
     """
     n_eff = traj.length - k
     if n_eff < cfg.min_effective_length:
@@ -326,12 +329,13 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
 
     M = cfg.n_freqs
     n_pad = n_eff - shifts[0] + 1
-    summands = np.zeros((n_pad, len(shifts) * M), dtype=complex)
+    summands = np.empty((n_pad, len(shifts) * M), dtype=complex)
     lengths = np.empty(len(shifts) * M)
     for i, q in enumerate(shifts):
         n_q = n_eff - q + 1
         block = (fwd_res[:, q - 1:q - 1 + n_q] * bwd_res[:, :n_q]).T   # (n_q, M)
         summands[:n_q, i * M:(i + 1) * M] = block
+        summands[n_q:, i * M:(i + 1) * M] = 0.0
         lengths[i * M:(i + 1) * M] = n_q
     del fwd_res, bwd_res, block   # the bootstrap needs only the summands
 
@@ -349,10 +353,14 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     r = factor.shape[0]
     if multipliers is None:
         multipliers = rng.standard_normal((cfg.n_bootstrap, r))
-    elif multipliers.shape[0] != cfg.n_bootstrap or multipliers.shape[1] < r:
+    elif (multipliers.ndim != 2 or multipliers.shape[0] != cfg.n_bootstrap
+          or multipliers.shape[1] < r):
         raise ValueError(f"multipliers has shape {multipliers.shape}, not "
                          f"{cfg.n_bootstrap} rows of at least {r} columns")
     sup_boot = _bootstrap_sups(multipliers, factor, scale)
+    # a NaN sup would compare false with sup_obs, as if it were below it
+    if not np.isfinite(sup_boot).all():
+        raise NonFiniteValueError(f"lag {k} bootstrap replicate sups are not finite")
 
     # a float64 scalar, so the float32 sups are compared in float64
     n_ge = int(np.count_nonzero(sup_boot >= np.float64(sup_obs)))

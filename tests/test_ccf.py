@@ -208,6 +208,21 @@ def test_loo_window_residuals_peak_memory_at_T4000():
     assert peak < 48e6   # the full 4000 x 4000 kernel matrix alone is 128 MB
 
 
+def test_loo_window_residuals_peak_memory_at_T2000():
+    # the phase table and its cos and sin (3 MB here) are freed before the
+    # tile loop, whose accumulator, basis and tile set the peak
+    rng = np.random.default_rng(2000)
+    states = rng.standard_normal((2000, 3))
+    mus, nus = rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
+    tracemalloc.start()
+    try:
+        loo_window_residuals(states, 1, mus, nus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
 def test_loo_window_residuals_zero_and_negated_frequency(monkeypatch):
     monkeypatch.setattr(ccf, "_ROW_BLOCK", 64)   # 298 windows: five tiles a side
     rng = np.random.default_rng(43)
@@ -242,6 +257,13 @@ class TestCosSin:
         cos, sin = _cos_sin_of(np.array([0.0, -0.0]))
         np.testing.assert_array_equal(cos, [1.0, 1.0])
         np.testing.assert_array_equal(sin, [0.0, 0.0])
+
+    def test_stacked_phase_equals_two_calls(self):
+        # loo_window_residuals takes both fits' phases in one (2, M, n) call
+        phase = np.random.default_rng(15).standard_normal((2, 32, 119)) * 3.0
+        stacked = _cos_sin_of(phase)
+        for i in range(2):
+            np.testing.assert_array_equal(stacked[:, i], _cos_sin_of(phase[i]))
 
     def test_cos_even_sin_odd_exactly(self):
         phase = np.random.default_rng(14).standard_normal((32, 119)) * 5.0
@@ -287,6 +309,14 @@ class TestErrors:
             fit.evaluate_many(np.ones((1, 1)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatchError):
             fit.evaluate_many(np.ones((1, 2)), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("mus_shape, nus_shape", [((4, 3), (5, 3)), ((4, 2), (4, 2)),
+                                                      ((4, 3), (4, 2)), ((3,), (3,))])
+    def test_frequency_tables_mismatch_names_both_shapes(self, mus_shape, nus_shape):
+        states = np.random.default_rng(16).standard_normal((40, 3))
+        with pytest.raises(DimensionMismatchError) as info:
+            loo_window_residuals(states, 1, np.ones(mus_shape), np.ones(nus_shape))
+        assert str(mus_shape) in str(info.value) and str(nus_shape) in str(info.value)
 
     def test_window_too_large(self):
         with pytest.raises(InsufficientDataError):

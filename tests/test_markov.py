@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -359,6 +360,10 @@ class TestSinglePrecisionBootstrap:
         double = np.max(np.abs((M @ factor).view(complex)) / np.sqrt(lengths), axis=1)
         assert single.dtype == np.float32
         np.testing.assert_allclose(single, double, rtol=1e-5)
+        # the max over the transposed copy keeps the bits of the plain row max
+        prod = M.astype(np.float32) @ factor.astype(np.float32)
+        scale32 = np.sqrt(lengths).astype(np.float32)
+        assert (single == (np.abs(prod.view(np.complex64)) / scale32).max(axis=1)).all()
 
     @pytest.mark.parametrize("T", [120, 600])
     def test_double_multipliers_equal_their_single_rounding(self, monkeypatch, T):
@@ -388,6 +393,22 @@ class TestSharedMultipliers:
         narrow = np.zeros((FAST.n_bootstrap, 87))   # the table has n_pad = 88 rows
         with pytest.raises(ValueError, match="columns"):
             lag_test(traj, 1, FAST, np.random.default_rng(3), multipliers=narrow)
+
+    @pytest.mark.parametrize("shape", [(49,), (49, 98, 1)])
+    def test_matrix_not_2d_raises_naming_its_shape(self, shape):
+        traj = iid_trajectory(100, 1, seed=6)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            lag_test(traj, 1, FAST, np.random.default_rng(3), multipliers=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_multipliers_raise(self, bad):
+        # a NaN replicate sup compares false with sup_obs and would give the
+        # smallest p-value
+        traj = var1_trajectory(VAR1_COEFFS, 120, seed=7)
+        multipliers = np.random.default_rng(8).standard_normal((300, 118))
+        multipliers[5, 3] = bad
+        with pytest.raises(NonFiniteValueError, match="replicate"):
+            lag_test(traj, 1, TestConfig(), np.random.default_rng(9), multipliers=multipliers)
 
     def test_eigh_factor_takes_the_shared_matrix(self, monkeypatch):
         # a zero frequency makes Cholesky fail at T=500; the lag's p x p
