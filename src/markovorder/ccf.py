@@ -135,6 +135,13 @@ def _cos_sin(phase: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> Non
     cos_out -= 1.0
 
 
+def _check_frequencies(mus: np.ndarray, nus: np.ndarray, d: int) -> None:
+    """Raise DimensionMismatchError naming both shapes unless ``mus`` and ``nus`` are (M, d)."""
+    if mus.ndim != 2 or mus.shape != nus.shape or mus.shape[1] != d:
+        raise DimensionMismatchError(f"frequencies mus {mus.shape} and nus "
+                                     f"{nus.shape} must both be (M, {d})")
+
+
 def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
                          nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out forward and backward kernel CCF residuals at lag k.
@@ -170,12 +177,10 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     phases take one call on a contiguous (2, M, n) table, faster than on the
     basis rows' strided outputs, and each residual is written once, into its
     table.  ``mus`` and ``nus`` that are not both (M, d) raise
-    :class:`DimensionMismatchError`.
+    :class:`DimensionMismatchError` (:func:`_check_frequencies`).
     """
     T, d = states.shape
-    if mus.ndim != 2 or mus.shape != nus.shape or mus.shape[1] != d:
-        raise DimensionMismatchError(f"frequencies mus {mus.shape} and nus "
-                                     f"{nus.shape} must both be (M, {d})")
+    _check_frequencies(mus, nus, d)
     n = T - k
     M, kd = mus.shape[0], k * d
     # left row i is [u_i, -|u_i|^2 / 2, 1] and right_t column j is

@@ -23,8 +23,9 @@ setting its config rejects (a bool for a number and a count below its
 least value included), an ``--out`` that is not a string (checked before
 any work), a malformed results file (an order that is not a whole number
 >= 1, or above its entry's ``k_max`` or 10,000, included), a ``report
---kmax`` above 10,000 and a cohort label that is repeated or empty or
-holds other than letters, digits, ``_``, ``.`` and ``-`` are data errors.
+--kmax`` above 10,000, a cohort label that is repeated, and a cohort
+label or ``synth`` spec ``name`` that is empty or holds other than letters,
+digits, ``_``, ``.`` and ``-`` are data errors.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def _keep_heap() -> bool:
     lets the next lag reuse them; 32 MiB keeps the kernel residuals'
     largest arrays, the phase table and its accumulator at about 1 KiB
     per window each (32 frequency pairs), on the heap up to T = 32,000.
+    On one pinned CPU with one BLAS thread, ``test`` on 2 series of T = 2000
+    took 0.515-0.522 s CPU with it and 0.551-0.555 s without, and on 200 of
+    T = 120 0.98-1.02 s either way (the README has the in-process runs).
     Forked workers inherit the setting.  Returns whether it was applied;
     without glibc's ``mallopt`` it does nothing.
     """
@@ -300,6 +304,18 @@ def _real(value) -> float:
 _NUMBER = {int: _whole, float: _real}   # the conversions of number settings
 
 
+_SAFE_NAME = re.compile(r"[\w.-]+")
+
+
+def _safe_name(value) -> str:
+    """``value`` if it is a string of letters, digits, ``_``, ``.`` and ``-``:
+    the rule for a ``synth`` spec's name and a ``report`` cohort label, which
+    name files in ``--out`` and so must hold no path."""
+    if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
+        raise ValueError("must be letters, digits, '_', '.' or '-'")
+    return value
+
+
 def _spec_value(spec: dict, key: str, convert=_array, *default):
     """``convert`` of the spec's value at ``key``, or of ``default`` when the
     key is absent; a missing or unconvertible value is a data error."""
@@ -343,7 +359,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     T = _setting(args, "length", least=2)
     if T is None:
         T = _spec_value(spec, "length", _whole, 300)
-    name = spec.get("name", spec_path.stem)
+    name = _spec_value(spec, "name", _safe_name) if "name" in spec else spec_path.stem
     cohort = spec.get("cohort")
 
     written = []
@@ -462,14 +478,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     band_lo = _setting(args, "band-lo", cfg.alpha / 5, float)
     band_hi = _setting(args, "band-hi", 2.4 * cfg.alpha, float)
     spec_path = _setting(args, "spec", None, _text)
-    if spec_path:
-        spec = _read_json(Path(spec_path))
-        gen = _build_generator(spec)
-        true_order = _spec_value(spec, "true_order", lambda v: v if v is None else _whole(v), None)
-    else:
-        iid = VarSpec(coeffs=(np.zeros((dim, dim)),), noise_cov=np.eye(dim), burn_in=0)
-        gen = lambda n, rng, id: gen_var(iid, n, rng, id=id)  # noqa: E731
-        true_order = 1
+    # without --spec, the null is i.i.d. standard normal in --dim dimensions
+    spec = _read_json(Path(spec_path)) if spec_path else {
+        "kind": "var", "coeffs": [np.zeros((dim, dim)).tolist()],
+        "noise_cov": np.eye(dim).tolist(), "burn_in": 0, "true_order": 1}
+    gen = _build_generator(spec)
+    true_order = _spec_value(spec, "true_order", lambda v: v if v is None else _whole(v), None)
 
     trajs = [gen(T, trajectory_rng(cfg.rng_seed, f"calib_{i:05d}_gen"), f"calib_{i:05d}")
              for i in range(reps)]
@@ -520,9 +534,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise MarkovOrderError(f"expected label=path, got {item!r}")
         label, path = item.split("=", 1)
-        if not re.fullmatch(r"[\w.-]+", label):   # it names files and table cells
-            raise MarkovOrderError(f"cohort label {label!r} must be letters, digits, "
-                                   "'_', '.' or '-'")
+        try:
+            _safe_name(label)
+        except ValueError as exc:
+            raise MarkovOrderError(f"cohort label {label!r} {exc}") from None
         if label in cohorts:
             raise MarkovOrderError(f"cohort label {label!r} given twice")
         orders = _orders_from_results(Path(path))

@@ -83,15 +83,6 @@ class FTestResult:
     significant: bool
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float, int]:
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0, n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var), n
-
-
 def summarize_orders(orders: Sequence[int]) -> CohortSummary:
     """Mean, sample std (n-1 divisor), and MP/HOMP percentages.
 
@@ -102,7 +93,10 @@ def summarize_orders(orders: Sequence[int]) -> CohortSummary:
     """
     if len(orders) == 0:
         raise EmptyCohortError("cannot summarize an empty cohort")
-    mean, std, n = _mean_std([float(v) for v in orders])
+    values = [float(v) for v in orders]
+    n = len(values)
+    mean = sum(values) / n
+    std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
     n_mp = sum(1 for v in orders if v == 1)
     pct_mp = 100.0 * n_mp / n
     return CohortSummary(n=n, mean=mean, std=std, pct_mp=pct_mp, pct_homp=100.0 - pct_mp)
@@ -133,11 +127,8 @@ def pooled_t_test_from_stats(
 
 def pooled_t_test(orders_a: Sequence[int], orders_b: Sequence[int]) -> TTestResult:
     """Pooled t test on raw per-trajectory orders (first minus second)."""
-    if len(orders_a) == 0 or len(orders_b) == 0:
-        raise EmptyCohortError("both cohorts must be nonempty")
-    mean_a, std_a, n_a = _mean_std([float(v) for v in orders_a])
-    mean_b, std_b, n_b = _mean_std([float(v) for v in orders_b])
-    return pooled_t_test_from_stats(mean_a, std_a, n_a, mean_b, std_b, n_b)
+    a, b = summarize_orders(orders_a), summarize_orders(orders_b)
+    return pooled_t_test_from_stats(a.mean, a.std, a.n, b.mean, b.std, b.n)
 
 
 def f_test_from_stats(std_a: float, n_a: int, std_b: float, n_b: int) -> FTestResult:
@@ -161,8 +152,5 @@ def f_test_from_stats(std_a: float, n_a: int, std_b: float, n_b: int) -> FTestRe
 
 def f_test(orders_a: Sequence[int], orders_b: Sequence[int]) -> FTestResult:
     """F test on raw per-trajectory orders (first variance over second)."""
-    if len(orders_a) == 0 or len(orders_b) == 0:
-        raise EmptyCohortError("both cohorts must be nonempty")
-    _, std_a, n_a = _mean_std([float(v) for v in orders_a])
-    _, std_b, n_b = _mean_std([float(v) for v in orders_b])
-    return f_test_from_stats(std_a, n_a, std_b, n_b)
+    a, b = summarize_orders(orders_a), summarize_orders(orders_b)
+    return f_test_from_stats(a.std, a.n, b.std, b.n)

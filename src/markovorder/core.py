@@ -123,7 +123,7 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def standardize(traj: Trajectory, min_std: float = 1e-10) -> Trajectory:
+def standardize(traj: Trajectory) -> Trajectory:
     """Shift/scale each state dimension to sample mean 0 and sample std 1.
 
     The sample standard deviation uses the n-1 divisor, so three points
@@ -132,11 +132,11 @@ def standardize(traj: Trajectory, min_std: float = 1e-10) -> Trajectory:
     Raises
     ------
     DegenerateDimensionError
-        If any dimension has sample std <= ``min_std``.
+        If any dimension has sample std <= 1e-10.
     """
     mean = traj.states.mean(axis=0)
     std = traj.states.std(axis=0, ddof=1)
-    if (std <= min_std).any():
-        bad = np.nonzero(std <= min_std)[0].tolist()
+    bad = np.nonzero(std <= 1e-10)[0].tolist()
+    if bad:
         raise DegenerateDimensionError(f"constant state dimension(s) {bad}")
     return replace(traj, states=(traj.states - mean) / std)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccf import window_embed
+from .ccf import _check_frequencies, window_embed
 from .errors import InsufficientDataError, TrainingDivergedError
 
 __all__ = ["MdnTrainConfig", "window_residuals"]
@@ -138,11 +138,13 @@ def window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
                      train: MdnTrainConfig = MdnTrainConfig(),
                      ) -> tuple[np.ndarray, np.ndarray]:
     """In-sample forward and backward mixture CCF residuals at lag k, laid
-    out as :func:`markovorder.ccf.loo_window_residuals` lays out its tables.
+    out as :func:`markovorder.ccf.loo_window_residuals` lays out its tables,
+    after its check of ``mus`` and ``nus``.
 
     The forward network trains first, then the backward one, each on its own
     child of ``rng``; each is evaluated on the pairs it was trained on.
     """
+    _check_frequencies(mus, nus, states.shape[1])
     n = states.shape[0] - k
     emb = window_embed(states, k)
     fwd = _train(emb[:-1], states[k:], train, rng.spawn(1)[0])

@@ -127,7 +127,7 @@ class ChainSpec:
 
 
 def gen_var(spec: VarSpec, T: int, rng: np.random.Generator,
-            dt: float = 1.0, id: str = "", metadata: dict | None = None) -> Trajectory:
+            dt: float = 1.0, id: str = "") -> Trajectory:
     """Simulate ``T`` post-burn-in samples of the autoregression."""
     if T < 2:
         raise InsufficientDataError(f"need T >= 2, got {T}")
@@ -143,13 +143,11 @@ def gen_var(spec: VarSpec, T: int, rng: np.random.Generator,
             acc += a @ x[t - j]
         x[t] = acc
     states = x[p + spec.burn_in:]
-    meta = {"true_order": str(p), "generator": "var"}
-    meta.update(metadata or {})
-    return Trajectory(states, dt=dt, id=id, metadata=meta)
+    return Trajectory(states, dt=dt, id=id, metadata={"true_order": str(p), "generator": "var"})
 
 
 def gen_chain(spec: ChainSpec, T: int, rng: np.random.Generator,
-              dt: float = 1.0, id: str = "", metadata: dict | None = None) -> Trajectory:
+              dt: float = 1.0, id: str = "") -> Trajectory:
     """Simulate the discrete chain and embed states into d-vectors."""
     if T < 2:
         raise InsufficientDataError(f"need T >= 2, got {T}")
@@ -162,14 +160,11 @@ def gen_chain(spec: ChainSpec, T: int, rng: np.random.Generator,
         out[t] = nxt
         idx.append(nxt)
     states = spec.embedding[out]
-    meta = {"true_order": str(p), "generator": "chain"}
-    meta.update(metadata or {})
-    return Trajectory(states, dt=dt, id=id, metadata=meta)
+    return Trajectory(states, dt=dt, id=id, metadata={"true_order": str(p), "generator": "chain"})
 
 
 def gen_hidden_state(persistence: float, means: Sequence, T: int,
-                     rng: np.random.Generator, dt: float = 1.0, id: str = "",
-                     metadata: dict | None = None) -> Trajectory:
+                     rng: np.random.Generator, dt: float = 1.0, id: str = "") -> Trajectory:
     """Two-regime hidden-state process with unit-variance Gaussian emissions.
 
     The hidden regime flips with probability ``1 - persistence`` each step,
@@ -195,6 +190,5 @@ def gen_hidden_state(persistence: float, means: Sequence, T: int,
         if flips[t] > persistence:
             regime = 1 - regime
         states[t] = mu[regime] + noise[t]
-    meta = {"true_order": "none", "generator": "hidden_state"}
-    meta.update(metadata or {})
-    return Trajectory(states, dt=dt, id=id, metadata=meta)
+    return Trajectory(states, dt=dt, id=id,
+                      metadata={"true_order": "none", "generator": "hidden_state"})

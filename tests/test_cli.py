@@ -111,6 +111,13 @@ class TestSynth:
             rows = (out / "v1_0000.csv").read_text().splitlines()
             assert len(rows) == 1 + whole
 
+    @pytest.mark.parametrize("name", ["../x", "a/b", "", 5])
+    def test_unsafe_name_is_data_error_writing_nothing(self, tmp_path, capsys, name):
+        spec = write_spec(tmp_path, {**VAR1_SPEC, "name": name}, name="bad.json")
+        assert run(["synth", spec, "--count", 2, "--out", tmp_path / "sub" / "out"]) == 2
+        assert "bad value for 'name'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["bad.json"]
+
     def test_spec_not_json_object_is_data_error(self, tmp_path):
         for name, text in (("broken.json", "{"), ("list.json", "[1, 2]")):
             (tmp_path / name).write_text(text)
@@ -452,6 +459,17 @@ class TestCalibrate:
             payload = json.loads((tmp_path / name / "calibration.json").read_text())
             got.append((payload["true_order"], payload["order_recovery_rate"]))
         assert got == [(1, 1.0), (1, 1.0)]   # at kmax 1 every order is 1
+
+    def test_default_null_equals_its_spec(self, tmp_path):
+        spec = write_spec(tmp_path, {"kind": "var", "coeffs": [[[0.0, 0.0], [0.0, 0.0]]],
+                                     "noise_cov": [[1.0, 0.0], [0.0, 1.0]], "burn_in": 0,
+                                     "true_order": 1}, name="iid.json")
+        flags = ["--replications", 20, "--length", 80, "--kmax", 2, "--freqs", 4,
+                 "--bootstrap", 19, "--dim", 2]
+        assert run(["calibrate", *flags, "--out", tmp_path / "default"]) == 0
+        assert run(["calibrate", "--spec", spec, *flags, "--out", tmp_path / "spec"]) == 0
+        assert (tmp_path / "default" / "calibration.json").read_bytes() == \
+               (tmp_path / "spec" / "calibration.json").read_bytes()
 
     def test_non_integer_true_order_is_data_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {**VAR1_SPEC, "true_order": "one"})

@@ -139,3 +139,13 @@ class TestFTest:
                 continue
             assert 0.0 <= res.upper_tail_prob <= 1.0
             assert 0.0 <= res.cdf <= 1.0
+
+
+@pytest.mark.parametrize("a, b", [([1, 2, 2, 4, 5], [1, 1, 2, 3]),
+                                  ([1] * 15 + [2, 3, 2, 4, 2, 5], [3, 1, 7, 2, 2, 9, 1]),
+                                  ([1, 2], [2, 3, 3])])
+def test_raw_order_tests_equal_the_summary_tests(a, b):
+    sa, sb = summarize_orders(a), summarize_orders(b)
+    assert pooled_t_test(a, b) == pooled_t_test_from_stats(sa.mean, sa.std, sa.n,
+                                                           sb.mean, sb.std, sb.n)
+    assert f_test(a, b) == f_test_from_stats(sa.std, sa.n, sb.std, sb.n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from markovorder.ccf import window_embed
-from markovorder.errors import InsufficientDataError
+from markovorder.errors import DimensionMismatchError, InsufficientDataError
 from markovorder.mdn import (
     MdnTrainConfig,
     _init_params,
@@ -97,6 +97,15 @@ def test_preconditions():
     with pytest.raises(InsufficientDataError):
         window_residuals(states, 6, np.ones((1, 1)), np.ones((1, 1)),
                          np.random.default_rng(0), SMALL)
+
+
+@pytest.mark.parametrize("mus_shape, nus_shape", [((4, 3), (5, 3)), ((4, 2), (4, 2))])
+def test_frequency_tables_mismatch_names_both_shapes(mus_shape, nus_shape):
+    states = np.random.default_rng(16).standard_normal((60, 3))
+    with pytest.raises(DimensionMismatchError) as info:
+        window_residuals(states, 1, np.ones(mus_shape), np.ones(nus_shape),
+                         np.random.default_rng(0), SMALL)
+    assert str(mus_shape) in str(info.value) and str(nus_shape) in str(info.value)
 
 
 def test_backward_direction_fits():
