@@ -103,7 +103,7 @@ def _keep_heap() -> bool:
     largest arrays, the phase table and its accumulator at about 1 KiB
     per window each (32 frequency pairs), on the heap up to T = 32,000.
     On one pinned CPU with one BLAS thread, ``test`` on 2 series of T = 2000
-    took 0.515-0.522 s CPU with it and 0.551-0.555 s without, and on 200 of
+    took 0.392-0.400 s CPU with it and 0.422-0.427 s without, and on 200 of
     T = 120 0.98-1.02 s either way (the README has the in-process runs).
     Forked workers inherit the setting.  Returns whether it was applied;
     without glibc's ``mallopt`` it does nothing.
@@ -360,7 +360,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if T is None:
         T = _spec_value(spec, "length", _whole, 300)
     name = _spec_value(spec, "name", _safe_name) if "name" in spec else spec_path.stem
-    cohort = spec.get("cohort")
+    cohort = _spec_value(spec, "cohort", _text) if spec.get("cohort") is not None else None
 
     written = []
     for i in range(count):

@@ -1,11 +1,12 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import implied_ccf
+from conftest import implied_ccf, var1_trajectory
 
-from markovorder import ccf, exact_ccf_discrete
+from markovorder import TestConfig, ccf, estimate_order, exact_ccf_discrete
 from markovorder.ccf import KernelCcf, loo_window_residuals, window_embed
 from markovorder.errors import (
     DimensionMismatchError,
@@ -235,6 +236,109 @@ def test_loo_window_residuals_zero_and_negated_frequency(monkeypatch):
     neg_fwd, neg_bwd = loo_window_residuals(states, 2, -mus, -nus)
     np.testing.assert_array_equal(neg_fwd, fwd.conj())
     np.testing.assert_array_equal(neg_bwd, bwd.conj())
+
+
+def _float64_path(monkeypatch, fn, *args):
+    """``fn(*args)`` with every tile in float64, whatever the series' length."""
+    with monkeypatch.context() as m:
+        m.setattr(ccf, "_SINGLE_ABOVE", 10**9)
+        return fn(*args)
+
+
+def _float32_tolerance(states, k):
+    """Bound on the modulus of a float32-tile residual's error, from rounding.
+
+    u = 2^-24 is float32's unit roundoff and g(m) = m u / (1 - m u) bounds
+    the relative error of an m-term sum or dot product (Higham, ch. 3).
+    - A logit is a (kd + 2)-term dot product of float32-rounded entries of
+      ``left`` and ``right_t``: its absolute error is at most g(kd + 4) times
+      its terms' moduli, which sum to (|u_i| + |u_j|)^2 / 2 <= 2 max |u|^2.
+    - float32 ``exp`` is within 4 ulp (8u) relative, so each weight is off by
+      a factor 1 + e, |e| <= exp(logit error) (1 + 8u) - 1.
+    - A fitted CCF is a weighted mean of numbers of modulus <= 1, so weights
+      off by 1 + e move it by at most 2 e / (1 - e).
+    - sgemm sums at most _ROW_BLOCK products per tile, with float32-rounded
+      basis values: g(_ROW_BLOCK + 1) of the weight sum, in the numerator
+      and again in the denominator.
+    - The clamped weights stay below 2^-24 of a kept window's weight sum: u.
+    - Each bound holds for the real and the imaginary part: sqrt(2).
+    The float64 path's own error (1e-12 in the oracle tests) is added.
+    """
+    u = 2.0 ** -24
+    g = lambda m: m * u / (1 - m * u)
+    n, kd = len(states) - k, k * states.shape[1]
+    windows = window_embed(states, k) / (1.06 * n ** (-1.0 / (4.0 + kd)))
+    logit_error = g(kd + 4) * 2 * (windows * windows).sum(axis=1).max()
+    e = np.exp(logit_error) * (1 + 8 * u) - 1
+    return np.sqrt(2) * (2 * e / (1 - e) + 2 * g(ccf._ROW_BLOCK + 1) + u) + 1e-12
+
+
+@pytest.mark.parametrize("T", [1500, 2000])
+def test_float32_tiles_agree_with_float64_within_rounding(T, monkeypatch):
+    rng = np.random.default_rng(T)
+    states = rng.standard_normal((T, 3))
+    mus, nus = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    single = loo_window_residuals(states, 2, mus, nus)
+    double = _float64_path(monkeypatch, loo_window_residuals, states, 2, mus, nus)
+    atol = _float32_tolerance(states, 2)
+    for got, want in zip(single, double):
+        assert not np.array_equal(got, want)   # the float32 path ran
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
+def test_float32_tiles_refit_a_far_window_in_float64(monkeypatch):
+    rng = np.random.default_rng(1500)
+    states = rng.standard_normal((1500, 3))
+    states[700] = (25.0, 0.0, 0.0)   # windows 699 and 700 hold it (k = 2)
+    mus, nus = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    emb = window_embed(states, 2) / (1.06 * 1498 ** (-0.1))
+    for far in (699, 700):
+        dist = np.sqrt(((np.delete(emb, far, axis=0) - emb[far]) ** 2).sum(axis=1))
+        assert 38.6 < dist.min() < 45   # every weight of it underflows float64, too
+    single = loo_window_residuals(states, 2, mus, nus)
+    double = _float64_path(monkeypatch, loo_window_residuals, states, 2, mus, nus)
+    # forward column s conditions on window s, backward column t on window t + 1
+    for got, want, cols in zip(single, double, ([699, 700], [698, 699])):
+        np.testing.assert_allclose(got[:, cols], want[:, cols], rtol=0.0, atol=1e-12)
+        assert np.abs(got[:, cols]).max() > 0.1
+
+
+def test_float32_tiles_stay_fast_when_most_logits_are_clamped(monkeypatch):
+    # windows on a circle 30 bandwidths across: 71% of the logits are below
+    # -87 and every one above float64's denormal range (-708); unclamped
+    # float32 weights there took 17x the float64 call, a clamp at -87 2.8x
+    T, k = 1500, 2
+    h = 1.06 * (T - k) ** (-0.1)
+    phi = 0.1 * np.arange(T)
+    radius = 30 * h / (2 * np.sqrt(2))
+    rng = np.random.default_rng(7)
+    states = np.column_stack([radius * np.cos(phi), radius * np.sin(phi),
+                              0.05 * rng.standard_normal(T)])
+    mus, nus = rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
+
+    def best_of_five():
+        times = []
+        for _ in range(5):
+            t0 = time.process_time()
+            loo_window_residuals(states, k, mus, nus)
+            times.append(time.process_time() - t0)
+        return min(times)
+
+    single, double = [], []
+    for _ in range(2):   # interleaved, so a slow spell of the host hits both
+        single.append(best_of_five())
+        double.append(_float64_path(monkeypatch, best_of_five))
+    assert min(single) < 2 * min(double), (single, double)
+
+
+def test_float32_tiles_keep_the_order_and_reject_flags(monkeypatch):
+    traj = var1_trajectory([[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]], 1500, seed=3)
+    cfg = TestConfig(k_max=2, rng_seed=1)
+    single = estimate_order(traj, cfg)
+    double = _float64_path(monkeypatch, estimate_order, traj, cfg)
+    assert single.order == double.order == 1
+    assert [lag.reject for lag in single.per_lag] == [lag.reject for lag in double.per_lag]
+    assert single.per_lag != double.per_lag   # the float32 path ran
 
 
 def _cos_sin_of(phase):

@@ -118,6 +118,21 @@ class TestSynth:
         assert "bad value for 'name'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["bad.json"]
 
+    @pytest.mark.parametrize("cohort", [5, ["a"], {"a": "b"}, True])
+    def test_cohort_not_text_is_data_error_writing_nothing(self, tmp_path, capsys, cohort):
+        spec = write_spec(tmp_path, {**VAR1_SPEC, "cohort": cohort}, name="bad.json")
+        assert run(["synth", spec, "--count", 2, "--out", tmp_path / "sub" / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: generator spec: bad value for 'cohort'"), err
+        assert [p.name for p in tmp_path.rglob("*")] == ["bad.json"]
+
+    @pytest.mark.parametrize("cohort, written", [("demo", "demo"), ("", None), (None, None)])
+    def test_cohort_text_is_written_and_empty_one_is_not(self, tmp_path, cohort, written):
+        spec = write_spec(tmp_path, {**VAR1_SPEC, "cohort": cohort})
+        assert run(["synth", spec, "--count", 1, "--out", tmp_path / "o"]) == 0
+        sidecar = json.loads((tmp_path / "o" / "v1_0000.json").read_text())
+        assert sidecar["metadata"].get("cohort") == written
+
     def test_spec_not_json_object_is_data_error(self, tmp_path):
         for name, text in (("broken.json", "{"), ("list.json", "[1, 2]")):
             (tmp_path / name).write_text(text)
