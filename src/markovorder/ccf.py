@@ -38,6 +38,7 @@ __all__ = ["window_embed", "loo_window_residuals", "exact_ccf_discrete"]
 _ROW_BLOCK = 512      # most windows on a side of one kernel-matrix tile
 _SINGLE_ABOVE = 1024  # more windows: float32 tiles, 30% faster from T=1500 (README)
 _LEAST_LOGIT = -70.0  # float32 clamp: e^-70 times a basis value is no denormal
+_LEAST_NORMAL = -708.0  # float64 flush: exp below -708.4 is a denormal, which stalls dgemm
 
 
 def window_embed(states: np.ndarray, window: int) -> np.ndarray:
@@ -169,7 +170,11 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     in near-equal square tiles of at most ``_ROW_BLOCK`` windows, and only
     the tiles on and above the diagonal: each tile's weights serve its rows
     and, off the diagonal, its columns too.  Working memory is linear in T,
-    and a series of at most ``_ROW_BLOCK`` windows is one tile.  Above
+    and a series of at most ``_ROW_BLOCK`` windows is one tile, its product
+    written straight into the accumulator.  Once a window lies over 18.8
+    bandwidths from the origin, float64 logits below ``_LEAST_NORMAL`` are
+    set to -inf: a weight below 3.3e-308 would be a denormal, which stalls
+    dgemm, and is nothing against a kept sum above 1e-280.  Above
     ``_SINGLE_ABOVE`` windows the tiles are float32: logits from float32
     windows, clamped at -70 so that no weight, nor a weight times a basis
     value, is a denormal (which stalls sgemm), float32 ``exp`` and products,
@@ -184,8 +189,9 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     ``cos`` and ``sin``.  They agree with libm's within about 3e-16
     absolute, and a zero frequency still gives exactly (1, 0).  Both fits'
     phases take one call on a contiguous (2, M, n) table, faster than on the
-    basis rows' strided outputs, and each residual is written once, into its
-    table.  ``mus`` and ``nus`` that are not both (M, d) raise
+    basis rows' strided outputs.  Both fits' residuals are written once, into
+    one complex block whose views ``[0, :, :n]`` and ``[1, :, 1:]`` are the
+    tables.  ``mus`` and ``nus`` that are not both (M, d) raise
     :class:`DimensionMismatchError` (:func:`_check_frequencies`).
     """
     T, d = states.shape
@@ -217,13 +223,14 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
         part[:M], part[M:-1], part[-1] = cos[i], sin[i], 1.0
     del phase, cos, sin   # the tiles need only basis_t, and T=2000 frees 3 MB
 
-    acc = np.zeros_like(basis_t)
     single = n + 1 > _SINGLE_ABOVE   # float32 copies; else the arrays themselves
     tl, tr, tb = (a.astype(np.float32 if single else float, copy=False)
                   for a in (left, right_t, basis_t))
     tiles = -(-(n + 1) // _ROW_BLOCK)
     edges = [(n + 1) * b // tiles for b in range(tiles + 1)]
     spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    flush = not single and 4.0 * left[:, kd].min() < _LEAST_NORMAL  # 4 min bounds every logit
+    acc = np.empty_like(basis_t) if tiles == 1 else np.zeros_like(basis_t)
     for a, rows in enumerate(spans):
         for cols in spans[a:]:
             # -|u_i - u_j|^2 / 2 as one product; rounding may leave a tiny
@@ -231,10 +238,15 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
             kern = tl[rows] @ tr[:, cols]
             if single:
                 np.maximum(kern, _LEAST_LOGIT, out=kern)
+            elif flush:
+                np.copyto(kern, -np.inf, where=kern < _LEAST_NORMAL)
             if cols == rows:
-                np.fill_diagonal(kern, -np.inf)
+                kern.flat[::kern.shape[1] + 1] = -np.inf
             np.exp(kern, out=kern)
-            acc[:, rows] += tb[:, cols] @ kern.T
+            if tiles == 1:
+                np.matmul(tb, kern.T, out=acc)
+            else:
+                acc[:, rows] += tb[:, cols] @ kern.T
             if cols != rows:
                 acc[:, cols] += tb[:, rows] @ kern
     del tl, tr, tb, kern   # float32 copies: T=2000 frees 1 MB before the residuals
@@ -243,8 +255,9 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     # biased by the clamped weights, at most (n + 1) e^-70: refit those
     # windows with each fit's logits shifted by their max
     floor = (n + 1) * 2.0**24 * np.exp(_LEAST_LOGIT) if single else 1e-280
-    far = np.flatnonzero(~(acc[w - 1::w] > floor).all(axis=0))
-    for lo in range(0, far.size, _ROW_BLOCK):
+    sums = acc[w - 1::w]
+    far = [] if sums.min() > floor else np.flatnonzero(~(sums > floor).all(axis=0))
+    for lo in range(0, len(far), _ROW_BLOCK):
         block = far[lo:lo + _ROW_BLOCK]
         logits = left[block] @ right_t
         logits[np.arange(block.size), block] = -np.inf
@@ -252,13 +265,13 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
             kern = np.exp(logits[:, cols] - logits[:, cols].max(axis=1, keepdims=True))
             acc[rows, block] = basis_t[rows, cols] @ kern.T
 
-    fwd, bwd = np.empty((M, n), dtype=complex), np.empty((M, n), dtype=complex)
-    for table, (rows, cols) in zip((fwd, bwd), fits):
-        # residuals basis - fitted / weight sum, written once into the table
-        fitted, basis = acc[rows, cols], basis_t[rows, cols]
-        np.divide(fitted[:-1], fitted[-1], out=fitted[:-1])
-        np.subtract(basis[:M], fitted[:M], out=table.real)
-        np.subtract(basis[M:-1], fitted[M:-1], out=table.imag)
+    # both fits' residuals basis - fitted / weight sum, in one block
+    fitted, basis = acc.reshape(2, w, n + 1), basis_t.reshape(2, w, n + 1)
+    np.divide(fitted[:, :-1], fitted[:, -1:], out=fitted[:, :-1])
+    res = np.empty((2, M, n + 1), dtype=complex)
+    np.subtract(basis[:, :M], fitted[:, :M], out=res.real)
+    np.subtract(basis[:, M:-1], fitted[:, M:-1], out=res.imag)
+    fwd, bwd = res[0, :, :n], res[1, :, 1:]
     if not (mus.all() and nus.all()):   # a zero frequency's residual is exactly 0
         fwd[~mus.any(axis=1)] = 0.0
         bwd[~nus.any(axis=1)] = 0.0

@@ -8,10 +8,11 @@ tests).
 
 Every run writes a manifest (seed, configuration hash, input digests, wall
 time, and the environment: numpy version, BLAS thread variables, cores,
-jobs and whether freed memory is kept on the heap) next to its outputs,
-and all numerical outputs are reproducible from the manifest:
-per-trajectory seeds derive from the global seed and the trajectory id, so
-results do not depend on execution order or ``--jobs``.
+jobs and whether freed memory is kept on the heap) next to its outputs;
+``test``'s also counts its failed items by error class.  All numerical
+outputs are reproducible from the manifest: per-trajectory seeds derive
+from the global seed and the trajectory id, so results do not depend on
+execution order or ``--jobs``.
 
 Each test and ingest flag takes its type and default from the field of
 ``TestConfig`` or ``IngestConfig`` it sets.  ``report`` bins orders up to
@@ -401,16 +402,17 @@ def cmd_test(args: argparse.Namespace) -> int:
                                    error=f"{type(exc).__name__}: {exc}"))
     items = sorted(items + batch_test(trajs, cfg, jobs=jobs),
                    key=lambda it: it.trajectory_id)
-    n_failed = sum(1 for it in items if it.error is not None)
+    failed = sorted(it.error.split(":", 1)[0] for it in items if it.error is not None)
     _write_json(out_dir / "results.json",
                 {"config": asdict(cfg), "results": [it.to_dict() for it in items]})
     _write_manifest(out_dir, "test", asdict(cfg), files, t0, extra={
         "n_trajectories": len(items),
-        "n_failed": n_failed,
+        "n_failed": len(failed),
+        "failures_by_class": {name: failed.count(name) for name in dict.fromkeys(failed)},
     }, jobs=jobs, heap_kept=heap_kept)
     log.info("tested %d trajectories (%d failed) -> %s", len(items),
-             n_failed, out_dir / "results.json")
-    if items and n_failed == len(items):
+             len(failed), out_dir / "results.json")
+    if items and len(failed) == len(items):
         return 2
     return 0
 

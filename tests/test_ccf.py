@@ -303,17 +303,23 @@ def test_float32_tiles_refit_a_far_window_in_float64(monkeypatch):
         assert np.abs(got[:, cols]).max() > 0.1
 
 
+def _circle_states(T, k, across, seed=7):
+    """Windows of a (T, 3) series on a circle ``across`` bandwidths across."""
+    h = 1.06 * (T - k) ** (-0.1)
+    phi = 0.1 * np.arange(T)
+    radius = across * h / (2 * np.sqrt(2))
+    rng = np.random.default_rng(seed)
+    return np.column_stack([radius * np.cos(phi), radius * np.sin(phi),
+                            0.05 * rng.standard_normal(T)])
+
+
 def test_float32_tiles_stay_fast_when_most_logits_are_clamped(monkeypatch):
     # windows on a circle 30 bandwidths across: 71% of the logits are below
     # -87 and every one above float64's denormal range (-708); unclamped
     # float32 weights there took 17x the float64 call, a clamp at -87 2.8x
     T, k = 1500, 2
-    h = 1.06 * (T - k) ** (-0.1)
-    phi = 0.1 * np.arange(T)
-    radius = 30 * h / (2 * np.sqrt(2))
+    states = _circle_states(T, k, 30.0)
     rng = np.random.default_rng(7)
-    states = np.column_stack([radius * np.cos(phi), radius * np.sin(phi),
-                              0.05 * rng.standard_normal(T)])
     mus, nus = rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
 
     def best_of_five():
@@ -329,6 +335,49 @@ def test_float32_tiles_stay_fast_when_most_logits_are_clamped(monkeypatch):
         single.append(best_of_five())
         double.append(_float64_path(monkeypatch, best_of_five))
     assert min(single) < 2 * min(double), (single, double)
+
+
+def test_float64_tiles_stay_fast_when_weights_would_be_denormal():
+    # windows on a circle 40 bandwidths across: some logits lie between -745
+    # and -708, where exp gives float64 denormals; passed to dgemm they took
+    # 20x the call on standard normal states
+    T, k = 1000, 2
+    rng = np.random.default_rng(8)
+    circle, normal = _circle_states(T, k, 40.0), rng.standard_normal((T, 3))
+    mus, nus = rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
+
+    def best_of_five(states):
+        # each sample is five calls: with two BLAS threads the process time
+        # of one call (about 5 ms) read up to 4 ms off
+        times = []
+        for _ in range(5):
+            t0 = time.process_time()
+            for _ in range(5):
+                loo_window_residuals(states, k, mus, nus)
+            times.append(time.process_time() - t0)
+        return min(times)
+
+    far, near = [], []
+    for _ in range(2):   # interleaved, so a slow spell of the host hits both
+        far.append(best_of_five(circle))
+        near.append(best_of_five(normal))
+    assert min(far) < 2 * min(near), (far, near)
+
+
+@pytest.mark.parametrize("T", [300, 1000])   # one tile, then two a side
+def test_float64_flush_keeps_the_residuals(T, monkeypatch):
+    states = _circle_states(T, 2, 40.0)
+    rng = np.random.default_rng(T)
+    mus, nus = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    windows = window_embed(states, 2) / (1.06 * (T - 2) ** (-0.1))
+    sq = (windows * windows).sum(axis=1)
+    assert -2 * sq.max() < ccf._LEAST_NORMAL   # the call flushes
+    logits = windows @ windows.T - 0.5 * (sq[:, None] + sq[None, :])
+    assert ((logits < -708.4) & (logits > -745)).mean() > 0.01   # denormal weights
+    flushed = loo_window_residuals(states, 2, mus, nus)
+    monkeypatch.setattr(ccf, "_LEAST_NORMAL", -np.inf)
+    for got, want in zip(flushed, loo_window_residuals(states, 2, mus, nus)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_float32_tiles_keep_the_order_and_reject_flags(monkeypatch):

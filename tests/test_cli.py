@@ -227,6 +227,21 @@ class TestTest:
         (corpus / "a.csv").write_bytes(b"time_s,v0,a1\r\n0.0,1.0\xe9,\r\n")
         assert run(self.args(corpus, tmp_path / "out")) == 2
 
+    def test_manifest_counts_failures_by_class(self, corpus, tmp_path):
+        assert run(self.args(corpus, tmp_path / "ref")) == 0
+        manifest = json.loads((tmp_path / "ref" / "manifest.json").read_text())
+        assert manifest["failures_by_class"] == {}
+        (corpus / "zz_latin1.csv").write_bytes(b"time_s,v0,a1\r\n0.0,1.0\xe9,\r\n")
+        out = tmp_path / "bad"
+        assert run(self.args(corpus, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_failed"] == 1
+        assert manifest["failures_by_class"] == {"SchemaMismatchError": 1}
+        results = json.loads((out / "results.json").read_text())
+        assert set(results) == {"config", "results"}   # the counts stay in the manifest
+        ref = json.loads((tmp_path / "ref" / "results.json").read_text())["results"]
+        assert [r for r in results["results"] if "error" not in r] == ref
+
     def test_duplicate_id_is_per_item_error(self, corpus, tmp_path):
         assert run(self.args(corpus, tmp_path / "ref")) == 0
         first = sorted(corpus.glob("*.csv"))[0]

@@ -165,6 +165,22 @@ class TestLagTest:
             lag_test(traj, 1, FAST, np.random.default_rng(3))
 
 
+@pytest.mark.parametrize("T", [120, 600])   # one kernel tile, then two a side
+def test_lag_test_same_on_contiguous_residual_tables(T, monkeypatch):
+    # the residual tables are views of one block; C-contiguous copies of them
+    # must not change a bit downstream
+    traj = var1_trajectory(VAR1_COEFFS, T, seed=T)
+    cfg = TestConfig(k_max=2, rng_seed=1)
+    views = [lag_test(traj, k, cfg, np.random.default_rng(k)) for k in (1, 2)]
+    tables = markov_mod._ccf.loo_window_residuals
+    states = standardize(traj).states
+    mus = np.ones((4, 3))
+    assert not any(t.flags.c_contiguous for t in tables(states, 1, mus, mus))
+    monkeypatch.setattr(markov_mod._ccf, "loo_window_residuals",
+                        lambda *args: tuple(np.ascontiguousarray(t) for t in tables(*args)))
+    assert [lag_test(traj, k, cfg, np.random.default_rng(k)) for k in (1, 2)] == views
+
+
 def summand_table(traj, k, cfg, rng):
     """The lag test's (n_pad, p/2) complex summand table and its per-column
     lengths, drawing the frequencies from ``rng`` as ``lag_test`` does."""
