@@ -19,14 +19,9 @@ Each test and ingest flag takes its type and default from the field of
 ``--kmax`` or, without it, up to the larger of ``TestConfig.k_max`` and the
 largest input order, and takes no more than 10,000 bins.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.  A
-setting its config rejects (a bool for a number and a count below its
-least value included), an ``--out`` that is not a string (checked before
-any work), a malformed results file (an order that is not a whole number
->= 1, or above its entry's ``k_max`` or 10,000, included), a ``report
---kmax`` above 10,000, a cohort label that is repeated, and a cohort
-label or ``synth`` spec ``name`` that is empty or holds other than letters,
-digits, ``_``, ``.`` and ``-`` are data errors.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.  Every
+value read from a flag, a ``--config`` file, a generator spec or a results
+file goes through ``_convert``; the README lists the data errors.
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +99,9 @@ def _keep_heap() -> bool:
     lets the next lag reuse them; 32 MiB keeps the kernel residuals'
     largest arrays, the phase table and its accumulator at about 1 KiB
     per window each (32 frequency pairs), on the heap up to T = 32,000.
-    On one pinned CPU with one BLAS thread, ``test`` on 2 series of T = 2000
-    took 0.392-0.400 s CPU with it and 0.422-0.427 s without, and on 200 of
-    T = 120 0.98-1.02 s either way (the README has the in-process runs).
+    On one pinned CPU with one BLAS thread, ``test`` faulted 6.0k pages with
+    it against 38.1k without on 200 series of T = 120, and 8.3k against 67.3k
+    on 2 of T = 2000, and took less CPU on both (the README has the runs).
     Forked workers inherit the setting.  Returns whether it was applied;
     without glibc's ``mallopt`` it does nothing.
     """
@@ -143,6 +139,39 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     _write_json(out_dir / "manifest.json", manifest)
 
 
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _whole(value) -> int:
+    """``value`` as an int; a bool or a fraction is rejected, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    out = int(value)
+    if not isinstance(value, int) and out != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return out
+
+
+def _real(value) -> float:
+    """``value`` as a float; a bool is rejected, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+_SAFE_NAME = re.compile(r"[\w.-]+")
+
+
+def _safe_name(value) -> str:
+    """``value`` if it is a string of letters, digits, ``_``, ``.`` and ``-``:
+    the rule for a ``synth`` spec's name and a ``report`` cohort label, which
+    name files in ``--out`` and so must hold no path."""
+    if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
+        raise ValueError("must be letters, digits, '_', '.' or '-'")
+    return value
+
+
 def _text(value) -> str:
     """``value`` if it is a string: the conversion of the flags that take text."""
     if not isinstance(value, str):
@@ -150,25 +179,35 @@ def _text(value) -> str:
     return value
 
 
-def _setting(args: argparse.Namespace, flag: str, default=None, kind=int, least=None):
+_KINDS = {int: _whole, float: _real, str: _text}   # by the type of a config field
+
+
+def _convert(value, kind, least=None, *, error: str):
+    """``kind`` of a value read from outside: of a flag or a ``--config``,
+    spec or results-file field (``_whole``, ``_real``, ``_text``,
+    ``_safe_name`` or ``_array``), or of a spec's fields (its generator).  A
+    value ``kind`` rejects, or one below ``least``, is a data error:
+    ``error``, then the reason."""
+    try:
+        out = kind(value)
+        if least is not None and out < least:
+            raise ValueError(f"must be >= {least}")
+    except (TypeError, ValueError, OverflowError, MarkovOrderError) as exc:
+        raise MarkovOrderError(f"{error}: {exc}") from None
+    return out
+
+
+def _setting(args: argparse.Namespace, flag: str, default=None, kind=_whole, least=None):
     """``kind`` of the flag's value if given, else of the config file's
     (keyed by the flag's name, hyphenated or underscored; null counts as
-    absent), else of ``default``, else None; an int flag takes whole numbers
-    only (``_whole``), and no number flag takes a bool (``_real``).  A value
-    ``kind`` rejects, or one below ``least``, is a data error naming the
-    flag."""
+    absent), else of ``default``, else None, at least ``least``.  A bad
+    value is a data error naming the flag."""
     key, cfg = flag.replace("-", "_"), getattr(args, "_file_config", {})
     value = next((v for v in (getattr(args, key, None), cfg.get(flag), cfg.get(key), default)
                   if v is not None), None)
     if value is None:
         return None
-    try:
-        out = _NUMBER.get(kind, kind)(value)
-        if least is not None and out < least:
-            raise ValueError(f"must be >= {least}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MarkovOrderError(f"--{flag}: bad value {value!r}: {exc}") from None
-    return out
+    return _convert(value, kind, least, error=f"--{flag}: bad value {value!r}")
 
 
 def _out_dir(args: argparse.Namespace, default: str) -> Path:
@@ -220,11 +259,9 @@ def _config(cls, args: argparse.Namespace, flags: dict):
     every other field keeps the dataclass default.  A value that does not
     convert to its field's type, or that the dataclass rejects, is a data
     error naming the flag."""
-    values = {}
-    for flag, field in flags.items():
-        value = _setting(args, flag, kind=type(getattr(cls, field)))
-        if value is not None:
-            values[field] = value
+    values = {field: _setting(args, flag, kind=_KINDS[type(getattr(cls, field))])
+              for flag, field in flags.items()}
+    values = {field: value for field, value in values.items() if value is not None}
     try:
         return cls(**values)
     except (ValueError, MarkovOrderError) as exc:   # a TypeError is a flag table bug
@@ -235,14 +272,10 @@ def _config(cls, args: argparse.Namespace, flags: dict):
 
 def _collect_csvs(paths: list[str]) -> list[Path]:
     out: list[Path] = []
-    for p in paths:
-        path = Path(p)
-        if path.is_dir():
-            out.extend(sorted(path.glob("*.csv")))
-        elif path.exists():
-            out.append(path)
-        else:
+    for path in map(Path, paths):
+        if not path.exists():
             raise FileNotFoundError(str(path))
+        out.extend(sorted(path.glob("*.csv")) if path.is_dir() else [path])
     return out
 
 
@@ -257,96 +290,73 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     meta = {key: value for key, value in meta.items() if value}
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    written, failures, cohort_counts = [], [], {}
+    written, failures = {}, []   # written: the input file of each id
     for path in files:
         try:
-            for seg in ingest_file(path, cfg, metadata=dict(meta)):
-                dest = out_dir / f"{seg.id}.csv"
-                write_trajectory(seg, dest)
-                written.append(dest)
-                label = seg.metadata.get("cohort", "unlabeled")
-                cohort_counts[label] = cohort_counts.get(label, 0) + 1
+            segments = ingest_file(path, cfg, metadata=dict(meta))
+            taken = [seg.id for seg in segments if seg.id in written]
+            if taken:   # the file would overwrite an earlier one's segments
+                raise DuplicateTrajectoryIdError(
+                    f"{path}: trajectory id {taken[0]!r} already written from {written[taken[0]]}")
+            while segments:   # no written segment stays alive while the next file is read
+                seg = segments.pop(0)
+                write_trajectory(seg, out_dir / f"{seg.id}.csv")
+                written[seg.id] = path
         except (MarkovOrderError, OSError) as exc:
             failures.append(str(path))
             log.warning("skipping %s: %s", path, exc)
     _write_manifest(out_dir, "ingest", asdict(cfg), files, t0, extra={
         "trajectories_written": len(written),
         "failed_inputs": failures,
-        "cohort_counts": cohort_counts,
+        # every segment carries the run's cohort
+        "cohort_counts": {meta.get("cohort", "unlabeled"): len(written)} if written else {},
     })
     log.info("ingested %d trajectories from %d files (%d failed)",
              len(written), len(files), len(failures))
-    if files and len(failures) == len(files):
-        return 2
-    return 0
+    return 2 if files and len(failures) == len(files) else 0
 
 
-def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _whole(value) -> int:
-    """``value`` as an int; a bool or a fraction is rejected, not truncated."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    out = int(value)
-    if not isinstance(value, int) and out != float(value):
-        raise ValueError(f"{value!r} is not a whole number")
-    return out
-
-
-def _real(value) -> float:
-    """``value`` as a float; a bool is rejected, not read as 0 or 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-_NUMBER = {int: _whole, float: _real}   # the conversions of number settings
-
-
-_SAFE_NAME = re.compile(r"[\w.-]+")
-
-
-def _safe_name(value) -> str:
-    """``value`` if it is a string of letters, digits, ``_``, ``.`` and ``-``:
-    the rule for a ``synth`` spec's name and a ``report`` cohort label, which
-    name files in ``--out`` and so must hold no path."""
-    if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
-        raise ValueError("must be letters, digits, '_', '.' or '-'")
-    return value
-
-
-def _spec_value(spec: dict, key: str, convert=_array, *default):
-    """``convert`` of the spec's value at ``key``, or of ``default`` when the
-    key is absent; a missing or unconvertible value is a data error."""
-    try:
-        return convert(spec[key] if key in spec or not default else default[0])
-    except KeyError:
-        raise MarkovOrderError(f"generator spec: missing key {key!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MarkovOrderError(f"generator spec: bad value for {key!r}: {exc}") from None
-
-
-def _build_generator(spec: dict):
+def _read_spec(spec, path: Path | None, args: argparse.Namespace):
+    """The generator ``spec`` describes, its ``name`` (default: the stem of
+    ``path``), ``cohort``, length and ``true_order``, each key read once
+    (null counts as absent).  The length is ``--length``'s, else the
+    spec's, else 300.  A missing key, a value its key rejects and a key no
+    reader takes are data errors."""
     if not isinstance(spec, dict):
         raise MarkovOrderError("generator spec must be a JSON object")
-    kind = spec.get("kind")
-    dt = _spec_value(spec, "dt", _real, 1.0)
+    taken, where = {"kind"}, f"generator spec {path}"
+
+    def take(key, kind=_array, *default):
+        taken.add(key)
+        if spec.get(key) is None:
+            if not default:
+                raise MarkovOrderError(f"generator spec: missing key {key!r}")
+            return default[0]
+        return _convert(spec[key], kind, error=f"generator spec: bad value for {key!r}")
+
+    kind, dt = spec.get("kind"), take("dt", _real, 1.0)
     if kind == "var":
-        vs = VarSpec(coeffs=_spec_value(spec, "coeffs", lambda v: tuple(map(_array, v))),
-                     noise_cov=_spec_value(spec, "noise_cov"),
-                     burn_in=_spec_value(spec, "burn_in", _whole, 200))
-        return lambda T, rng, id: gen_var(vs, T, rng, dt=dt, id=id)
-    if kind == "chain":
-        cs = ChainSpec(order=_spec_value(spec, "order", _whole),
-                       transition=_spec_value(spec, "transition"),
-                       embedding=_spec_value(spec, "embedding"))
-        return lambda T, rng, id: gen_chain(cs, T, rng, dt=dt, id=id)
-    if kind == "hidden":
-        persistence, means = _spec_value(spec, "persistence", _real), _spec_value(spec, "means")
-        return lambda T, rng, id: gen_hidden_state(persistence, means, T, rng, dt=dt, id=id)
-    raise MarkovOrderError(f"unknown generator kind {kind!r}; use var, chain or hidden")
+        fields = (take("coeffs", lambda v: tuple(map(_array, v))), take("noise_cov"),
+                  take("burn_in", _whole, 200))
+        make = partial(gen_var, _convert(fields, lambda f: VarSpec(*f), error=where))
+    elif kind == "chain":
+        fields = take("order", _whole), take("transition"), take("embedding")
+        make = partial(gen_chain, _convert(fields, lambda f: ChainSpec(*f), error=where))
+    elif kind == "hidden":
+        make = partial(gen_hidden_state, take("persistence", _real), take("means"))
+    else:
+        raise MarkovOrderError(f"unknown generator kind {kind!r}; use var, chain or hidden")
+    # what a generator rejects is a data error naming the spec's file
+    gen = lambda T, rng, id: _convert(T, lambda T: make(T, rng, dt=dt, id=id), error=where)
+    length = take("length", _whole, 300)
+    read = (gen, take("name", _safe_name, path.stem if path else None),
+            take("cohort", _text, None), _setting(args, "length", least=2) or length,
+            take("true_order", _whole, None))
+    unknown = [key for key in spec if key not in taken]
+    if unknown:
+        raise MarkovOrderError(f"{where}: {', '.join(map(repr, unknown))} "
+                               f"is not a key of a {kind} spec")
+    return read
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -354,14 +364,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec_path = Path(args.spec)
     spec = _read_json(spec_path)
-    gen = _build_generator(spec)
+    gen, name, cohort, T, _ = _read_spec(spec, spec_path, args)
     seed = _setting(args, "seed", 0)
     count = _setting(args, "count", 1, least=0)
-    T = _setting(args, "length", least=2)
-    if T is None:
-        T = _spec_value(spec, "length", _whole, 300)
-    name = _spec_value(spec, "name", _safe_name) if "name" in spec else spec_path.stem
-    cohort = _spec_value(spec, "cohort", _text) if spec.get("cohort") is not None else None
 
     written = []
     for i in range(count):
@@ -412,17 +417,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     }, jobs=jobs, heap_kept=heap_kept)
     log.info("tested %d trajectories (%d failed) -> %s", len(items),
              len(failed), out_dir / "results.json")
-    if items and len(failed) == len(items):
-        return 2
-    return 0
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is a whole number >= 1 by ``_whole``."""
-    try:
-        return _whole(value) >= 1
-    except (TypeError, ValueError, OverflowError):
-        return False
+    return 2 if items and len(failed) == len(items) else 0
 
 
 # report bins orders 1..k_max and takes each cohort's density as a (bins,
@@ -437,20 +432,23 @@ def _orders_from_results(path: Path) -> list[int]:
     results = payload.get("results", []) if isinstance(payload, dict) else payload
     if not (isinstance(results, list) and all(isinstance(r, dict) for r in results)):
         raise MarkovOrderError(f"{path}: results must be a list of JSON objects")
-    entries = [r for r in results if "order" in r and not r.get("error")]
-    for r in entries:
+    orders = []
+    for r in results:
+        if "order" not in r or r.get("error"):
+            continue
         order, k_max = r["order"], r.get("k_max", r["order"])
-        if not _is_count(order):
-            raise MarkovOrderError(f"{path}: order {order!r} is not a whole number >= 1")
+        whole = _convert(order, _whole, 1,
+                         error=f"{path}: order {order!r} is not a whole number >= 1")
         # the bins run to the largest order
-        if not (_is_count(k_max) and _whole(order) <= _whole(k_max)):
-            raise MarkovOrderError(f"{path}: order {order!r} is not <= its k_max {k_max!r}")
-        if _whole(order) > _MAX_REPORT_ORDER:
+        _convert(k_max, _whole, whole,
+                 error=f"{path}: order {order!r} is not <= its k_max {k_max!r}")
+        if whole > _MAX_REPORT_ORDER:
             raise MarkovOrderError(f"{path}: order {order!r} is above {_MAX_REPORT_ORDER}, "
                                    "the most bins report takes")
-    if not entries:
+        orders.append(whole)
+    if not orders:
         raise EmptyCohortError(f"no usable orders in {path}")
-    return [_whole(r["order"]) for r in entries]
+    return orders
 
 
 def _compare_cohorts(orders_a: list[int], orders_b: list[int]) -> dict:
@@ -474,18 +472,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _config(TestConfig, args, _TEST_FLAGS)
     jobs = _setting(args, "jobs", 1, least=1)
     reps = _setting(args, "replications", 200, least=1)
-    T = _setting(args, "length", 300)
     dim = _setting(args, "dim", 3, least=1)
     # the default size band follows alpha: [0.01, 0.12] at alpha = 0.05
-    band_lo = _setting(args, "band-lo", cfg.alpha / 5, float)
-    band_hi = _setting(args, "band-hi", 2.4 * cfg.alpha, float)
+    band_lo = _setting(args, "band-lo", cfg.alpha / 5, _real)
+    band_hi = _setting(args, "band-hi", 2.4 * cfg.alpha, _real)
     spec_path = _setting(args, "spec", None, _text)
     # without --spec, the null is i.i.d. standard normal in --dim dimensions
     spec = _read_json(Path(spec_path)) if spec_path else {
         "kind": "var", "coeffs": [np.zeros((dim, dim)).tolist()],
         "noise_cov": np.eye(dim).tolist(), "burn_in": 0, "true_order": 1}
-    gen = _build_generator(spec)
-    true_order = _spec_value(spec, "true_order", lambda v: v if v is None else _whole(v), None)
+    gen, _, _, T, true_order = _read_spec(spec, Path(spec_path) if spec_path else None, args)
 
     trajs = [gen(T, trajectory_rng(cfg.rng_seed, f"calib_{i:05d}_gen"), f"calib_{i:05d}")
              for i in range(reps)]
@@ -518,11 +514,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                     [Path(spec_path)] if spec_path else [], t0,
                     jobs=jobs, heap_kept=heap_kept)
     for row in per_lag:
-        verdict = "PASS" if row["within_band"] else "FAIL"
-        sys.stdout.write(
-            f"k={row['k']}: rejection rate {row['rejection_rate']:.3f} "
-            f"CI [{row['ci_low']:.3f}, {row['ci_high']:.3f}] {verdict}\n"
-        )
+        sys.stdout.write(f"k={row['k']}: rejection rate {row['rejection_rate']:.3f} "
+                         f"CI [{row['ci_low']:.3f}, {row['ci_high']:.3f}] "
+                         f"{'PASS' if row['within_band'] else 'FAIL'}\n")
     if "order_recovery_rate" in payload:
         sys.stdout.write(f"order recovery rate: {payload['order_recovery_rate']:.3f}\n")
     return 0
@@ -536,10 +530,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise MarkovOrderError(f"expected label=path, got {item!r}")
         label, path = item.split("=", 1)
-        try:
-            _safe_name(label)
-        except ValueError as exc:
-            raise MarkovOrderError(f"cohort label {label!r} {exc}") from None
+        _convert(label, _safe_name, error=f"cohort label {label!r} is not a plain name")
         if label in cohorts:
             raise MarkovOrderError(f"cohort label {label!r} given twice")
         orders = _orders_from_results(Path(path))
@@ -549,8 +540,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     tests = _compare_cohorts(*orders_by_cohort.values()) if len(cohorts) == 2 else {}
     top = max(max(orders) for orders in orders_by_cohort.values())
     k_max = _setting(args, "kmax", max(TestConfig.k_max, top))
-    if k_max > _MAX_REPORT_ORDER:
-        raise MarkovOrderError(f"--kmax: bad value {k_max!r}: must be <= {_MAX_REPORT_ORDER}")
+    if not top <= k_max <= _MAX_REPORT_ORDER:   # the bins 1..k_max hold every order
+        reason = (f"order {top} outside 1..{k_max}" if k_max < top
+                  else f"must be <= {_MAX_REPORT_ORDER}")
+        raise MarkovOrderError(f"--kmax: bad value {k_max!r}: {reason}")
     written = write_report_files(out_dir, cohorts, orders_by_cohort, tests, k_max=k_max)
     _write_manifest(out_dir, "report", {"kmax": k_max},
                     inputs, t0, extra={"files": [str(p) for p in written]})
@@ -636,8 +629,6 @@ def main(argv: list[str] | None = None) -> int:
     except (MarkovOrderError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # a program bug, not a data error
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -511,6 +511,10 @@ def _read_sidecar(sidecar: Path, default_id: str) -> tuple[str, float, dict]:
         raise SchemaMismatchError(f"{sidecar.name}: {type(exc).__name__}: {exc}") from None
     if not isinstance(traj_id, str):
         raise SchemaMismatchError(f"{sidecar.name}: id {traj_id!r} is not a string")
+    if isinstance(meta.get("dt"), bool):
+        raise SchemaMismatchError(f"{sidecar.name}: dt {meta['dt']!r} is not a number")
+    if not all(isinstance(text, str) for text in (*metadata, *metadata.values())):
+        raise SchemaMismatchError(f"{sidecar.name}: metadata {metadata!r} is not str to str")
     return traj_id, dt, metadata
 
 

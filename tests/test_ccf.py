@@ -313,6 +313,19 @@ def _circle_states(T, k, across, seed=7):
                             0.05 * rng.standard_normal(T)])
 
 
+def _best_of_five(states, k, mus, nus):
+    """The least process time of five samples of five kernel calls each: with
+    two BLAS threads the process time of one call read up to a scheduler
+    tick (4 ms) off."""
+    times = []
+    for _ in range(5):
+        t0 = time.process_time()
+        for _ in range(5):
+            loo_window_residuals(states, k, mus, nus)
+        times.append(time.process_time() - t0)
+    return min(times)
+
+
 def test_float32_tiles_stay_fast_when_most_logits_are_clamped(monkeypatch):
     # windows on a circle 30 bandwidths across: 71% of the logits are below
     # -87 and every one above float64's denormal range (-708); unclamped
@@ -321,19 +334,10 @@ def test_float32_tiles_stay_fast_when_most_logits_are_clamped(monkeypatch):
     states = _circle_states(T, k, 30.0)
     rng = np.random.default_rng(7)
     mus, nus = rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
-
-    def best_of_five():
-        times = []
-        for _ in range(5):
-            t0 = time.process_time()
-            loo_window_residuals(states, k, mus, nus)
-            times.append(time.process_time() - t0)
-        return min(times)
-
     single, double = [], []
     for _ in range(2):   # interleaved, so a slow spell of the host hits both
-        single.append(best_of_five())
-        double.append(_float64_path(monkeypatch, best_of_five))
+        single.append(_best_of_five(states, k, mus, nus))
+        double.append(_float64_path(monkeypatch, _best_of_five, states, k, mus, nus))
     assert min(single) < 2 * min(double), (single, double)
 
 
@@ -345,22 +349,10 @@ def test_float64_tiles_stay_fast_when_weights_would_be_denormal():
     rng = np.random.default_rng(8)
     circle, normal = _circle_states(T, k, 40.0), rng.standard_normal((T, 3))
     mus, nus = rng.standard_normal((32, 3)), rng.standard_normal((32, 3))
-
-    def best_of_five(states):
-        # each sample is five calls: with two BLAS threads the process time
-        # of one call (about 5 ms) read up to 4 ms off
-        times = []
-        for _ in range(5):
-            t0 = time.process_time()
-            for _ in range(5):
-                loo_window_residuals(states, k, mus, nus)
-            times.append(time.process_time() - t0)
-        return min(times)
-
     far, near = [], []
     for _ in range(2):   # interleaved, so a slow spell of the host hits both
-        far.append(best_of_five(circle))
-        near.append(best_of_five(normal))
+        far.append(_best_of_five(circle, k, mus, nus))
+        near.append(_best_of_five(normal, k, mus, nus))
     assert min(far) < 2 * min(near), (far, near)
 
 

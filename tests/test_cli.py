@@ -133,6 +133,33 @@ class TestSynth:
         sidecar = json.loads((tmp_path / "o" / "v1_0000.json").read_text())
         assert sidecar["metadata"].get("cohort") == written
 
+    @pytest.mark.parametrize("key", ["burnin", "lenght", "order"])
+    def test_unknown_spec_key_is_data_error_naming_it_and_the_file(self, tmp_path, capsys, key):
+        # "order" is a key of a chain spec, not of a var spec
+        spec = write_spec(tmp_path, {**VAR1_SPEC, key: 0}, name="typo.json")
+        for argv in (["synth", spec, "--count", 1],
+                     ["calibrate", "--spec", spec, "--replications", 1, "--length", 60,
+                      "--kmax", 1, "--freqs", 4, "--bootstrap", 19]):
+            assert run([*argv, "--out", tmp_path / "out"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: generator spec {spec}: {key!r} is not a key "
+                                  "of a var spec"), err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"coeffs": [[[1.2]]]}, "companion spectral radius"),
+        ({"noise_cov": [[-1.0]]}, "positive definite"),
+        ({"length": 1}, "need T >= 2, got 1"),
+        ({"dt": float("inf")}, "dt must be > 0, got inf"),
+    ])
+    def test_spec_the_generator_rejects_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                                      change, reason):
+        spec = write_spec(tmp_path, {**VAR1_SPEC, **change}, name="rejected.json")
+        assert run(["synth", spec, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: generator spec {spec}: ") and reason in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_spec_not_json_object_is_data_error(self, tmp_path):
         for name, text in (("broken.json", "{"), ("list.json", "[1, 2]")):
             (tmp_path / name).write_text(text)
@@ -508,6 +535,27 @@ class TestCalibrate:
         assert "bad value for 'true_order'" in capsys.readouterr().err
 
 
+    def test_length_is_the_flag_else_config_else_spec_else_300(self, tmp_path):
+        spec = write_spec(tmp_path, {**VAR1_SPEC, "length": 80})
+        no_length = write_spec(tmp_path, {k: v for k, v in VAR1_SPEC.items() if k != "length"},
+                               name="no_length.json")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"length": 70}))
+        fast = ["--replications", 1, "--kmax", 1, "--freqs", 4, "--bootstrap", 19]
+        for argv, length in ((["--spec", spec], 80), (["--spec", spec, "--config", cfg], 70),
+                             (["--spec", spec, "--config", cfg, "--length", 60], 60),
+                             (["--spec", no_length], 300)):
+            out = tmp_path / f"cal{length}"
+            assert run(["calibrate", *argv, *fast, "--out", out]) == 0
+            assert json.loads((out / "calibration.json").read_text())["length"] == length
+
+    def test_length_below_two_is_data_error_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--replications", 1, "--length", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: --length: bad value 1: must be >= 2"), err
+        assert not out.exists()
+
     def test_failed_replication_is_data_error_naming_it(self, tmp_path, capsys):
         out = tmp_path / "cal"
         assert run(["calibrate", "--replications", 2, "--length", 30, "--kmax", 1,
@@ -534,6 +582,22 @@ class TestIngestCommand:
         assert len(written) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["cohort_counts"] == {"av": 2}
+
+    def test_repeated_segment_id_fails_the_later_file_alone(self, tmp_path, caplog):
+        # a/x.csv and b/x.csv both give segments x_seg000 and x_seg001
+        first, second = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+        for path, n in ((first, 250), (second, 260)):
+            path.parent.mkdir()
+            self.write_raw(path, n)
+        assert run(["ingest", first, "--out", tmp_path / "alone"]) == 0
+        out = tmp_path / "both"
+        assert run(["ingest", first, second, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_inputs"] == [str(second)]
+        assert manifest["trajectories_written"] == 2
+        for name in ("x_seg000.csv", "x_seg001.csv", "x_seg000.json", "x_seg001.json"):
+            assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        assert f"trajectory id 'x_seg000' already written from {first}" in caplog.text
 
     def test_empty_directory_ok(self, tmp_path):
         src = tmp_path / "emptydir"

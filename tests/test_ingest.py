@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -610,6 +611,19 @@ class TestCanonicalFiles:
         back = read_trajectory(write_trajectory(traj, tmp_path / "d2.csv"))
         np.testing.assert_array_equal(back.states, traj.states)
         assert back.actions is None
+
+    @pytest.mark.parametrize("sidecar", [{"dt": True}, {"dt": False}, {"metadata": {"cohort": 5}},
+                                         {"metadata": {"cohort": "av", "scenario": None}},
+                                         {"metadata": [[1, "av"]]}],
+                             ids=["dt-true", "dt-false", "number", "null", "number-key"])
+    def test_sidecar_outside_the_cli_rules_is_schema_error_naming_it(self, tmp_path, sidecar):
+        # no bool where a number belongs, and metadata maps strings to strings
+        traj = Trajectory([[1.0, 2.0], [1.5, 2.5], [2.0, 2.0]], dt=0.5, id="s",
+                          metadata={"cohort": "av"})
+        path = write_trajectory(traj, tmp_path / "s.csv")
+        (tmp_path / "s.json").write_text(json.dumps({"id": "s", "dt": 0.5, **sidecar}))
+        with pytest.raises(SchemaMismatchError, match=r"^s\.json: (dt|metadata) "):
+            read_trajectory(path)
 
 
 def reference_bytes(traj):
