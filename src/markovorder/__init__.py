@@ -7,7 +7,6 @@ summarize and compare cohorts with pooled t and variance-ratio F tests.
 """
 
 from .core import Trajectory, standardize
-from .ccf import exact_ccf_discrete
 from .markov import (
     BatchItem,
     MarkovTestResult,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Trajectory", "standardize",
-    "exact_ccf_discrete",
     "TestConfig", "MarkovTestResult", "OrderEstimate", "BatchItem",
     "lag_test", "estimate_order", "batch_test", "trajectory_rng",
     "CohortSummary", "TTestResult", "FTestResult", "summarize_orders",

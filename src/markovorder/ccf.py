@@ -21,19 +21,16 @@ numbers, so its modulus never exceeds 1 (up to rounding), and the residual
 at zero frequency is exactly 0.  :class:`KernelCcf` is the same regression
 over explicit pairs, without leave-one-out: refit without each pair in turn,
 it is the brute-force reference of the residuals in the test suite.
-:func:`exact_ccf_discrete` is the exact CCF of a finite-state chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import DimensionMismatchError, InsufficientDataError, NotStochasticError
+from .errors import DimensionMismatchError, InsufficientDataError
 
-__all__ = ["window_embed", "loo_window_residuals", "exact_ccf_discrete"]
+__all__ = ["window_embed", "loo_window_residuals"]
 
 _ROW_BLOCK = 512      # most windows on a side of one kernel-matrix tile
 _SINGLE_ABOVE = 1024  # more windows: float32 tiles, 30% faster from T=1500 (README)
@@ -277,40 +274,3 @@ def loo_window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
         bwd[~nus.any(axis=1)] = 0.0
     return fwd, bwd
 
-
-def exact_ccf_discrete(
-    P: np.ndarray,
-    embed: np.ndarray | Callable[[int], np.ndarray],
-    freq: np.ndarray,
-    state_index: int,
-) -> complex:
-    """Exact one-step forward CCF of a finite-state chain.
-
-    ``sum_j P[i, j] * exp(i freq . embed(j))`` evaluated exactly; serves as
-    an oracle for the kernel estimator on simulated chains.
-
-    Parameters
-    ----------
-    P : (S, S) row-stochastic transition matrix.
-    embed : (S, d) array or callable mapping a state index to its d-vector.
-    freq : (d,) frequency vector.
-    state_index : row of P to evaluate.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise NotStochasticError(f"P must be square, got shape {P.shape}")
-    if (P < 0).any() or np.abs(P.sum(axis=1) - 1.0).max() > 1e-12:
-        raise NotStochasticError("rows of P must be nonnegative and sum to 1 within 1e-12")
-    S = P.shape[0]
-    if callable(embed):
-        points = np.stack([np.atleast_1d(np.asarray(embed(j), dtype=float)) for j in range(S)])
-    else:
-        points = np.asarray(embed, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-    freq = np.atleast_1d(np.asarray(freq, dtype=float))
-    if points.shape != (S, freq.shape[0]):
-        raise DimensionMismatchError(
-            f"embedding shape {points.shape} incompatible with {S} states of dimension {freq.shape[0]}"
-        )
-    return complex(P[state_index] @ np.exp(1j * (points @ freq)))

@@ -160,6 +160,14 @@ def _real(value) -> float:
     return float(value)
 
 
+def _rate(value) -> float:
+    """``value`` as a float in [0, 1]: a bound of ``calibrate``'s size band."""
+    out = _real(value)
+    if not 0.0 <= out <= 1.0:   # NaN fails too
+        raise ValueError("must lie in [0, 1]")
+    return out
+
+
 _SAFE_NAME = re.compile(r"[\w.-]+")
 
 
@@ -474,8 +482,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     reps = _setting(args, "replications", 200, least=1)
     dim = _setting(args, "dim", 3, least=1)
     # the default size band follows alpha: [0.01, 0.12] at alpha = 0.05
-    band_lo = _setting(args, "band-lo", cfg.alpha / 5, _real)
-    band_hi = _setting(args, "band-hi", 2.4 * cfg.alpha, _real)
+    band_lo = _setting(args, "band-lo", cfg.alpha / 5, _rate)
+    band_hi = _setting(args, "band-hi", min(2.4 * cfg.alpha, 1.0), _rate, least=band_lo)
     spec_path = _setting(args, "spec", None, _text)
     # without --spec, the null is i.i.d. standard normal in --dim dimensions
     spec = _read_json(Path(spec_path)) if spec_path else {

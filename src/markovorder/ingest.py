@@ -141,7 +141,9 @@ def _check_increasing(t: np.ndarray, name: str) -> None:
 @contextmanager
 def _csv_file(path: Path):
     """``path`` opened for the csv module, skipping a UTF-8 byte-order mark;
-    text that is not UTF-8 raises :class:`SchemaMismatchError` naming it."""
+    text that is not UTF-8, or that the csv module refuses (such as a cell
+    above its field size limit), raises :class:`SchemaMismatchError` naming
+    it."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
@@ -149,45 +151,31 @@ def _csv_file(path: Path):
             byte = exc.object[exc.start:exc.start + 1].hex()
             raise SchemaMismatchError(
                 f"{path.name}: not UTF-8 text (cannot decode byte 0x{byte})") from None
+        except csv.Error as exc:
+            raise SchemaMismatchError(f"{path.name}: {exc}") from None
 
 
-def _parse_row(row: list[str], cols: list[int], names: Sequence[str], idx: int,
-               name: str, earlier: list[float]) -> list[float]:
-    """Cell-by-cell parse of a data row with blank, absent or bad cells.
+def _parse_rows(reader, cols: list[int], names: Sequence[str], name: str) -> np.ndarray:
+    """The (n, 5) table of a csv reader's data rows, parsed cell by cell.
 
     A blank or absent position cell is NaN; a blank time stamp or any
     non-numeric cell raises, unless an earlier row already breaks the
     time order, so the first bad row in file order decides the error.
     """
-    vals: list[float] = []
-    for j, col in zip(cols, names):
-        text = row[j] if j < len(row) else ""
-        if text == "" and vals:
-            vals.append(math.nan)
-            continue
-        try:
-            vals.append(float(text))
-        except ValueError:
-            _check_increasing(np.array(earlier[::5] + vals[:1]), name)
-            what = f"cannot parse {col}={text!r}" if text else f"missing {col}"
-            raise UnparsableRowError(idx, f"{name}: row {idx}: {what}") from None
-    return vals
-
-
-def _parse_rows(reader, cols: list[int], names: Sequence[str], name: str) -> np.ndarray:
-    """The (n, 5) table of a csv reader's data rows, parsed row by row."""
-    cells = itemgetter(*cols)
     flat: list[float] = []
-    n = 0
-    for row in reader:
-        if not row:
-            continue
-        n += 1
-        try:
-            flat.extend([float(c) for c in cells(row)])
-        except (ValueError, IndexError):
-            flat.extend(_parse_row(row, cols, names, n, name, flat))
-    return np.array(flat, dtype=float).reshape(n, 5)
+    for idx, row in enumerate(filter(None, reader), start=1):
+        for j, col in zip(cols, names):
+            text = row[j] if j < len(row) else ""
+            if text == "" and col != names[0]:
+                flat.append(math.nan)
+                continue
+            try:
+                flat.append(float(text))
+            except ValueError:
+                _check_increasing(np.array(flat[::5]), name)   # this row's time, if read
+                what = f"cannot parse {col}={text!r}" if text else f"missing {col}"
+                raise UnparsableRowError(idx, f"{name}: row {idx}: {what}") from None
+    return np.array(flat, dtype=float).reshape(-1, 5)
 
 
 def _parse_blocks(fh, width: int, cols: list[int]) -> np.ndarray:

@@ -20,6 +20,7 @@ from .core import Trajectory
 from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
+    NonFiniteValueError,
     NonStationarySpecError,
     NotStochasticError,
 )
@@ -69,6 +70,8 @@ class VarSpec:
         cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
         if cov.shape != (d, d):
             raise DimensionMismatchError(f"noise covariance must be ({d}, {d})")
+        if not (np.isfinite(coeffs).all() and np.isfinite(cov).all()):
+            raise NonFiniteValueError("lag matrices and noise covariance must be finite")
         if not np.allclose(cov, cov.T):
             raise DimensionMismatchError("noise covariance must be symmetric")
         if np.linalg.eigvalsh(cov).min() <= 0:
@@ -111,13 +114,15 @@ class ChainSpec:
             raise NotStochasticError(
                 f"transition tensor must have shape (S,)*{self.order + 1}, got {trans.shape}"
             )
-        if (trans < 0).any() or np.abs(trans.sum(axis=-1) - 1.0).max() > 1e-12:
+        if (trans < 0).any() or not np.abs(trans.sum(axis=-1) - 1.0).max() <= 1e-12:
             raise NotStochasticError("conditional distributions must sum to 1 within 1e-12")
         emb = np.asarray(self.embedding, dtype=float)
         if emb.ndim == 1:
             emb = emb[:, None]
         if emb.shape[0] != trans.shape[0]:
             raise DimensionMismatchError("embedding rows must match the number of states")
+        if not np.isfinite(emb).all():
+            raise NonFiniteValueError("embedding must be finite")
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "embedding", emb)
 

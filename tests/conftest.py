@@ -6,6 +6,7 @@ from scipy import integrate
 
 from markovorder import TestConfig, Trajectory, standardize
 from markovorder.ccf import loo_window_residuals
+from markovorder.errors import NotStochasticError
 
 TestConfig.__test__ = False  # a config dataclass, not a pytest test class
 
@@ -35,6 +36,23 @@ def f_cdf_quadrature(x: float, d1: int, d2: int) -> float:
     val, _ = integrate.quad(f_density, 0.0, x, args=(d1, d2),
                             epsabs=1e-12, limit=200)
     return val
+
+
+def exact_ccf_discrete(P, embed, freq, state_index: int) -> complex:
+    """Exact one-step forward CCF ``sum_j P[i, j] exp(i freq . embed[j])`` of
+    a finite-state chain at row ``state_index`` of its (S, S) row-stochastic
+    transition matrix ``P``; ``embed`` is the (S, d) or (S,) array of state
+    vectors.  The oracle of the kernel CCFs on simulated chains."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise NotStochasticError(f"P must be square, got shape {P.shape}")
+    if (P < 0).any() or np.abs(P.sum(axis=1) - 1.0).max() > 1e-12:
+        raise NotStochasticError("rows of P must be nonnegative and sum to 1 within 1e-12")
+    points = np.asarray(embed, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    freq = np.atleast_1d(np.asarray(freq, dtype=float))
+    return complex(P[state_index] @ np.exp(1j * (points @ freq)))
 
 
 def ar1_trajectory(rho: float, T: int, seed: int, warmup: int = 300):

@@ -10,6 +10,7 @@ import json
 import numpy as np
 
 from conftest import (
+    exact_ccf_discrete,
     f_cdf_quadrature,
     iid_trajectory,
     implied_ccf,
@@ -21,7 +22,6 @@ from conftest import (
 from markovorder import (
     TestConfig,
     estimate_order,
-    exact_ccf_discrete,
     f_cdf,
     f_test_from_stats,
     lag_test,

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import implied_ccf, var1_trajectory
+from conftest import exact_ccf_discrete, implied_ccf, var1_trajectory
 
-from markovorder import TestConfig, ccf, estimate_order, exact_ccf_discrete
+from markovorder import TestConfig, ccf, estimate_order
 from markovorder.ccf import KernelCcf, loo_window_residuals, window_embed
 from markovorder.errors import (
     DimensionMismatchError,

@@ -160,6 +160,21 @@ class TestSynth:
         assert err.startswith(f"data error: generator spec {spec}: ") and reason in err, err
         assert not (tmp_path / "out").exists()
 
+    # checked when the spec is read, so a run that generates nothing fails too
+    @pytest.mark.parametrize("spec", [
+        {**VAR1_SPEC, "noise_cov": [[float("inf")]]},
+        {**VAR1_SPEC, "coeffs": [[[float("nan")]]]},
+        {"kind": "chain", "order": 1, "transition": [[0.5, 0.5], [0.5, 0.5]],
+         "embedding": [[0.0], [float("inf")]]},
+    ], ids=["noise_cov", "coeffs", "embedding"])
+    def test_non_finite_spec_parameter_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                                     spec):
+        path = write_spec(tmp_path, spec, name="nonfinite.json")
+        assert run(["synth", path, "--count", 0, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: generator spec {path}: ") and "must be finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_spec_not_json_object_is_data_error(self, tmp_path):
         for name, text in (("broken.json", "{"), ("list.json", "[1, 2]")):
             (tmp_path / name).write_text(text)
@@ -247,6 +262,20 @@ class TestTest:
         assert errors[0]["error"].startswith("SchemaMismatchError: zz_latin1.csv: not UTF-8")
         ref = json.loads((tmp_path / "ref" / "results.json").read_text())["results"]
         assert [r for r in results if "error" not in r] == ref
+
+    def test_oversized_cell_is_per_item_error(self, corpus, tmp_path):
+        # above the csv module's 131,072-character field limit
+        assert run(self.args(corpus, tmp_path / "ref")) == 0
+        path = corpus / "v1_0003.csv"
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n" + b"9" * 200_000, 1))
+        out = tmp_path / "huge"
+        assert run(self.args(corpus, out)) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        errors = [r for r in results if "error" in r]
+        assert [r["trajectory_id"] for r in errors] == ["v1_0003"]
+        assert errors[0]["error"].startswith("SchemaMismatchError: v1_0003.csv: field larger")
+        ref = json.loads((tmp_path / "ref" / "results.json").read_text())["results"]
+        assert [r for r in results if "error" not in r] == ref[:3]
 
     def test_only_non_utf8_files_is_data_error(self, tmp_path):
         corpus = tmp_path / "latin1"
@@ -556,6 +585,33 @@ class TestCalibrate:
         assert err.startswith("data error: --length: bad value 1: must be >= 2"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config, error", [
+        (["--band-lo", "nan", "--band-hi", 0.5], None, "--band-lo: bad value nan: must lie in"),
+        (["--band-lo", 0.9, "--band-hi", 0.1], None, "--band-hi: bad value 0.1: must be >= 0.9"),
+        (["--band-lo", -0.1], None, "--band-lo: bad value -0.1: must lie in"),
+        (["--band-hi", "inf"], None, "--band-hi: bad value inf: must lie in"),
+        ([], {"band-lo": float("nan")}, "--band-lo: bad value nan: must lie in"),
+        ([], {"band_lo": 0.5, "band-hi": 0.2}, "--band-hi: bad value 0.2: must be >= 0.5"),
+        (["--band-hi", 0.3], {"band-lo": 0.4}, "--band-hi: bad value 0.3: must be >= 0.4"),
+    ], ids=["nan", "reversed", "negative", "inf", "config-nan", "config-reversed",
+            "flag-below-config"])
+    def test_band_outside_zero_one_or_reversed_is_data_error_naming_the_flag(
+            self, tmp_path, capsys, flags, config, error):
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", tmp_path / "run.json"]
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--replications", 1, "--length", 60, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {error}"), err
+        assert not out.exists()
+
+    def test_default_band_is_at_most_one(self, tmp_path):
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--replications", 1, "--length", 60, "--dim", 1, "--kmax", 1,
+                    "--freqs", 4, "--bootstrap", 19, "--alpha", 0.5, "--out", out]) == 0
+        assert json.loads((out / "calibration.json").read_text())["size_band"] == [0.1, 1.0]
+
     def test_failed_replication_is_data_error_naming_it(self, tmp_path, capsys):
         out = tmp_path / "cal"
         assert run(["calibrate", "--replications", 2, "--length", 30, "--kmax", 1,
@@ -648,6 +704,24 @@ class TestIngestCommand:
         assert manifest["trajectories_written"] == 2
         assert sorted(p.name for p in out.glob("*.csv")) == ["good_seg000.csv",
                                                                "good_seg001.csv"]
+
+    def test_oversized_cell_fails_its_file_alone(self, tmp_path, caplog):
+        # a quoted cell sends the file to the csv module, which refuses one
+        # above 131,072 characters
+        good = self.write_raw(tmp_path / "good.csv")
+        bad = tmp_path / "huge.csv"
+        lines = good.read_text().splitlines()
+        lines[5] = lines[5].replace(",0.0,", ',"' + "0" * 200_000 + '",', 1)
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["ingest", good, "--segment-len", 120, "--out", tmp_path / "alone"]) == 0
+        out = tmp_path / "both"
+        assert run(["ingest", good, bad, "--segment-len", 120, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_inputs"] == [str(bad)]
+        assert manifest["trajectories_written"] == 2
+        for name in ("good_seg000.csv", "good_seg001.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        assert "huge.csv: field larger than field limit" in caplog.text
 
     def test_only_non_utf8_is_data_error(self, tmp_path):
         bad = self.write_latin1(tmp_path / "latin1.csv")

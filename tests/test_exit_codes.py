@@ -3,7 +3,8 @@
 A JSON field of the wrong type in a ``--config`` file, a generator spec, a
 results file or a trajectory sidecar is read (exit 0) or is a data error
 (exit 2) whose message names the file or the key; it is never an internal
-error (exit 3).  ``cli.main`` runs in-process on each mutation.
+error (exit 3).  A raw or canonical CSV whose bytes are mutated fails alone
+beside a valid sibling.  ``cli.main`` runs in-process on each mutation.
 """
 
 import contextlib
@@ -11,9 +12,11 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from markovorder import ingest
 from markovorder.cli import main
 
 HUGE = "<1e400>"   # written as the JSON number 1e400, which reads as inf
@@ -132,3 +135,68 @@ def test_sidecar_field_of_the_wrong_type(key, value):
         failed = [r["error"] for r in results if "error" in r]
         assert "v_0000" in [r["trajectory_id"] for r in tested], results
         assert all(sidecar.name in error or key in error for error in failed), failed
+
+
+# cells a mutation writes, the last one above the csv module's field limit
+CELLS = {"nan": "nan", "inf": "inf", "1e400": "1e400", "huge": "9" * 200_000}
+
+
+def mutate(path: Path, mutation: str, row: int, col: int, quoted: bool) -> None:
+    """Apply ``mutation`` to the CSV ``path`` at cell ``col`` of line ``row``."""
+    if mutation == "directory":
+        path.unlink()
+        path.mkdir()
+        return
+    lines = path.read_text().splitlines(keepends=True)
+    body = lines[row].rstrip("\r\n")
+    cells = body.split(",")
+    col %= len(cells)
+    if mutation == "empty":
+        lines = []
+    elif mutation == "header":
+        lines = lines[:1]
+    elif mutation == "truncate":   # mid-line, inside cell col
+        lines[row:] = [",".join(cells[:col + 1])[:-1]]
+    else:
+        if mutation in CELLS:
+            cells[col] = f'"{CELLS[mutation]}"' if quoted else CELLS[mutation]
+        else:
+            cells[col] = {"not-utf8": cells[col] + "\xe9", "nul": cells[col] + "\x00",
+                          "quote": f'"{cells[col]}"'}[mutation]
+        lines[row] = ",".join(cells) + lines[row][len(body):]
+    path.write_bytes("".join(lines).encode("latin-1"))   # else ASCII: 0xe9 is the one non-UTF-8 byte
+
+
+@settings(examples, max_examples=300)
+@example(kind="raw", mutation="huge", row=3, col=2, quoted=True)
+@example(kind="canonical", mutation="huge", row=3, col=1, quoted=False)
+@given(kind=st.sampled_from(["raw", "canonical"]),
+       mutation=st.sampled_from(["not-utf8", "nul", "truncate", "empty", "header", "directory",
+                                 "quote", *CELLS]),
+       row=st.integers(1, 40), col=st.integers(0, 4), quoted=st.booleans())
+def test_csv_bytes_mutated(kind, mutation, row, col, quoted):
+    with folder() as root, mock.patch.object(ingest, "_parse_rows",
+                                             wraps=ingest._parse_rows) as row_wise:
+        if kind == "raw":
+            inputs = root / "raw"
+            inputs.mkdir()
+            for name in ("good.csv", "bad.csv"):
+                (inputs / name).write_text(RAW)
+            argv = ["ingest", inputs]
+        else:
+            inputs = corpus(root)
+            argv = ["test", inputs, *FAST]
+        bad = inputs / ("bad.csv" if kind == "raw" else "v_0001.csv")
+        mutate(bad, mutation, row, col, quoted)
+        code, err = run([*argv, "--out", root / "out"])
+        assert code == 0, err   # the sibling is still read
+        if kind == "raw":
+            manifest = json.loads((root / "out" / "manifest.json").read_text())
+            assert manifest["failed_inputs"] in ([], [str(bad)]), manifest
+            assert (root / "out" / "good_seg000.csv").exists()
+            if mutation == "quote" or (quoted and mutation in CELLS):
+                assert row_wise.call_count == 1   # the quote leaves the block parser
+        else:
+            results = json.loads((root / "out" / "results.json").read_text())["results"]
+            assert [r["trajectory_id"] for r in results] == ["v_0000", "v_0001"], results
+            assert "order" in results[0], results

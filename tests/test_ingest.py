@@ -278,6 +278,17 @@ class TestParseCsv(object):
         with pytest.raises(SchemaMismatchError, match=r"latin1\.csv: not UTF-8 .*0xe9"):
             parse_csv(p)
 
+    # the csv module refuses a cell above its field size limit, 131,072
+    # characters; a quote sends the file down the row-wise path
+    @pytest.mark.parametrize("where", ["header", "data"])
+    def test_oversized_cell_is_schema_error_naming_file(self, tmp_path, where):
+        huge = '"' + "1" * 200_000 + '"'
+        rows = ["time_s,lead_x,lead_y,follow_x,follow_y", "0,10,0,0,0", "1,11,0,1,0"]
+        rows[{"header": 0, "data": 2}[where]] += "," + huge
+        p = self.write(tmp_path, "\n".join(rows) + "\n", name="huge.csv")
+        with pytest.raises(SchemaMismatchError, match=r"^huge\.csv: field larger than"):
+            parse_csv(p)
+
     def test_unparsable_row_reported(self, tmp_path):
         rows = ["time_s,lead_lat,lead_lon,follow_lat,follow_lon"]
         rows += [f"{i},28.0,-82.0,28.0,-82.0" for i in range(6)]
@@ -603,6 +614,12 @@ class TestCanonicalFiles:
         p = tmp_path / "latin1.csv"
         p.write_bytes(b"time_s,v0,a1\n0.0,1.0,0.5\n1.0,2.0,0.5\xe9\n")
         with pytest.raises(SchemaMismatchError, match=r"latin1\.csv: not UTF-8"):
+            read_trajectory(p)
+
+    def test_oversized_cell_is_schema_error_naming_file(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("time_s,v0,a1\n0.0,1.0,0.5\n1.0," + "2" * 200_000 + ",0.5\n")
+        with pytest.raises(SchemaMismatchError, match=r"^huge\.csv: field larger than"):
             read_trajectory(p)
 
     def test_round_trip_generic_dimension(self, tmp_path):

@@ -5,6 +5,7 @@ from markovorder import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
 from markovorder.errors import (
     DimensionMismatchError,
     InsufficientDataError,
+    NonFiniteValueError,
     NonStationarySpecError,
     NotStochasticError,
 )
@@ -75,6 +76,16 @@ class TestVar:
         with pytest.raises(DimensionMismatchError, match="dimension must be >= 1"):
             VarSpec(coeffs=(np.zeros((0, 0)),), noise_cov=np.eye(0))
 
+    # an infinite covariance passed the symmetry and definiteness checks, and
+    # a NaN coefficient raised numpy's LinAlgError from the spectral radius
+    @pytest.mark.parametrize("coeffs, noise_cov", [
+        ([[0.4]], [[np.inf]]), ([[np.nan]], [[1.0]]), ([[0.4]], [[np.nan]]),
+        ([[-np.inf]], [[1.0]]),
+    ])
+    def test_non_finite_parameter_rejected(self, coeffs, noise_cov):
+        with pytest.raises(NonFiniteValueError, match="must be finite"):
+            VarSpec(coeffs=(np.array(coeffs),), noise_cov=np.array(noise_cov))
+
 
 class TestChain:
     def test_deterministic_two_cycle(self):
@@ -109,6 +120,16 @@ class TestChain:
         with pytest.raises(NotStochasticError):
             ChainSpec(order=1, transition=np.array([[0.5, 0.6], [0.5, 0.5]]),
                       embedding=np.array([0.0, 1.0]))
+
+    def test_nan_transition_is_not_stochastic(self):
+        with pytest.raises(NotStochasticError):
+            ChainSpec(order=1, transition=np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                      embedding=np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("embedding", [[0.0, np.inf], [[0.0], [np.nan]]])
+    def test_non_finite_embedding_rejected(self, embedding):
+        with pytest.raises(NonFiniteValueError, match="embedding must be finite"):
+            ChainSpec(order=1, transition=np.full((2, 2), 0.5), embedding=np.array(embedding))
 
 
 class TestHiddenState:
