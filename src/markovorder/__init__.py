@@ -1,7 +1,8 @@
 """Statistical testing of the Markov property and Markov order for
 multivariate time series, with car-following trajectory tooling.
 
-Typical flow: ingest or synthesize trajectories, estimate each trajectory's
+Typical flow: ingest trajectories or synthesize them with ``generate`` from a
+``VarSpec``, ``ChainSpec`` or ``HiddenSpec``, estimate each trajectory's
 Markov order with a bootstrap-calibrated conditional-independence test, then
 summarize and compare cohorts with pooled t and variance-ratio F tests.
 """
@@ -28,7 +29,7 @@ from .cohorts import (
     summarize_orders,
 )
 from .special import f_cdf, reg_inc_beta, t_cdf
-from .synthetic import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
+from .synthetic import ChainSpec, HiddenSpec, VarSpec, generate
 
 __version__ = "0.1.0"
 
@@ -39,6 +40,6 @@ __all__ = [
     "CohortSummary", "TTestResult", "FTestResult", "summarize_orders",
     "pooled_t_test", "pooled_t_test_from_stats", "f_test", "f_test_from_stats",
     "reg_inc_beta", "t_cdf", "f_cdf",
-    "VarSpec", "ChainSpec", "gen_var", "gen_chain", "gen_hidden_state",
+    "VarSpec", "ChainSpec", "HiddenSpec", "generate",
     "__version__",
 ]

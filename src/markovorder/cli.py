@@ -36,9 +36,9 @@ import re
 import sys
 import time
 import traceback
-from dataclasses import asdict, replace
-from functools import partial
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .errors import DuplicateTrajectoryIdError, EmptyCohortError, MarkovOrderErr
 from .ingest import IngestConfig, ingest_file, read_trajectory, write_trajectory
 from .markov import BatchItem, TestConfig, batch_test, trajectory_rng
 from .report import render_summary, write_report_files
-from .synthetic import ChainSpec, VarSpec, gen_chain, gen_hidden_state, gen_var
+from .synthetic import ChainSpec, HiddenSpec, VarSpec, generate
 
 log = logging.getLogger("markovorder")
 
@@ -187,13 +187,16 @@ def _text(value) -> str:
     return value
 
 
-_KINDS = {int: _whole, float: _real, str: _text}   # by the type of a config field
+# converters by the type of a config or spec field; a tuple is a VAR's lag matrices
+_KINDS = {int: _whole, float: _real, str: _text, np.ndarray: _array,
+          tuple: lambda value: tuple(map(_array, value))}
+_SPECS = {"var": VarSpec, "chain": ChainSpec, "hidden": HiddenSpec}   # by a spec's kind
 
 
 def _convert(value, kind, least=None, *, error: str):
     """``kind`` of a value read from outside: of a flag or a ``--config``,
     spec or results-file field (``_whole``, ``_real``, ``_text``,
-    ``_safe_name`` or ``_array``), or of a spec's fields (its generator).  A
+    ``_safe_name`` or ``_array``), or of a spec's fields (its dataclass).  A
     value ``kind`` rejects, or one below ``least``, is a data error:
     ``error``, then the reason."""
     try:
@@ -327,35 +330,31 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def _read_spec(spec, path: Path | None, args: argparse.Namespace):
     """The generator ``spec`` describes, its ``name`` (default: the stem of
     ``path``), ``cohort``, length and ``true_order``, each key read once
-    (null counts as absent).  The length is ``--length``'s, else the
-    spec's, else 300.  A missing key, a value its key rejects and a key no
-    reader takes are data errors."""
+    (null counts as absent); a kind's own keys are its dataclass's fields.
+    The length is ``--length``'s, else the spec's, else 300.  A missing key,
+    a value its key or the dataclass rejects and a key no reader takes are
+    data errors."""
     if not isinstance(spec, dict):
         raise MarkovOrderError("generator spec must be a JSON object")
     taken, where = {"kind"}, f"generator spec {path}"
 
-    def take(key, kind=_array, *default):
+    def take(key, kind, default=MISSING):
         taken.add(key)
         if spec.get(key) is None:
-            if not default:
+            if default is MISSING:
                 raise MarkovOrderError(f"generator spec: missing key {key!r}")
-            return default[0]
+            return default
         return _convert(spec[key], kind, error=f"generator spec: bad value for {key!r}")
 
     kind, dt = spec.get("kind"), take("dt", _real, 1.0)
-    if kind == "var":
-        fields = (take("coeffs", lambda v: tuple(map(_array, v))), take("noise_cov"),
-                  take("burn_in", _whole, 200))
-        make = partial(gen_var, _convert(fields, lambda f: VarSpec(*f), error=where))
-    elif kind == "chain":
-        fields = take("order", _whole), take("transition"), take("embedding")
-        make = partial(gen_chain, _convert(fields, lambda f: ChainSpec(*f), error=where))
-    elif kind == "hidden":
-        make = partial(gen_hidden_state, take("persistence", _real), take("means"))
-    else:
+    cls = _SPECS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise MarkovOrderError(f"unknown generator kind {kind!r}; use var, chain or hidden")
-    # what a generator rejects is a data error naming the spec's file
-    gen = lambda T, rng, id: _convert(T, lambda T: make(T, rng, dt=dt, id=id), error=where)
+    hints = get_type_hints(cls)
+    values = {f.name: take(f.name, _KINDS[hints[f.name]], f.default) for f in fields(cls)}
+    made = _convert(values, lambda v: cls(**v), error=where)
+    # what the generator rejects is a data error naming the spec's file
+    gen = lambda T, rng, id: _convert(T, lambda T: generate(made, T, rng, dt, id), error=where)
     length = take("length", _whole, 300)
     read = (gen, take("name", _safe_name, path.stem if path else None),
             take("cohort", _text, None), _setting(args, "length", least=2) or length,

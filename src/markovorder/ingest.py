@@ -183,8 +183,9 @@ def _parse_blocks(fh, width: int, cols: list[int]) -> np.ndarray:
     ``_BLOCK_SIZE`` characters cut at the last line end.
 
     Raises ValueError at the first block that is not plain (one with a
-    quote, a bare ``\\r``, a line of other than ``width`` cells or a time
-    cell that is blank or NaN) and at any cell that is not a number.
+    quote, a bare ``\\r``, a line of other than ``width`` cells, a cell above
+    the csv module's field size limit or a time cell that is blank or NaN)
+    and at any cell that is not a number.
     """
     cells = itemgetter(*cols)
     parts, tail = [], ""
@@ -199,6 +200,9 @@ def _parse_blocks(fh, width: int, cols: list[int]) -> np.ndarray:
         rows = [line.split(",") for line in text.split("\n") if line]
         if set(map(len, rows)) - {width}:
             raise ValueError("a line without one cell per column")
+        limit = csv.field_size_limit()   # only a block longer than it can hold such a cell
+        if len(text) > limit and any(len(c) > limit for row in rows for c in row):
+            raise ValueError("a cell above the csv module's field size limit")
         picked = [c or "nan" for row in rows for c in cells(row)]
         block = np.fromiter(map(float, picked), float, len(picked)).reshape(-1, 5)
         if np.isnan(block[:, 0]).any():
@@ -220,12 +224,13 @@ def parse_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, str]:
     ignored; a file that is not UTF-8 raises :class:`SchemaMismatchError`.
 
     Data lines are read in blocks of about 64 KiB, and each plain block (no
-    quote, no bare ``\\r``, one cell per header column on every line, no
-    blank or NaN time cell) is converted into an array in one pass over its
-    layout's columns.  At the first block that is not plain, or at a cell that
-    is not a number, the whole file is parsed again row by row through the
-    csv module.  Only that path reads quoted or malformed files and raises
-    parse errors, so each error keeps its row and message.
+    quote, no bare ``\\r``, one cell per header column on every line, no cell
+    above the csv module's field size limit, no blank or NaN time cell) is
+    converted into an array in one pass over its layout's columns.  At the
+    first block that is not plain, or at a cell that is not a number, the
+    whole file is parsed again row by row through the csv module.  Only that
+    path reads quoted or malformed files and raises parse errors, so each
+    error keeps its row and message.
     """
     path = Path(path)
     with _csv_file(path) as fh:

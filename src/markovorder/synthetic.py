@@ -1,9 +1,12 @@
 """Generators for processes with known ground-truth Markov order.
 
 These feed the calibration and power studies: linear autoregressions of a
-chosen order, finite-state chains with arbitrary-order transition tensors,
-and a two-regime hidden-state process whose observations are not Markov of
-any finite order (it exercises the capped path of order estimation).
+chosen order (:class:`VarSpec`), finite-state chains with arbitrary-order
+transition tensors (:class:`ChainSpec`), and a two-regime hidden-state
+process whose observations are not Markov of any finite order
+(:class:`HiddenSpec`; it exercises the capped path of order estimation).
+Each spec checks its parameters when it is built, and :func:`generate`
+simulates any of them.
 
 Everything is deterministic given the spec and a seeded generator; the
 ground-truth order is recorded in trajectory metadata as ``true_order``.
@@ -25,22 +28,14 @@ from .errors import (
     NotStochasticError,
 )
 
-__all__ = ["VarSpec", "ChainSpec", "gen_var", "gen_chain", "gen_hidden_state",
-           "companion_spectral_radius"]
+__all__ = ["VarSpec", "ChainSpec", "HiddenSpec", "generate", "companion_spectral_radius"]
 
 
 def companion_spectral_radius(coeffs: Sequence[np.ndarray]) -> float:
     """Spectral radius of the companion matrix of lag coefficient matrices."""
     coeffs = [np.atleast_2d(np.asarray(a, dtype=float)) for a in coeffs]
-    d = coeffs[0].shape[0]
-    p = len(coeffs)
-    top = np.concatenate(coeffs, axis=1)
-    if p == 1:
-        comp = top
-    else:
-        eye = np.eye(d * (p - 1))
-        bottom = np.concatenate([eye, np.zeros((d * (p - 1), d))], axis=1)
-        comp = np.concatenate([top, bottom], axis=0)
+    d, p = coeffs[0].shape[0], len(coeffs)
+    comp = np.concatenate([np.concatenate(coeffs, axis=1), np.eye(d * (p - 1), d * p)])
     return float(np.abs(np.linalg.eigvals(comp)).max())
 
 
@@ -88,9 +83,19 @@ class VarSpec:
     def order(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs[0].shape[0]
+    def _states(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        d, p = self.coeffs[0].shape[0], self.order
+        chol = np.linalg.cholesky(self.noise_cov)
+        total = self.burn_in + T
+        noise = rng.standard_normal((total + p, d)) @ chol.T
+        x = np.zeros((total + p, d))
+        x[:p] = noise[:p]
+        for t in range(p, total + p):
+            acc = noise[t].copy()
+            for j, a in enumerate(self.coeffs, start=1):
+                acc += a @ x[t - j]
+            x[t] = acc
+        return x[p + self.burn_in:]
 
 
 @dataclass(frozen=True)
@@ -117,83 +122,74 @@ class ChainSpec:
         if (trans < 0).any() or not np.abs(trans.sum(axis=-1) - 1.0).max() <= 1e-12:
             raise NotStochasticError("conditional distributions must sum to 1 within 1e-12")
         emb = np.asarray(self.embedding, dtype=float)
-        if emb.ndim == 1:
-            emb = emb[:, None]
-        if emb.shape[0] != trans.shape[0]:
-            raise DimensionMismatchError("embedding rows must match the number of states")
+        if emb.ndim < 2:
+            emb = emb.reshape(-1, 1)
+        if emb.ndim != 2 or emb.shape[0] != trans.shape[0] or not emb.size:
+            raise DimensionMismatchError("embedding must hold one non-empty row per state")
         if not np.isfinite(emb).all():
             raise NonFiniteValueError("embedding must be finite")
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "embedding", emb)
 
-    @property
-    def n_states(self) -> int:
-        return self.transition.shape[0]
+    def _states(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        S, p = self.transition.shape[0], self.order
+        idx = list(rng.integers(0, S, size=p))
+        out = np.empty(T, dtype=int)
+        for t in range(T):
+            dist = self.transition[tuple(idx[-p:])]
+            nxt = int(rng.choice(S, p=dist))
+            out[t] = nxt
+            idx.append(nxt)
+        return self.embedding[out]
 
 
-def gen_var(spec: VarSpec, T: int, rng: np.random.Generator,
-            dt: float = 1.0, id: str = "") -> Trajectory:
-    """Simulate ``T`` post-burn-in samples of the autoregression."""
-    if T < 2:
-        raise InsufficientDataError(f"need T >= 2, got {T}")
-    d, p = spec.dim, spec.order
-    chol = np.linalg.cholesky(spec.noise_cov)
-    total = spec.burn_in + T
-    noise = rng.standard_normal((total + p, d)) @ chol.T
-    x = np.zeros((total + p, d))
-    x[:p] = noise[:p]
-    for t in range(p, total + p):
-        acc = noise[t].copy()
-        for j, a in enumerate(spec.coeffs, start=1):
-            acc += a @ x[t - j]
-        x[t] = acc
-    states = x[p + spec.burn_in:]
-    return Trajectory(states, dt=dt, id=id, metadata={"true_order": str(p), "generator": "var"})
-
-
-def gen_chain(spec: ChainSpec, T: int, rng: np.random.Generator,
-              dt: float = 1.0, id: str = "") -> Trajectory:
-    """Simulate the discrete chain and embed states into d-vectors."""
-    if T < 2:
-        raise InsufficientDataError(f"need T >= 2, got {T}")
-    S, p = spec.n_states, spec.order
-    idx = list(rng.integers(0, S, size=p))
-    out = np.empty(T, dtype=int)
-    for t in range(T):
-        dist = spec.transition[tuple(idx[-p:])]
-        nxt = int(rng.choice(S, p=dist))
-        out[t] = nxt
-        idx.append(nxt)
-    states = spec.embedding[out]
-    return Trajectory(states, dt=dt, id=id, metadata={"true_order": str(p), "generator": "chain"})
-
-
-def gen_hidden_state(persistence: float, means: Sequence, T: int,
-                     rng: np.random.Generator, dt: float = 1.0, id: str = "") -> Trajectory:
+@dataclass(frozen=True)
+class HiddenSpec:
     """Two-regime hidden-state process with unit-variance Gaussian emissions.
 
     The hidden regime flips with probability ``1 - persistence`` each step,
     so regime runs have geometric mean length ``1 / (1 - persistence)``.
     Because only the emissions are observed, the observation sequence is in
-    general not Markov of any finite order.
+    general not Markov of any finite order.  ``means`` holds the two
+    regimes' mean vectors as rows; an array without two rows is read as
+    columns, so a flat ``[-1, 1]`` means two 1-D regimes.
     """
-    if not (0.0 < persistence < 1.0):
-        raise InsufficientDataError(f"persistence must lie in (0, 1), got {persistence}")
+
+    persistence: float
+    means: np.ndarray
+
+    def __post_init__(self):
+        if not 0.0 < self.persistence < 1.0:   # NaN fails too
+            raise InsufficientDataError(f"persistence must lie in (0, 1), got {self.persistence}")
+        mu = np.atleast_2d(np.asarray(self.means, dtype=float))
+        if mu.shape[0] != 2:
+            mu = mu.T
+        if mu.ndim != 2 or mu.shape[0] != 2 or not mu.size:
+            raise DimensionMismatchError("exactly two non-empty regime means are required")
+        if not np.isfinite(mu).all():
+            raise NonFiniteValueError("regime means must be finite")
+        object.__setattr__(self, "means", mu)
+
+    def _states(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        mu, d = self.means, self.means.shape[1]
+        regime = int(rng.integers(0, 2))
+        states = np.empty((T, d))
+        flips = rng.random(T)
+        noise = rng.standard_normal((T, d))
+        for t in range(T):
+            if flips[t] > self.persistence:
+                regime = 1 - regime
+            states[t] = mu[regime] + noise[t]
+        return states
+
+
+def generate(spec: VarSpec | ChainSpec | HiddenSpec, T: int, rng: np.random.Generator,
+             dt: float = 1.0, id: str = "") -> Trajectory:
+    """Simulate ``T`` samples of ``spec``'s process, after a VAR's burn-in.
+    The metadata records the ``true_order`` (``"none"`` for a hidden-state
+    process) and the ``generator``: ``var``, ``chain`` or ``hidden_state``."""
     if T < 2:
         raise InsufficientDataError(f"need T >= 2, got {T}")
-    mu = np.atleast_2d(np.asarray(means, dtype=float))
-    if mu.shape[0] != 2:
-        mu = mu.T
-    if mu.shape[0] != 2:
-        raise DimensionMismatchError("exactly two regime means are required")
-    d = mu.shape[1]
-    regime = int(rng.integers(0, 2))
-    states = np.empty((T, d))
-    flips = rng.random(T)
-    noise = rng.standard_normal((T, d))
-    for t in range(T):
-        if flips[t] > persistence:
-            regime = 1 - regime
-        states[t] = mu[regime] + noise[t]
-    return Trajectory(states, dt=dt, id=id,
-                      metadata={"true_order": "none", "generator": "hidden_state"})
+    name = {VarSpec: "var", ChainSpec: "chain", HiddenSpec: "hidden_state"}[type(spec)]
+    return Trajectory(spec._states(T, rng), dt=dt, id=id, metadata={
+        "true_order": str(getattr(spec, "order", "none")), "generator": name})

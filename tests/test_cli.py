@@ -175,6 +175,22 @@ class TestSynth:
         assert err.startswith(f"data error: generator spec {path}: ") and "must be finite" in err
         assert not (tmp_path / "out").exists()
 
+    # a hidden spec is checked when it is read, as var and chain specs are
+    @pytest.mark.parametrize("change, reason", [
+        ({"means": [[0.0], [float("inf")]]}, "regime means must be finite"),
+        ({"persistence": 1.5}, "persistence must lie in (0, 1), got 1.5"),
+        ({"persistence": float("nan")}, "persistence must lie in (0, 1), got nan"),
+        ({"means": [[], []]}, "exactly two non-empty regime means"),
+    ], ids=["means", "persistence", "persistence-nan", "means-empty"])
+    def test_invalid_hidden_spec_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                               change, reason):
+        spec = {"kind": "hidden", "persistence": 0.9, "means": [[-1.0], [1.0]], **change}
+        path = write_spec(tmp_path, spec, name="hidden.json")
+        assert run(["synth", path, "--count", 0, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: generator spec {path}: ") and reason in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_spec_not_json_object_is_data_error(self, tmp_path):
         for name, text in (("broken.json", "{"), ("list.json", "[1, 2]")):
             (tmp_path / name).write_text(text)

@@ -25,6 +25,11 @@ WRONG = st.sampled_from([True, False, None, "", "x", "1", "-1", "nan", "inf", "1
 FAST = ["--kmax", "1", "--freqs", "4", "--bootstrap", "19"]
 SPEC = {"kind": "var", "name": "v", "cohort": "c", "coeffs": [[[0.4]]], "noise_cov": [[1.0]],
         "burn_in": 10, "dt": 0.5, "length": 40, "true_order": 1}
+COMMON = {key: SPEC[key] for key in ("name", "cohort", "dt", "length", "true_order")}
+SPECS = {"var": SPEC,   # a valid spec of each kind, with every key it takes
+         "chain": {**COMMON, "kind": "chain", "order": 1,
+                   "transition": [[0.5, 0.5], [0.5, 0.5]], "embedding": [[0.0], [1.0]]},
+         "hidden": {**COMMON, "kind": "hidden", "persistence": 0.9, "means": [[-1.0], [1.0]]}}
 RAW = "time_s,lead_x,lead_y,follow_x,follow_y\n" + "".join(
     f"{i},{50 + 5.0 * i},0.0,{3.5 * i},0.0\n" for i in range(300))
 
@@ -92,11 +97,12 @@ def test_config_field_of_the_wrong_type(command, data):
 
 
 @examples
-@given(key=st.sampled_from(sorted(SPEC)), value=WRONG,
+@given(base=st.sampled_from(sorted(SPECS)), data=st.data(),
        command=st.sampled_from(["synth", "calibrate"]))
-def test_spec_field_of_the_wrong_type(key, value, command):
+def test_spec_field_of_the_wrong_type(base, data, command):
+    key, value = data.draw(st.sampled_from(sorted(SPECS[base]))), data.draw(WRONG)
     with folder() as root:
-        spec = write(root / "spec.json", {**SPEC, key: value})
+        spec = write(root / "spec.json", {**SPECS[base], key: value})
         argv = (["synth", spec] if command == "synth" else
                 ["calibrate", "--spec", spec, "--replications", 1, *FAST])
         code, err = run([*argv, "--out", root / "out"])

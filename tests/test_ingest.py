@@ -279,12 +279,16 @@ class TestParseCsv(object):
             parse_csv(p)
 
     # the csv module refuses a cell above its field size limit, 131,072
-    # characters; a quote sends the file down the row-wise path
-    @pytest.mark.parametrize("where", ["header", "data"])
+    # characters; a quote sends the file down the row-wise path, and so does
+    # an unquoted cell above the limit, which float() would read as inf
+    @pytest.mark.parametrize("where", ["header", "data", "column"])
     def test_oversized_cell_is_schema_error_naming_file(self, tmp_path, where):
         huge = '"' + "1" * 200_000 + '"'
         rows = ["time_s,lead_x,lead_y,follow_x,follow_y", "0,10,0,0,0", "1,11,0,1,0"]
-        rows[{"header": 0, "data": 2}[where]] += "," + huge
+        if where == "column":   # unquoted, in place of lead_x
+            rows[2] = "1," + huge.strip('"') + ",0,1,0"
+        else:
+            rows[{"header": 0, "data": 2}[where]] += "," + huge
         p = self.write(tmp_path, "\n".join(rows) + "\n", name="huge.csv")
         with pytest.raises(SchemaMismatchError, match=r"^huge\.csv: field larger than"):
             parse_csv(p)

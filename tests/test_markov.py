@@ -14,7 +14,7 @@ from markovorder import (
     Trajectory,
     batch_test,
     estimate_order,
-    gen_chain,
+    generate,
     lag_test,
     standardize,
     trajectory_rng,
@@ -266,7 +266,7 @@ def chain_trajectory(T, seed):
                   [0.15, 0.60, 0.25],
                   [0.05, 0.35, 0.60]])
     spec = ChainSpec(order=1, transition=P, embedding=np.array([-1.2, 0.0, 1.4]))
-    return gen_chain(spec, T, np.random.default_rng(seed), id=f"chain_{seed}")
+    return generate(spec, T, np.random.default_rng(seed), id=f"chain_{seed}")
 
 
 def with_zero_mu(d, M, rng):
