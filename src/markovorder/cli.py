@@ -100,8 +100,9 @@ def _keep_heap() -> bool:
     largest arrays, the phase table and its accumulator at about 1 KiB
     per window each (32 frequency pairs), on the heap up to T = 32,000.
     On one pinned CPU with one BLAS thread, ``test`` faulted 6.0k pages with
-    it against 38.1k without on 200 series of T = 120, and 8.3k against 67.3k
-    on 2 of T = 2000, and took less CPU on both (the README has the runs).
+    it against 38.0k without on 200 series of T = 120, and 8.3k against 68.6k
+    on 2 of T = 2000, and took less CPU on both: medians of 1.31 against
+    1.36 s and 0.54 against 0.64 s (the README has the runs).
     Forked workers inherit the setting.  Returns whether it was applied;
     without glibc's ``mallopt`` it does nothing.
     """

@@ -10,40 +10,26 @@ is bit-reproducible given a seeded generator.
 The CCF of a fitted model is available in closed form: a mixture of Gaussian
 characteristic functions ``sum_c pi_c(x) exp(i mu . m_c(x) - mu' S_c(x) mu / 2)``.
 The lag test's residuals (:func:`window_residuals`) are in sample, at the
-fixed :class:`MdnTrainConfig` defaults; its size on the canonical VAR(1) null
-(d=3, T=120, alpha 0.05, 100 replications) measured 0.06 at k=1.
+fixed hyperparameters ``_COMPONENTS``, ``_HIDDEN``, ``_EPOCHS`` and ``_LR``
+(read at call time); its size on the canonical VAR(1) null (d=3, T=120,
+alpha 0.05, 100 replications) measured 0.06 at k=1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ccf import _check_frequencies, window_embed
-from .errors import InsufficientDataError, TrainingDivergedError
+from .errors import TrainingDivergedError
 
-__all__ = ["MdnTrainConfig", "window_residuals"]
+__all__ = ["window_residuals"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_COMPONENTS, _HIDDEN, _EPOCHS, _LR = 3, 32, 200, 0.02
 
 
-@dataclass(frozen=True)
-class MdnTrainConfig:
-    components: int = 3
-    hidden: int = 32
-    epochs: int = 200
-    lr: float = 0.02
-
-    def __post_init__(self):
-        if self.components < 1:
-            raise InsufficientDataError(f"components must be >= 1, got {self.components}")
-        if self.hidden < 1 or self.epochs < 1 or self.lr <= 0:
-            raise InsufficientDataError("hidden, epochs must be >= 1 and lr > 0")
-
-
-def _init_params(p: int, d: int, cfg: MdnTrainConfig, rng: np.random.Generator) -> dict:
-    H, C = cfg.hidden, cfg.components
+def _init_params(p: int, d: int, rng: np.random.Generator) -> dict:
+    H, C = _HIDDEN, _COMPONENTS
     scale = 1.0 / np.sqrt(p)
     return dict(
         W1=rng.standard_normal((p, H)) * scale, b1=np.zeros(H),
@@ -99,32 +85,33 @@ def _loss_and_grads(params: dict, z: np.ndarray, y: np.ndarray, C: int, d: int):
     return loss, grads
 
 
-def _train(z: np.ndarray, y: np.ndarray, cfg: MdnTrainConfig,
-           rng: np.random.Generator) -> dict:
-    C, d = cfg.components, y.shape[1]
-    params = _init_params(z.shape[1], d, cfg, rng)
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(va) for k, va in params.items()}
+def _train(z: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict:
+    """Adam on one flat parameter vector; the returned arrays are its views."""
+    d = y.shape[1]
+    init = _init_params(z.shape[1], d, rng)
+    theta = np.concatenate([a.ravel() for a in init.values()])
+    bounds = np.cumsum([a.size for a in init.values()])[:-1]
+    params = {key: part.reshape(a.shape)
+              for (key, a), part in zip(init.items(), np.split(theta, bounds))}
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    for step in range(1, cfg.epochs + 1):
-        loss, grads = _loss_and_grads(params, z, y, C, d)
+    for step in range(1, _EPOCHS + 1):
+        loss, grads = _loss_and_grads(params, z, y, _COMPONENTS, d)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
-        for key, g in grads.items():
-            m[key] = beta1 * m[key] + (1 - beta1) * g
-            v[key] = beta2 * v[key] + (1 - beta2) * g * g
-            m_hat = m[key] / (1 - beta1 ** step)
-            v_hat = v[key] / (1 - beta2 ** step)
-            params[key] = params[key] - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+        g = np.concatenate([grads[key].ravel() for key in params])
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1 ** step)
+        v_hat = v / (1 - beta2 ** step)
+        theta -= _LR * m_hat / (np.sqrt(v_hat) + eps)
     return params
 
 
-def _mixture_cf(params: dict, train: MdnTrainConfig, freqs: np.ndarray,
-                points: np.ndarray) -> np.ndarray:
+def _mixture_cf(params: dict, freqs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(M, m) closed-form CCF of the fitted mixture at each conditioning
     point; exact 1 at zero frequency."""
-    _, logits, means, log_scales = _network(params, points, train.components,
-                                            freqs.shape[1])
+    _, logits, means, log_scales = _network(params, points, _COMPONENTS, freqs.shape[1])
     pi, scales = np.exp(_log_softmax(logits)), np.exp(log_scales)
     phase = np.einsum("ncd,fd->fnc", means, freqs)
     decay = 0.5 * np.einsum("ncd,fd->fnc", scales ** 2, freqs ** 2)
@@ -133,10 +120,8 @@ def _mixture_cf(params: dict, train: MdnTrainConfig, freqs: np.ndarray,
     return values
 
 
-def window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
-                     nus: np.ndarray, rng: np.random.Generator,
-                     train: MdnTrainConfig = MdnTrainConfig(),
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def window_residuals(states: np.ndarray, k: int, mus: np.ndarray, nus: np.ndarray,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """In-sample forward and backward mixture CCF residuals at lag k, laid
     out as :func:`markovorder.ccf.loo_window_residuals` lays out its tables,
     after its check of ``mus`` and ``nus``.
@@ -147,8 +132,8 @@ def window_residuals(states: np.ndarray, k: int, mus: np.ndarray,
     _check_frequencies(mus, nus, states.shape[1])
     n = states.shape[0] - k
     emb = window_embed(states, k)
-    fwd = _train(emb[:-1], states[k:], train, rng.spawn(1)[0])
-    bwd = _train(emb[1:], states[:n], train, rng.spawn(1)[0])
-    fwd_res = np.exp(1j * (mus @ states[k:].T)) - _mixture_cf(fwd, train, mus, emb[:-1])
-    bwd_res = np.exp(1j * (nus @ states[:n].T)) - _mixture_cf(bwd, train, nus, emb[1:])
+    fwd = _train(emb[:-1], states[k:], rng.spawn(1)[0])
+    bwd = _train(emb[1:], states[:n], rng.spawn(1)[0])
+    fwd_res = np.exp(1j * (mus @ states[k:].T)) - _mixture_cf(fwd, mus, emb[:-1])
+    bwd_res = np.exp(1j * (nus @ states[:n].T)) - _mixture_cf(bwd, nus, emb[1:])
     return fwd_res, bwd_res

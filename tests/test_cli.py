@@ -365,6 +365,25 @@ class TestTest:
         assert [r["trajectory_id"] for r in results] == ["a", "b"]
         assert all(r["error"].startswith("SchemaMismatchError") for r in results)
 
+    @pytest.mark.parametrize("text, error", [
+        ("time_s,v0,a1\n0.0,1.0,0.5\n0.0,2.0,0.5\n1.0,3.0,0.5\n", "NonPositiveDtError"),
+        ("time_s,v0,a1\n0.0,1.0,0.5\n", "LengthMismatchError"),
+    ], ids=["equal-time-stamps", "one-row"])
+    def test_bad_time_column_without_sidecar_is_per_item_error(self, corpus, tmp_path,
+                                                               text, error):
+        # without a sidecar, dt is the difference of the first two time stamps
+        (corpus / "bare.csv").write_text(text)
+        out = tmp_path / "b"
+        assert run(self.args(corpus, out)) == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        errors = {r["trajectory_id"]: r["error"] for r in results if "error" in r}
+        assert len(results) == 5 and list(errors) == ["bare"]
+        assert errors["bare"].startswith(f"{error}: ")
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "bare.csv").write_text(text)
+        assert run(self.args(alone, tmp_path / "a")) == 2
+
     def test_bad_sidecars_are_per_item_errors(self, tmp_path):
         spec = write_spec(tmp_path)
         corpus = tmp_path / "sidecars"
@@ -386,13 +405,16 @@ class TestTest:
         assert [r["trajectory_id"] for r in results if "order" in r] == ["v1_0000"]
 
     def test_mdn_estimator_selectable(self, corpus, tmp_path):
-        out = tmp_path / "mdn"
-        files = sorted(corpus.glob("*.csv"))[:1]
-        assert run(["test", files[0], "--seed", 1, "--kmax", 1, "--freqs", 4,
-                    "--bootstrap", 19, "--estimator", "mdn", "--out", out]) == 0
-        payload = json.loads((out / "results.json").read_text())
+        files = sorted(corpus.glob("*.csv"))[:2]
+        for jobs in (1, 2):
+            assert run(["test", *files, "--seed", 1, "--kmax", 1, "--freqs", 4,
+                        "--bootstrap", 19, "--estimator", "mdn", "--jobs", jobs,
+                        "--out", tmp_path / f"mdn{jobs}"]) == 0
+        payload = json.loads((tmp_path / "mdn1" / "results.json").read_text())
         assert payload["config"]["estimator"] == "mdn"
-        assert payload["results"][0]["per_lag"][0]["p_value"] > 0
+        assert [r["per_lag"][0]["p_value"] > 0 for r in payload["results"]] == [True, True]
+        assert (tmp_path / "mdn1" / "results.json").read_bytes() == \
+            (tmp_path / "mdn2" / "results.json").read_bytes()
 
 
 def fake_results(tmp_path, name, orders):

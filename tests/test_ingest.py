@@ -10,9 +10,11 @@ from markovorder.errors import (
     GridTooLargeError,
     InsufficientDataError,
     InsufficientSpanError,
+    LengthMismatchError,
     NegativeGapError,
     NonFiniteValueError,
     NonMonotonicTimestampsError,
+    NonPositiveDtError,
     PolarLatitudeError,
     SchemaMismatchError,
     UnparsableRowError,
@@ -214,6 +216,22 @@ class TestSegment:
         assert len(segment(traj, cfg)) == 1
         cfg = IngestConfig(segment_length=120.0, trim_head=15.0, trim_tail=10.0)
         assert segment(traj, cfg) == []
+        # trims that leave fewer than 2 samples give nothing in either mode
+        for mode in ("fixed", "min"):
+            cfg = IngestConfig(segment_length=2.0, min_length=1.0, segment_mode=mode,
+                               trim_head=69.0, trim_tail=70.0)
+            assert segment(traj, cfg) == []
+
+    def test_min_length_trimmed_keeps_id(self):
+        traj = _linear_traj(100)
+        cfg = IngestConfig(min_length=50.0, segment_mode="min", trim_head=10.0)
+        parts = segment(traj, cfg)
+        assert [(p.length, p.id) for p in parts] == [(90, "lin")]
+        np.testing.assert_array_equal(parts[0].states, traj.states[10:])
+
+    def test_fixed_segment_below_two_steps_gives_nothing(self):
+        cfg = IngestConfig(segment_length=1.2, min_length=1.0, segment_mode="fixed")
+        assert segment(_linear_traj(100), cfg) == []
 
     def test_count_invariant(self):
         rng = np.random.default_rng(0)
@@ -605,6 +623,9 @@ class TestCanonicalFiles:
         ("", SchemaMismatchError),
         ("time_s,v0,a1\n0.0,1.0,0.5\n1.0,oops,0.5\n", UnparsableRowError),
         ("time_s,v0,a1\n0.0,1.0,0.5\n1.0,2.0\n", UnparsableRowError),
+        # without a sidecar, dt is the difference of the first two time stamps
+        ("time_s,v0,a1\n0.0,1.0,0.5\n0.0,2.0,0.5\n1.0,3.0,0.5\n", NonPositiveDtError),
+        ("time_s,v0,a1\n0.0,1.0,0.5\n", LengthMismatchError),
     ])
     def test_malformed_file_is_data_error(self, tmp_path, text, error):
         p = tmp_path / "bad.csv"
@@ -613,6 +634,17 @@ class TestCanonicalFiles:
             read_trajectory(p)
         if error is UnparsableRowError:
             assert err.value.row == 2
+
+    def test_without_sidecar(self, tmp_path):
+        traj = Trajectory(np.arange(12.0).reshape(4, 3), dt=0.25, id="named",
+                          actions=np.ones(4), metadata={"cohort": "av"})
+        path = write_trajectory(traj, tmp_path / "bare.csv")
+        path.with_suffix(".json").unlink()
+        back = read_trajectory(path)
+        assert back.id == "bare"
+        assert back.dt == 0.25
+        assert dict(back.metadata) == {}
+        np.testing.assert_array_equal(back.states, traj.states)
 
     def test_non_utf8_is_schema_error_naming_file(self, tmp_path):
         p = tmp_path / "latin1.csv"

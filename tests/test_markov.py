@@ -108,6 +108,14 @@ class TestLagTest:
         with pytest.raises(TrajectoryTooShortError):
             lag_test(traj, 5, FAST, np.random.default_rng(0))
 
+    def test_no_usable_separation(self):
+        # T - k = 6 passes min_effective_length = 2, but no separation
+        # q = 5, 6, 7 keeps enough summands
+        traj = iid_trajectory(10, 2, seed=9)
+        cfg = replace(FAST, min_effective_length=2)
+        with pytest.raises(TrajectoryTooShortError, match="leaves no usable residual separation"):
+            lag_test(traj, 4, cfg, np.random.default_rng(0))
+
     def test_size_near_nominal_at_lag_two(self):
         # per-lag size on an iid null; reduced-replication companion to the
         # k=1 acceptance check
