@@ -34,8 +34,11 @@ import logging
 import os
 import re
 import sys
+import tempfile
 import time
 import traceback
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -392,40 +395,72 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+_CHUNK = 64   # files read, tested and spooled at a time
+
+
+def _pool(workers: int):
+    """One process pool for every chunk of a run, or none for one worker."""
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor   # only a parallel run needs it
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def cmd_test(args: argparse.Namespace) -> int:
+    """Read, test and spool ``_CHUNK`` files at a time, so memory does not grow
+    with the corpus; ``results.json`` is assembled from the spool, in the
+    bytes one ``_write_json`` of every item gives."""
     out_dir = _out_dir(args, "results")
     heap_kept = _keep_heap()
     t0 = time.perf_counter()
     cfg = _config(TestConfig, args, _TEST_FLAGS)
     jobs = _setting(args, "jobs", 1, least=1)
     files = [p for p in _collect_csvs(args.trajectories) if not p.name.endswith(".json")]
-    trajs, items, seen = [], [], {}
-    for path in files:
-        item_id = path.stem
-        try:
-            traj = read_trajectory(path)
-            item_id = traj.id
-            if traj.id in seen:  # the same id would share its seed and its result slot
-                raise DuplicateTrajectoryIdError(
-                    f"{path}: trajectory id {traj.id!r} already read from {seen[traj.id]}")
-            seen[traj.id] = path
-            trajs.append(traj)
-        except (MarkovOrderError, OSError) as exc:  # an unreadable file fails its item only
-            items.append(BatchItem(trajectory_id=item_id, estimate=None,
-                                   error=f"{type(exc).__name__}: {exc}"))
-    items = sorted(items + batch_test(trajs, cfg, jobs=jobs),
-                   key=lambda it: it.trajectory_id)
-    failed = sorted(it.error.split(":", 1)[0] for it in items if it.error is not None)
-    _write_json(out_dir / "results.json",
-                {"config": asdict(cfg), "results": [it.to_dict() for it in items]})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # index: (id, 0 for a read error else 1, spool offset, length); an id is
+    # tested once, so sorted it is the stable sort by id of (errors + tested)
+    seen, index, failed = {}, [], Counter()
+    with tempfile.TemporaryFile(dir=out_dir) as spool, _pool(min(jobs, len(files))) as pool:
+        for first in range(0, len(files), _CHUNK):
+            trajs, items = [], []
+            for path in files[first:first + _CHUNK]:
+                item_id = path.stem
+                try:
+                    traj = read_trajectory(path)
+                    item_id = traj.id
+                    if traj.id in seen:  # the same id would share its seed and its result slot
+                        raise DuplicateTrajectoryIdError(
+                            f"{path}: trajectory id {traj.id!r} already read from {seen[traj.id]}")
+                    seen[traj.id] = path
+                    trajs.append(traj)
+                except (MarkovOrderError, OSError) as exc:  # a bad file fails its item only
+                    items.append((0, BatchItem(trajectory_id=item_id, estimate=None,
+                                               error=f"{type(exc).__name__}: {exc}")))
+            items += [(1, it) for it in batch_test(trajs, cfg, jobs=jobs, pool=pool)]
+            for tested, item in items:   # each entry indented as in the results list
+                text = json.dumps(item.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    ")
+                index.append((item.trajectory_id, tested, spool.tell(), len(text)))
+                spool.write(text.encode())   # ASCII: json.dumps escapes the rest
+                if item.error is not None:
+                    failed[item.error.split(":", 1)[0]] += 1
+        head, tail = json.dumps({"config": asdict(cfg), "results": []},
+                                indent=2, sort_keys=True).rsplit("[]", 1)
+        with (out_dir / "results.json").open("wb") as fh:
+            fh.write(f"{head}[".encode())
+            for i, (*_, offset, length) in enumerate(sorted(index)):
+                spool.seek(offset)
+                fh.write(b",\n    " if i else b"\n    ")
+                fh.write(spool.read(length))
+            fh.write((("\n  ]" if index else "]") + tail + "\n").encode())
+    n_failed = sum(failed.values())
     _write_manifest(out_dir, "test", asdict(cfg), files, t0, extra={
-        "n_trajectories": len(items),
-        "n_failed": len(failed),
-        "failures_by_class": {name: failed.count(name) for name in dict.fromkeys(failed)},
+        "n_trajectories": len(index),
+        "n_failed": n_failed,
+        "failures_by_class": {name: failed[name] for name in sorted(failed)},
     }, jobs=jobs, heap_kept=heap_kept)
-    log.info("tested %d trajectories (%d failed) -> %s", len(items),
-             len(failed), out_dir / "results.json")
-    return 2 if items and len(failed) == len(items) else 0
+    log.info("tested %d trajectories (%d failed) -> %s", len(index),
+             n_failed, out_dir / "results.json")
+    return 2 if index and n_failed == len(index) else 0
 
 
 # report bins orders 1..k_max and takes each cohort's density as a (bins,

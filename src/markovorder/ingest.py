@@ -85,7 +85,9 @@ class IngestConfig:
     ``segment_mode`` selects between cutting fixed-length segments
     ("fixed", discarding the remainder) and keeping whole trajectories that
     exceed ``min_length`` ("min").  Durations count T * dt seconds and must
-    be finite.
+    be finite.  ``segment_length``, ``trim_head`` and ``trim_tail`` become
+    sample counts rounded half up: at dt 1, 2.5 s is 3 samples and 3.5 s
+    is 4.
     """
 
     resample_dt: float = 1.0
@@ -405,8 +407,8 @@ def segment(traj: Trajectory, cfg: IngestConfig) -> list[Trajectory]:
         actions = None if traj.actions is None else traj.actions[start:stop]
         return replace(traj, states=traj.states[start:stop], actions=actions, **changes)
 
-    n_head = int(round(cfg.trim_head / traj.dt))
-    n_tail = int(round(cfg.trim_tail / traj.dt))
+    n_head = math.floor(cfg.trim_head / traj.dt + 0.5)   # half a sample rounds up
+    n_tail = math.floor(cfg.trim_tail / traj.dt + 0.5)
     lo, hi = n_head, traj.length - n_tail
     if hi - lo < 2:
         return []
@@ -416,7 +418,7 @@ def segment(traj: Trajectory, cfg: IngestConfig) -> list[Trajectory]:
         if lo == 0 and hi == traj.length:
             return [traj]
         return [piece(lo, hi)]
-    n_seg = int(round(cfg.segment_length / traj.dt))
+    n_seg = math.floor(cfg.segment_length / traj.dt + 0.5)
     if n_seg < 2:
         return []
     count = (hi - lo) // n_seg

@@ -261,18 +261,21 @@ def _as_float32(multipliers: np.ndarray) -> np.ndarray:
 def _bootstrap_sups(multipliers: np.ndarray, factor: np.ndarray,
                     scale: np.ndarray) -> np.ndarray:
     """The B replicate sups ``max |(g @ factor) as complex| / scale`` of the
-    (B, >= r) multipliers' first r columns g, for an (r, p) factor.
+    (B, >= r) multipliers' first r columns g, for an (r, p) factor, where
+    ``scale[i]`` divides the i-th of ``scale.size`` equal blocks of moduli.
 
     The product, its modulus, the scaling and the max run in single
     precision on the multipliers and the factor rounded to float32 (see the
     module docstring); the caller compares the sups with the observed
-    statistic in double.  The max runs over a contiguous transposed copy;
-    max is exact, so the order of the reduction moves no bit.
+    statistic in double.  A block's max, over a contiguous transposed copy,
+    is taken before its division: rounding is monotone, so ``max_j fl(a_j /
+    s) == fl(max_j a_j / s)`` for s > 0 and no bit moves.
     """
     boot = np.abs((_as_float32(multipliers)[:, :factor.shape[0]]
                    @ factor.astype(np.float32)).view(np.complex64))
-    boot /= scale.astype(np.float32)   # a float64 divisor would run the float64 loop
-    return np.ascontiguousarray(boot.T).max(axis=0)
+    blocks = np.ascontiguousarray(boot.T).reshape(scale.size, -1, boot.shape[0]).max(axis=1)
+    blocks /= scale.astype(np.float32)[:, None]   # a float64 divisor would run the float64 loop
+    return blocks.max(axis=0)
 
 
 class _Standardized(Trajectory):
@@ -329,18 +332,16 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
 
     M = cfg.n_freqs
     n_pad = n_eff - shifts[0] + 1
-    summands = np.empty((n_pad, len(shifts) * M), dtype=complex)
-    lengths = np.empty(len(shifts) * M)
+    fwd_t, bwd_t = fwd_res.T.copy(), bwd_res.T.copy()   # (windows, M)
+    summands = np.zeros((n_pad, len(shifts) * M), dtype=complex)
     for i, q in enumerate(shifts):
         n_q = n_eff - q + 1
-        block = (fwd_res[:, q - 1:q - 1 + n_q] * bwd_res[:, :n_q]).T   # (n_q, M)
-        summands[:n_q, i * M:(i + 1) * M] = block
-        summands[n_q:, i * M:(i + 1) * M] = 0.0
-        lengths[i * M:(i + 1) * M] = n_q
-    del fwd_res, bwd_res, block   # the bootstrap needs only the summands
+        np.multiply(fwd_t[q - 1:q - 1 + n_q], bwd_t[:n_q], out=summands[:n_q, i * M:(i + 1) * M])
+    del fwd_res, bwd_res, fwd_t, bwd_t   # the bootstrap needs only the summands
 
-    scale = np.sqrt(lengths)
-    sup_obs = float(np.max(np.abs(summands.sum(axis=0)) / scale))
+    scale = np.sqrt([n_eff - q + 1 for q in shifts])   # one per shift's block of M columns
+    sup_obs = float((np.abs(summands.sum(axis=0)).reshape(len(shifts), M).max(axis=1)
+                     / scale).max())
     # checked before the factor, which eigh would refuse: a non-finite
     # summand makes its column's sum, and so sup_obs, non-finite
     if not np.isfinite(sup_obs):
@@ -432,15 +433,18 @@ def _batch_worker(args) -> BatchItem:
 
 
 def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig,
-               jobs: int = 1) -> list[BatchItem]:
+               jobs: int = 1, pool=None) -> list[BatchItem]:
     """Run :func:`estimate_order` over a list of trajectories.
 
     Per-trajectory seeds derive from ``(cfg.rng_seed, trajectory id)``, so
     the results are identical regardless of input order or parallelism.
     Data errors (:class:`MarkovOrderError`) are recorded in the returned
-    items; any other exception is a program bug and propagates.
+    items; any other exception is a program bug and propagates.  An open
+    ``ProcessPoolExecutor`` as ``pool`` runs the batch and stays open.
     """
     work = [(t, cfg) for t in trajs]
+    if pool is not None:
+        return list(pool.map(_batch_worker, work, chunksize=1))
     if jobs <= 1 or len(work) <= 1:
         return [_batch_worker(w) for w in work]
     from concurrent.futures import ProcessPoolExecutor

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import pytest
 from markovorder import cli
 from markovorder.cli import main
 from markovorder.cohorts import f_test, pooled_t_test
-from markovorder.ingest import IngestConfig
-from markovorder.markov import MarkovTestResult, OrderEstimate, TestConfig
+from markovorder.errors import DuplicateTrajectoryIdError, MarkovOrderError
+from markovorder.ingest import IngestConfig, read_trajectory
+from markovorder.markov import BatchItem, MarkovTestResult, OrderEstimate, TestConfig, batch_test
 
 VAR1_SPEC = {
     "kind": "var", "name": "v1", "cohort": "demo",
@@ -415,6 +417,120 @@ class TestTest:
         assert [r["per_lag"][0]["p_value"] > 0 for r in payload["results"]] == [True, True]
         assert (tmp_path / "mdn1" / "results.json").read_bytes() == \
             (tmp_path / "mdn2" / "results.json").read_bytes()
+
+
+def unstreamed_results(files, cfg):
+    """``results.json`` as ``test`` wrote it when it held the whole corpus:
+    every file read first, the read errors and then ``batch_test``'s items
+    stably sorted by id, and one ``json.dump`` of them all."""
+    trajs, items, seen = [], [], {}
+    for path in files:
+        item_id = path.stem
+        try:
+            traj = read_trajectory(path)
+            item_id = traj.id
+            if traj.id in seen:
+                raise DuplicateTrajectoryIdError(
+                    f"{path}: trajectory id {traj.id!r} already read from {seen[traj.id]}")
+            seen[traj.id] = path
+            trajs.append(traj)
+        except (MarkovOrderError, OSError) as exc:
+            items.append(BatchItem(trajectory_id=item_id, estimate=None,
+                                   error=f"{type(exc).__name__}: {exc}"))
+    items = sorted(items + batch_test(trajs, cfg), key=lambda it: it.trajectory_id)
+    return json.dumps({"config": asdict(cfg), "results": [it.to_dict() for it in items]},
+                      indent=2, sort_keys=True) + "\n"
+
+
+BROKEN_CSV = "time_s,v0,a1\n0.0,1.0,0.5\n1.0,oops,0.5\n"
+
+
+def tiny_corpus(tmp_path, count, name="v1", length=40) -> Path:
+    spec = write_spec(tmp_path, {**VAR1_SPEC, "name": name}, name=f"{name}.json")
+    out = tmp_path / "corpus"
+    assert run(["synth", spec, "--count", count, "--length", length, "--seed", 3,
+                "--out", out]) == 0
+    return out
+
+
+class TestTestStreams:
+    """``test`` reads, tests and spools ``cli._CHUNK`` files at a time."""
+
+    FLAGS = ["--seed", 42, "--kmax", 1, "--freqs", 4, "--bootstrap", 19]
+    CFG = TestConfig(k_max=1, n_freqs=4, n_bootstrap=19, rng_seed=42)
+
+    @pytest.fixture
+    def mixed(self, tmp_path):
+        """Over two chunks of files, among them an unreadable file whose
+        sidecar names a tested id, a duplicate id chunks apart, an id whose
+        first file fails to read and a trajectory too short to test."""
+        corpus = tiny_corpus(tmp_path, 2 * cli._CHUNK + 8)
+        assert run(["synth", write_spec(tmp_path, {**VAR1_SPEC, "name": "short"}),
+                    "--count", 1, "--length", 20, "--out", corpus]) == 0
+        (corpus / "broken.csv").write_text(BROKEN_CSV)
+        (corpus / "broken.json").write_text('{"id": "v1_0005"}')
+        first = corpus / "v1_0000.csv"
+        for suffix in (".csv", ".json"):   # sorts last: a chunk after v1_0000's
+            (corpus / f"zz_copy{suffix}").write_bytes(first.with_suffix(suffix).read_bytes())
+        (corpus / "pair.csv").write_text(BROKEN_CSV)
+        (corpus / "pair.json").write_text('{"id": "pair"}')
+        (corpus / "pair_b.csv").write_bytes((corpus / "v1_0001.csv").read_bytes())
+        (corpus / "pair_b.json").write_text('{"id": "pair", "dt": 1.0}')
+        return corpus
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_keep_the_unstreamed_bytes(self, mixed, tmp_path, jobs):
+        out = tmp_path / f"out{jobs}"
+        assert run(["test", mixed, *self.FLAGS, "--jobs", jobs, "--out", out]) == 0
+        files = sorted(mixed.glob("*.csv"))
+        assert len(files) > 2 * cli._CHUNK
+        text = (out / "results.json").read_text()
+        assert text == unstreamed_results(files, self.CFG)
+        results = json.loads(text)["results"]
+        errors = [(r["trajectory_id"], r["error"].split(":")[0]) for r in results if "error" in r]
+        assert errors == [("broken", "UnparsableRowError"), ("pair", "UnparsableRowError"),
+                          ("short_0000", "TrajectoryTooShortError"),
+                          ("v1_0000", "DuplicateTrajectoryIdError")]
+        # within an id the read's error comes first, whatever the file order
+        assert [("error" in r) for r in results if r["trajectory_id"] in ("pair", "v1_0000")] \
+            == [True, False, True, False]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_trajectories"], manifest["n_failed"]) == (len(results), 4)
+        assert manifest["failures_by_class"] == {
+            "DuplicateTrajectoryIdError": 1, "TrajectoryTooShortError": 1,
+            "UnparsableRowError": 2}
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.json"]
+
+    def test_empty_directory_writes_an_empty_list(self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "out"
+        assert run(["test", empty, *self.FLAGS, "--out", out]) == 0
+        text = (out / "results.json").read_text()
+        assert text == unstreamed_results([], self.CFG)
+        assert '"results": []' in text
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.json"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_at_most_one_chunk_of_trajectories_is_alive(self, tmp_path, monkeypatch, jobs):
+        corpus = tiny_corpus(tmp_path, 3 * cli._CHUNK)
+        live = most = 0
+
+        def gone():
+            nonlocal live
+            live -= 1
+
+        def counted(path):
+            nonlocal live, most
+            traj = read_trajectory(path)
+            live += 1
+            most = max(most, live)
+            weakref.finalize(traj, gone)
+            return traj
+
+        monkeypatch.setattr(cli, "read_trajectory", counted)
+        assert run(["test", corpus, *self.FLAGS, "--jobs", jobs, "--out", tmp_path / "o"]) == 0
+        assert 0 < most <= cli._CHUNK + jobs
 
 
 def fake_results(tmp_path, name, orders):

@@ -233,6 +233,15 @@ class TestSegment:
         cfg = IngestConfig(segment_length=1.2, min_length=1.0, segment_mode="fixed")
         assert segment(_linear_traj(100), cfg) == []
 
+    @pytest.mark.parametrize("seconds, samples", [(2.5, 3), (3.5, 4)])
+    def test_durations_round_half_up(self, seconds, samples):
+        # at dt 1 half a sample rounds up, not to the even count
+        cfg = IngestConfig(segment_length=seconds, min_length=1.0)
+        assert [p.length for p in segment(_linear_traj(12), cfg)] == [samples] * (12 // samples)
+        for trim in ("trim_head", "trim_tail"):
+            cfg = IngestConfig(min_length=1.0, segment_mode="min", **{trim: seconds})
+            assert [p.length for p in segment(_linear_traj(100), cfg)] == [100 - samples]
+
     def test_count_invariant(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

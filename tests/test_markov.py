@@ -389,6 +389,32 @@ class TestSinglePrecisionBootstrap:
         scale32 = np.sqrt(lengths).astype(np.float32)
         assert (single == (np.abs(prod.view(np.complex64)) / scale32).max(axis=1)).all()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_block_max_before_division_keeps_every_bit(self, width):
+        # integer multipliers and factor entries make ties; a multiplier of
+        # 1e38 overflows its diagonal product (4e38) to inf, and an infinite
+        # one is inf in every column but the complex pair its factor row
+        # zeroes, where inf * 0 is NaN
+        rng = np.random.default_rng(width)
+        blocks, B = 6, 60
+        p = 2 * blocks * width
+        g = rng.integers(-3, 4, (B, p)).astype(float)
+        g[rng.integers(0, B, 8), rng.integers(1, p, 8)] = 1e38
+        g[rng.integers(0, B, 3), 0] = np.inf
+        factor = np.ones((p, p)) + 3.0 * np.eye(p)
+        pair = 2 * rng.integers(0, p // 2)
+        factor[0, pair:pair + 2] = 0.0   # hypot(NaN, inf) would be inf
+        scale = np.sqrt(rng.integers(2, 200, blocks).astype(float))
+        modulus = np.abs((g.astype(np.float32) @ factor.astype(np.float32)).view(np.complex64))
+        want = (modulus / np.repeat(scale, width).astype(np.float32)).max(axis=1)
+        assert np.isnan(want).any() and np.isinf(want).any() and np.isfinite(want).any()
+        assert any(len(np.unique(row)) < row.size for row in modulus)
+        for per in (scale, np.repeat(scale, width)):   # blocks of width, and of one
+            # assert_array_equal compares with ==, taking NaN to equal NaN
+            np.testing.assert_array_equal(markov_mod._bootstrap_sups(g, factor, per), want)
+
     @pytest.mark.parametrize("T", [120, 600])
     def test_double_multipliers_equal_their_single_rounding(self, monkeypatch, T):
         sups = []
