@@ -249,15 +249,12 @@ def _load_file_config(args: argparse.Namespace) -> None:
 # flag -> field of the config it sets; each flag takes the type and default
 # of its field, and a config file may use the flag's name as a key
 _TEST_FLAGS = {"alpha": "alpha", "kmax": "k_max", "freqs": "n_freqs",
-               "bootstrap": "n_bootstrap", "shifts": "n_shifts",
-               "min-effective": "min_effective_length", "seed": "rng_seed",
-               "estimator": "estimator"}
+               "bootstrap": "n_bootstrap", "seed": "rng_seed", "estimator": "estimator"}
 _INGEST_FLAGS = {"resample-dt": "resample_dt", "segment-len": "segment_length",
                  "min-len": "min_length", "segment-mode": "segment_mode",
                  "trim-head": "trim_head", "trim-tail": "trim_tail"}
 _FLAG_HELP = {"alpha": "significance level", "kmax": "largest order tested",
               "freqs": "random frequency pairs per lag", "bootstrap": "bootstrap replicates",
-              "shifts": "residual separations in the sup", "min-effective": "minimum T-k",
               "seed": "base RNG seed", "estimator": "CCF estimator"}
 _FLAG_CHOICES = {"estimator": ("kernel", "mdn"), "segment-mode": ("fixed", "min")}
 

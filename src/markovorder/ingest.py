@@ -82,12 +82,12 @@ _LAYOUTS = {"planar": ("time_s", "lead_x", "lead_y", "follow_x", "follow_y"),
 class IngestConfig:
     """Pipeline parameters.
 
-    ``segment_mode`` selects between cutting fixed-length segments
+    ``segment_mode`` selects between cutting segments of ``segment_length``
     ("fixed", discarding the remainder) and keeping whole trajectories that
-    exceed ``min_length`` ("min").  Durations count T * dt seconds and must
-    be finite.  ``segment_length``, ``trim_head`` and ``trim_tail`` become
-    sample counts rounded half up: at dt 1, 2.5 s is 3 samples and 3.5 s
-    is 4.
+    exceed ``min_length`` ("min"); each mode reads only its own length, and
+    both must be > 0.  Durations count T * dt seconds and must be finite.
+    ``segment_length``, ``trim_head`` and ``trim_tail`` become sample counts
+    rounded half up: at dt 1, 2.5 s is 3 samples and 3.5 s is 4.
     """
 
     resample_dt: float = 1.0
@@ -103,11 +103,9 @@ class IngestConfig:
                 raise InsufficientDataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.resample_dt <= 0:
             raise InsufficientSpanError(f"resample_dt must be > 0, got {self.resample_dt}")
-        if not (self.segment_length >= self.min_length > 0):
-            raise InsufficientDataError(
-                f"need segment_length >= min_length > 0, got "
-                f"{self.segment_length} and {self.min_length}"
-            )
+        for name in ("segment_length", "min_length"):
+            if getattr(self, name) <= 0:
+                raise InsufficientDataError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.trim_head < 0 or self.trim_tail < 0:
             raise InsufficientDataError("trim durations must be >= 0")
         if self.segment_mode not in ("fixed", "min"):
@@ -424,7 +422,7 @@ def segment(traj: Trajectory, cfg: IngestConfig) -> list[Trajectory]:
     count = (hi - lo) // n_seg
     return [
         piece(lo + i * n_seg, lo + (i + 1) * n_seg,
-              id=f"{traj.id}_seg{i:03d}" if count > 1 or traj.id else f"seg{i:03d}",
+              id=f"{traj.id}_seg{i:03d}" if traj.id else f"seg{i:03d}",
               metadata={**traj.metadata, "segment_index": str(i)})
         for i in range(count)
     ]

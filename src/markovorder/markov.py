@@ -96,6 +96,8 @@ __all__ = [
 ]
 
 _MIN_CELL_LENGTH = 4  # shortest usable summand series for one separation
+# separations in the sup, and least T - k: the test's size is calibrated there only
+_N_SHIFTS, _MIN_EFFECTIVE_LENGTH = 3, 30
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,6 @@ class TestConfig:
         Number of random frequency pairs per lag.
     n_bootstrap : int
         Multiplier bootstrap replicates B; p-values live in [1/(B+1), 1].
-    n_shifts : int
-        Number of residual separations entering the sup (the smallest
-        separation is 2 at lag 1 and k+1 at lag k; see ``_shift_range``).
-    min_effective_length : int
-        Smallest allowed T - k; guards kernel fits on short tails.
     rng_seed : int
         Base seed; per-trajectory seeds derive from (seed, trajectory id).
     estimator : str
@@ -127,8 +124,6 @@ class TestConfig:
     alpha: float = 0.05
     n_freqs: int = 32
     n_bootstrap: int = 300
-    n_shifts: int = 3
-    min_effective_length: int = 30
     rng_seed: int = 0
     estimator: str = "kernel"
 
@@ -137,10 +132,9 @@ class TestConfig:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.n_freqs < 1 or self.n_bootstrap < 1 or self.n_shifts < 1:
-            raise ValueError("n_freqs, n_bootstrap and n_shifts must be >= 1")
-        if self.min_effective_length < 2:
-            raise ValueError("min_effective_length must be >= 2")
+        for name in ("n_freqs", "n_bootstrap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.estimator not in ("kernel", "mdn"):
             raise ValueError(f"estimator must be 'kernel' or 'mdn', got {self.estimator!r}")
 
@@ -213,8 +207,8 @@ def _draw_frequencies(d: int, M: int,
     return mus, nus
 
 
-def _shift_range(k: int, n_shifts: int) -> range:
-    """Residual separations probed by the lag-k test: q = k+1, k+2, ...
+def _shift_range(k: int) -> range:
+    """Residual separations probed by the lag-k test: q = k+1, ..., k+3.
 
     At separation q the forward and backward conditioning windows share
     ``k - q + 2`` states; estimation errors of the two fits are positively
@@ -223,7 +217,7 @@ def _shift_range(k: int, n_shifts: int) -> range:
     while keeping the smallest separations, which carry most of the power
     against next-order alternatives.
     """
-    return range(k + 1, k + 1 + n_shifts)
+    return range(k + 1, k + 1 + _N_SHIFTS)
 
 
 def _factor_rows(n_pad: int, p: int) -> int:
@@ -308,9 +302,9 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     docstring).
     """
     n_eff = traj.length - k
-    if n_eff < cfg.min_effective_length:
+    if n_eff < _MIN_EFFECTIVE_LENGTH:
         raise TrajectoryTooShortError(
-            f"T - k = {n_eff} below min_effective_length = {cfg.min_effective_length}"
+            f"T - k = {n_eff} below min_effective_length = {_MIN_EFFECTIVE_LENGTH}"
         )
     if not isinstance(traj, _Standardized):
         traj = standardize(traj)
@@ -323,8 +317,7 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
     else:
         fwd_res, bwd_res = _mdn.window_residuals(states, k, mus, nus, rng)
 
-    shifts = [q for q in _shift_range(k, cfg.n_shifts)
-              if n_eff - q + 1 >= _MIN_CELL_LENGTH]
+    shifts = [q for q in _shift_range(k) if n_eff - q + 1 >= _MIN_CELL_LENGTH]
     if not shifts:
         raise TrajectoryTooShortError(
             f"T - k = {n_eff} leaves no usable residual separation"
@@ -376,7 +369,7 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
 
     Every lag in the search range is tested so the full p-value trace is
     available; the range ends below k_max where T - k would fall under
-    ``min_effective_length`` or T - 2k, the summands of the lag's first
+    ``_MIN_EFFECTIVE_LENGTH`` or T - 2k, the summands of the lag's first
     separation, under ``_MIN_CELL_LENGTH``.  Each lag draws its frequencies
     from its own child of ``rng`` (``children = rng.spawn(k_max)``), and the
     lags share one bootstrap multiplier matrix ``M``, the transpose of a
@@ -396,13 +389,13 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     TrajectoryTooShortError
         If the search range holds not even lag 1.
     """
-    k_eff = min(cfg.k_max, traj.length - cfg.min_effective_length,
+    k_eff = min(cfg.k_max, traj.length - _MIN_EFFECTIVE_LENGTH,
                 (traj.length - _MIN_CELL_LENGTH) // 2)
     if k_eff < 1:
         raise TrajectoryTooShortError(
             f"T = {traj.length} too short for lag 1, which needs T >= "
-            f"{max(cfg.min_effective_length + 1, _MIN_CELL_LENGTH + 2)} "
-            f"(min_effective_length = {cfg.min_effective_length})"
+            f"{max(_MIN_EFFECTIVE_LENGTH + 1, _MIN_CELL_LENGTH + 2)} "
+            f"(min_effective_length = {_MIN_EFFECTIVE_LENGTH})"
         )
     if rng is None:
         rng = trajectory_rng(cfg.rng_seed, traj.id)
@@ -411,7 +404,7 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     # a lag's table has T - 2k rows; drawn as (width, B), a factor's first r
     # columns are the first r * B normals of the stream whatever the width,
     # so k_max cannot move a lag
-    p = 2 * cfg.n_freqs * cfg.n_shifts
+    p = 2 * cfg.n_freqs * _N_SHIFTS
     width = max(_factor_rows(traj.length - 2 * k, p) for k in range(1, k_eff + 1))
     multipliers = _as_float32(rng.standard_normal((width, cfg.n_bootstrap)).T)
     per_lag = tuple(lag_test(std, k, cfg, children[k - 1], multipliers=multipliers)

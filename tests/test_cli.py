@@ -1091,6 +1091,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: --out: bad value 5") and "Traceback" not in err
 
+    # the separations and the least T - k are fixed where the test's size is
+    # calibrated, so test and calibrate have no flag for them
+    @pytest.mark.parametrize("argv", [["test", "CORPUS"], ["calibrate"]])
+    @pytest.mark.parametrize("flag", ["--shifts", "--min-effective"])
+    def test_separation_flags_are_usage_errors(self, corpus, tmp_path, capsys, argv, flag):
+        argv = [corpus if a == "CORPUS" else a for a in argv]
+        assert run([*argv, flag, 3, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: ")
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert flag not in capsys.readouterr().out
+
+    def test_bad_count_names_only_its_flag(self, corpus, tmp_path, capsys):
+        assert run(["test", corpus, "--freqs", 0, "--bootstrap", 19,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == "data error: --freqs: n_freqs must be >= 1, got 0\n"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -1114,12 +1132,12 @@ class TestConfigFile:
     def test_config_block_is_dataclass_of_given_keys(self, corpus, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"kmax": 1, "bootstrap": 19, "freqs": 4,
-                                   "min_effective": 20, "seed": 5}))
+                                   "alpha": 0.1, "seed": 5}))
         out = tmp_path / "cfg"
         assert run(["test", corpus, "--config", cfg, "--out", out]) == 0
         payload = json.loads((out / "results.json").read_text())
         assert payload["config"] == asdict(TestConfig(
-            k_max=1, n_bootstrap=19, n_freqs=4, min_effective_length=20, rng_seed=5))
+            k_max=1, n_bootstrap=19, n_freqs=4, alpha=0.1, rng_seed=5))
 
     @pytest.mark.parametrize("key", ["kmax", "seed", "jobs"])
     def test_fractional_whole_number_is_data_error(self, corpus, tmp_path, capsys, key):
@@ -1146,6 +1164,9 @@ class TestConfigFile:
         (["test", "CORPUS"], {"k_max": 1}, "k_max"),
         (["synth", "SPEC"], {"spec": "other.json"}, "spec"),
         (["report", "a=RESULTS"], {"jobs": 2}, "jobs"),
+        (["test", "CORPUS"], {"shifts": 3}, "shifts"),
+        (["test", "CORPUS"], {"min_effective": 20}, "min_effective"),
+        (["calibrate", "--replications", 1], {"min-effective": 20}, "min-effective"),
     ])
     def test_unknown_key_is_data_error_naming_it(self, corpus, tmp_path, capsys,
                                                  argv, config, key):

@@ -69,8 +69,7 @@ def corpus(root: Path) -> Path:
 @given(command=st.sampled_from(["test", "calibrate", "synth", "ingest", "report"]),
        data=st.data())
 def test_config_field_of_the_wrong_type(command, data):
-    keys = {"test": ["alpha", "kmax", "freqs", "bootstrap", "shifts", "min-effective",
-                     "seed", "estimator", "jobs"],
+    keys = {"test": ["alpha", "kmax", "freqs", "bootstrap", "seed", "estimator", "jobs"],
             "calibrate": ["replications", "length", "dim", "band-lo", "band_hi", "spec",
                           "seed", "jobs"],
             "synth": ["count", "length", "seed"],
@@ -120,6 +119,46 @@ def test_results_field_of_the_wrong_type(key, value):
         bad = write(root / "bad.json", payload)
         code, err = run(["report", f"a={good}", f"b={bad}", "--out", root / "out"])
         assert_read_or_named(code, err, bad)
+
+
+@examples
+@given(command=st.sampled_from(["test", "calibrate", "synth", "ingest", "report"]),
+       value=WRONG.filter(lambda v: v == HUGE or not isinstance(v, (str, type(None)))))
+def test_config_out_not_a_string(command, value):
+    with folder() as root:
+        config = write(root / "run.json", {"out": value})
+        (root / "raw.csv").write_text(RAW)
+        results = write(root / "results.json", [{"order": 1}])
+        argv = {"test": ["test", root / "raw.csv"], "calibrate": ["calibrate"],
+                "synth": ["synth", write(root / "spec.json", SPEC)],
+                "ingest": ["ingest", root / "raw.csv"], "report": ["report", f"a={results}"]}
+        code, err = run([*argv[command], "--config", config])
+        assert code == 2 and err.startswith("data error: --out: bad value "), err
+
+
+@examples
+@given(order=st.integers(1, 10_000), below=st.integers(1, 10_000), whole=st.booleans())
+def test_results_k_max_below_its_order(order, below, whole):
+    with folder() as root:
+        k_max = order - below if whole else order - below / 2
+        good = write(root / "good.json", [{"order": 1}, {"order": 2}])
+        bad = write(root / "bad.json", [{"order": 1, "k_max": 3}, {"order": order, "k_max": k_max}])
+        code, err = run(["report", f"a={good}", f"b={bad}", "--out", root / "out"])
+        assert code == 2 and f"{bad}: order {order} is not <= its k_max {k_max!r}" in err, err
+        assert not (root / "out").exists()
+
+
+@examples
+@given(dt=st.floats(1e-300, 1e-12), key=st.sampled_from(["resample-dt", "resample_dt"]))
+def test_ingest_config_resample_dt_too_small(dt, key):
+    # 300 rows a second apart make a grid of over 1e14 rows, above the cap
+    with folder() as root:
+        (root / "raw.csv").write_text(RAW)
+        config = write(root / "run.json", {key: dt})
+        code, err = run(["ingest", root / "raw.csv", "--config", config, "--out", root / "out"])
+        assert code == 2, err
+        manifest = json.loads((root / "out" / "manifest.json").read_text())
+        assert manifest["failed_inputs"] == [str(root / "raw.csv")], manifest
 
 
 @examples

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,12 +192,20 @@ def _linear_traj(T, dt=1.0):
 
 class TestSegment:
     def test_fixed_length_count(self):
-        traj = _linear_traj(250)
         cfg = IngestConfig(segment_length=120.0, segment_mode="fixed")
-        parts = segment(traj, cfg)
-        assert len(parts) == 2
-        assert all(p.length == 120 for p in parts)
-        assert parts[0].id != parts[1].id
+        # a trajectory without an id names its pieces seg000, ... however many
+        # it is cut into
+        for T, count in ((130, 1), (250, 2)):
+            for traj_id, prefix in (("lin", "lin_"), ("", "")):
+                parts = segment(replace(_linear_traj(T), id=traj_id), cfg)
+                assert all(p.length == 120 for p in parts)
+                assert [p.id for p in parts] == [f"{prefix}seg{i:03d}" for i in range(count)]
+
+    @pytest.mark.parametrize("name", ["segment_length", "min_length"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_each_length_must_be_positive(self, name, value):
+        with pytest.raises(InsufficientDataError, match=f"^{name} must be > 0, got {value}$"):
+            IngestConfig(**{name: value})
 
     def test_min_length_keeps_long(self):
         traj = _linear_traj(100)
@@ -482,6 +491,15 @@ class TestPipeline:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.states, y.states)
             np.testing.assert_array_equal(x.actions, y.actions)
+
+    @pytest.mark.parametrize("n, kept", [(200, 1), (140, 0)])
+    def test_min_length_above_the_segment_length(self, tmp_path, n, kept):
+        # min mode reads no segment length, so a min_length above the
+        # default 120 s is valid, and a longer file is kept whole
+        cfg = IngestConfig(resample_dt=1.0, min_length=150.0, segment_mode="min")
+        parts = ingest_file(self._uniform_motion_csv(tmp_path, n=n), cfg)
+        # n rows make n - 2 states: the accelerations difference twice
+        assert [(t.id, t.length) for t in parts] == [("uniform", n - 2)] * kept
 
     def test_geodetic_pipeline_runs(self, tmp_path):
         lines = ["time_s,lead_lat,lead_lon,follow_lat,follow_lon"]

@@ -1,6 +1,6 @@
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -108,13 +108,13 @@ class TestLagTest:
         with pytest.raises(TrajectoryTooShortError):
             lag_test(traj, 5, FAST, np.random.default_rng(0))
 
-    def test_no_usable_separation(self):
-        # T - k = 6 passes min_effective_length = 2, but no separation
+    def test_no_usable_separation(self, monkeypatch):
+        # T - k = 6 passes a least T - k of 2, but no separation
         # q = 5, 6, 7 keeps enough summands
+        monkeypatch.setattr(markov_mod, "_MIN_EFFECTIVE_LENGTH", 2)
         traj = iid_trajectory(10, 2, seed=9)
-        cfg = replace(FAST, min_effective_length=2)
         with pytest.raises(TrajectoryTooShortError, match="leaves no usable residual separation"):
-            lag_test(traj, 4, cfg, np.random.default_rng(0))
+            lag_test(traj, 4, FAST, np.random.default_rng(0))
 
     def test_size_near_nominal_at_lag_two(self):
         # per-lag size on an iid null; reduced-replication companion to the
@@ -197,7 +197,7 @@ def summand_table(traj, k, cfg, rng):
     nus = rng.standard_normal((cfg.n_freqs, traj.dim))
     fwd, bwd = markov_mod._ccf.loo_window_residuals(states, k, mus, nus)
     n_eff, M = traj.length - k, cfg.n_freqs
-    shifts = [q for q in markov_mod._shift_range(k, cfg.n_shifts) if n_eff - q + 1 >= 4]
+    shifts = [q for q in markov_mod._shift_range(k) if n_eff - q + 1 >= 4]
     n_pad = n_eff - shifts[0] + 1
     summands = np.zeros((n_pad, len(shifts) * M), dtype=complex)
     lengths = np.empty(len(shifts) * M)
@@ -343,7 +343,7 @@ class TestFactorBootstrap:
                                                   multipliers=multipliers)
 
     def test_zero_frequency_lag_test_stays_finite(self, monkeypatch):
-        # a zero forward frequency makes its residuals, and so 2 * n_shifts
+        # a zero forward frequency makes its residuals, and so 2 * _N_SHIFTS
         # real columns of the table, exactly zero: Cholesky fails and the
         # lag test draws through the eigendecomposition's factor
         monkeypatch.setattr(markov_mod, "_draw_frequencies", with_zero_mu)
@@ -633,6 +633,24 @@ def test_config_validation():
         TestConfig(alpha=1.0)
     with pytest.raises(ValueError):
         TestConfig(estimator="nope")
+    # each count is checked on its own, and its message names it alone
+    for name in ("n_freqs", "n_bootstrap"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            TestConfig(**{name: 0})
+
+
+def test_separations_and_least_length_are_constants():
+    assert [f.name for f in fields(TestConfig)] == [
+        "k_max", "alpha", "n_freqs", "n_bootstrap", "rng_seed", "estimator"]
+    assert markov_mod._shift_range(4) == range(5, 8)
+    # the too-short messages name the bound as min_effective_length
+    with pytest.raises(TrajectoryTooShortError) as exc:
+        lag_test(iid_trajectory(32, 1, seed=9), 3, FAST, np.random.default_rng(0))
+    assert str(exc.value) == "T - k = 29 below min_effective_length = 30"
+    with pytest.raises(TrajectoryTooShortError) as exc:
+        estimate_order(iid_trajectory(30, 1, seed=9), FAST)
+    assert str(exc.value) == ("T = 30 too short for lag 1, which needs T >= 31 "
+                              "(min_effective_length = 30)")
 
 
 def test_mdn_estimator_path_runs():
