@@ -164,14 +164,6 @@ def _real(value) -> float:
     return float(value)
 
 
-def _rate(value) -> float:
-    """``value`` as a float in [0, 1]: a bound of ``calibrate``'s size band."""
-    out = _real(value)
-    if not 0.0 <= out <= 1.0:   # NaN fails too
-        raise ValueError("must lie in [0, 1]")
-    return out
-
-
 _SAFE_NAME = re.compile(r"[\w.-]+")
 
 
@@ -395,9 +387,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 _CHUNK = 64   # files read, tested and spooled at a time
 
 
-def _pool(workers: int):
-    """One process pool for every chunk of a run, or none for one worker."""
-    if workers <= 1:
+def _pool(jobs: int, n: int):
+    """The one process pool of a run, of at most ``n`` workers for ``n``
+    items, or none for one worker."""
+    if (workers := min(jobs, n)) <= 1:
         return nullcontext()
     from concurrent.futures import ProcessPoolExecutor   # only a parallel run needs it
     return ProcessPoolExecutor(max_workers=workers)
@@ -417,7 +410,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     # index: (id, 0 for a read error else 1, spool offset, length); an id is
     # tested once, so sorted it is the stable sort by id of (errors + tested)
     seen, index, failed = {}, [], Counter()
-    with tempfile.TemporaryFile(dir=out_dir) as spool, _pool(min(jobs, len(files))) as pool:
+    with tempfile.TemporaryFile(dir=out_dir) as spool, _pool(jobs, len(files)) as pool:
         for first in range(0, len(files), _CHUNK):
             trajs, items = [], []
             for path in files[first:first + _CHUNK]:
@@ -433,7 +426,7 @@ def cmd_test(args: argparse.Namespace) -> int:
                 except (MarkovOrderError, OSError) as exc:  # a bad file fails its item only
                     items.append((0, BatchItem(trajectory_id=item_id, estimate=None,
                                                error=f"{type(exc).__name__}: {exc}")))
-            items += [(1, it) for it in batch_test(trajs, cfg, jobs=jobs, pool=pool)]
+            items += [(1, it) for it in batch_test(trajs, cfg, pool=pool)]
             for tested, item in items:   # each entry indented as in the results list
                 text = json.dumps(item.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    ")
                 index.append((item.trajectory_id, tested, spool.tell(), len(text)))
@@ -513,9 +506,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     jobs = _setting(args, "jobs", 1, least=1)
     reps = _setting(args, "replications", 200, least=1)
     dim = _setting(args, "dim", 3, least=1)
-    # the default size band follows alpha: [0.01, 0.12] at alpha = 0.05
-    band_lo = _setting(args, "band-lo", cfg.alpha / 5, _rate)
-    band_hi = _setting(args, "band-hi", min(2.4 * cfg.alpha, 1.0), _rate, least=band_lo)
+    # the size band follows alpha: [0.01, 0.12] at alpha = 0.05
+    band_lo, band_hi = cfg.alpha / 5, min(2.4 * cfg.alpha, 1.0)
     spec_path = _setting(args, "spec", None, _text)
     # without --spec, the null is i.i.d. standard normal in --dim dimensions
     spec = _read_json(Path(spec_path)) if spec_path else {
@@ -525,7 +517,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     trajs = [gen(T, trajectory_rng(cfg.rng_seed, f"calib_{i:05d}_gen"), f"calib_{i:05d}")
              for i in range(reps)]
-    items = batch_test(trajs, cfg, jobs=jobs)
+    with _pool(jobs, reps) as pool:
+        items = batch_test(trajs, cfg, pool=pool)
     failed = next((it for it in items if it.error is not None), None)
     if failed is not None:
         raise MarkovOrderError(f"replication {failed.trajectory_id}: {failed.error}")
@@ -629,12 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calibrate", help="Monte Carlo size/power study")
     sp.add_argument("--spec", default=None, help="generator spec JSON (default iid normal)")
     sp.add_argument("--replications", type=int, default=None, help="(default 200)")
-    sp.add_argument("--length", type=int, default=None, help="(default 300)")
+    sp.add_argument("--length", type=int, default=None,
+                    help="samples per replication (default: the spec's length, else 300)")
     sp.add_argument("--dim", type=int, default=None, help="i.i.d. null's dimension (default 3)")
-    sp.add_argument("--band-lo", type=float, default=None, dest="band_lo",
-                    help="lowest rejection rate that passes (default alpha/5)")
-    sp.add_argument("--band-hi", type=float, default=None, dest="band_hi",
-                    help="highest rejection rate that passes (default 2.4 alpha)")
     sp.add_argument("--out", default=None)
     sp.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
     sp.add_argument("--config", default=None)

@@ -61,9 +61,9 @@ class SchemaMismatchError(MarkovOrderError):
 class UnparsableRowError(MarkovOrderError):
     """A CSV row failed to parse; carries the 1-based row index."""
 
-    def __init__(self, row: int, message: str = ""):
+    def __init__(self, row: int, message: str):
         self.row = row
-        super().__init__(message or f"unparsable row {row}")
+        super().__init__(message)
 
 
 class NonMonotonicTimestampsError(MarkovOrderError):

@@ -106,8 +106,9 @@ class IngestConfig:
         for name in ("segment_length", "min_length"):
             if getattr(self, name) <= 0:
                 raise InsufficientDataError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.trim_head < 0 or self.trim_tail < 0:
-            raise InsufficientDataError("trim durations must be >= 0")
+        for name in ("trim_head", "trim_tail"):
+            if getattr(self, name) < 0:
+                raise InsufficientDataError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.segment_mode not in ("fixed", "min"):
             raise InsufficientDataError(f"unknown segment_mode {self.segment_mode!r}")
 
@@ -252,21 +253,21 @@ def parse_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, str]:
 
 
 def latlon_to_local(lat: float | np.ndarray, lon: float | np.ndarray,
-                    origin_lat: float, origin_lon: float,
-                    earth_radius: float = EARTH_RADIUS_M) -> tuple:
+                    origin_lat: float, origin_lon: float) -> tuple:
     """Equirectangular projection of geodetic degrees to local meters.
 
     ``x = R * (lon - lon0) * pi/180 * cos(lat0 * pi/180)`` and
-    ``y = R * (lat - lat0) * pi/180``, for scalars or arrays; NaN maps to
-    NaN.  Adequate for tracks spanning a few kilometers away from the poles.
+    ``y = R * (lat - lat0) * pi/180`` with R = ``EARTH_RADIUS_M``, for
+    scalars or arrays; NaN maps to NaN.  Adequate for tracks spanning a few
+    kilometers away from the poles.
     """
     polar = np.abs(lat) >= 89.0
     if polar.any() or abs(origin_lat) >= 89.0:
         worst = np.asarray(lat)[polar][0] if polar.any() else origin_lat
         raise PolarLatitudeError(f"latitude too close to a pole: {worst}, {origin_lat}")
     rad = math.pi / 180.0
-    x = earth_radius * (lon - origin_lon) * rad * math.cos(origin_lat * rad)
-    y = earth_radius * (lat - origin_lat) * rad
+    x = EARTH_RADIUS_M * (lon - origin_lon) * rad * math.cos(origin_lat * rad)
+    y = EARTH_RADIUS_M * (lat - origin_lat) * rad
     return x, y
 
 

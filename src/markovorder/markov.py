@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -415,8 +416,7 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
                          per_lag=per_lag, alpha=cfg.alpha, k_max=k_eff)
 
 
-def _batch_worker(args) -> BatchItem:
-    traj, cfg = args
+def _batch_worker(traj: Trajectory, cfg: TestConfig) -> BatchItem:
     try:
         est = estimate_order(traj, cfg)
         return BatchItem(trajectory_id=traj.id, estimate=est)
@@ -425,21 +425,14 @@ def _batch_worker(args) -> BatchItem:
                          error=f"{type(exc).__name__}: {exc}")
 
 
-def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig,
-               jobs: int = 1, pool=None) -> list[BatchItem]:
+def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig, pool=None) -> list[BatchItem]:
     """Run :func:`estimate_order` over a list of trajectories.
 
     Per-trajectory seeds derive from ``(cfg.rng_seed, trajectory id)``, so
     the results are identical regardless of input order or parallelism.
     Data errors (:class:`MarkovOrderError`) are recorded in the returned
     items; any other exception is a program bug and propagates.  An open
-    ``ProcessPoolExecutor`` as ``pool`` runs the batch and stays open.
+    ``concurrent.futures`` executor as ``pool`` runs the batch and stays
+    open; without one the batch runs in this process.
     """
-    work = [(t, cfg) for t in trajs]
-    if pool is not None:
-        return list(pool.map(_batch_worker, work, chunksize=1))
-    if jobs <= 1 or len(work) <= 1:
-        return [_batch_worker(w) for w in work]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-        return list(pool.map(_batch_worker, work, chunksize=1))
+    return list((map if pool is None else pool.map)(_batch_worker, trajs, repeat(cfg)))

@@ -194,7 +194,7 @@ def test_criterion_08_determinism_and_parallel_invariance(tmp_path):
 
 
 def test_criterion_09_ingestion_geometry(tmp_path):
-    _, y = latlon_to_local(1.0, 0.0, 0.0, 0.0, 6_371_000.0)
+    _, y = latlon_to_local(1.0, 0.0, 0.0, 0.0)   # at the projection's own radius
     geom_ok = abs(y - 111_194.93) <= 0.01
 
     lines = ["time_s,lead_x,lead_y,follow_x,follow_y"]

@@ -663,19 +663,21 @@ class TestCalibrate:
         assert manifest["environment"]["jobs"] == 1
 
     @pytest.mark.parametrize("alpha, flags, band", [
-        (0.10, [], [0.02, 0.24]),
-        (0.05, [], [0.01, 0.12]),
-        (0.10, ["--band-lo", 0.05, "--band-hi", 0.15], [0.05, 0.15]),
+        (0.10, ["--kmax", 1], [0.02, 0.24]),
+        (0.05, ["--kmax", 1], [0.01, 0.12]),
+        (0.10, ["--kmax", 2], [0.02, 0.24]),
     ])
     def test_size_band_follows_alpha(self, tmp_path, alpha, flags, band):
+        """Every lag is judged against [alpha / 5, min(2.4 alpha, 1)]."""
         out = tmp_path / "cal"
         assert run(["calibrate", "--replications", 1, "--length", 60, "--dim", 1,
-                    "--kmax", 1, "--freqs", 4, "--bootstrap", 19, "--alpha", alpha,
+                    "--freqs", 4, "--bootstrap", 19, "--alpha", alpha,
                     *flags, "--out", out]) == 0
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["size_band"] == band
-        rate = payload["per_lag"][0]["rejection_rate"]
-        assert payload["per_lag"][0]["within_band"] == (band[0] <= rate <= band[1])
+        assert len(payload["per_lag"]) == flags[1]
+        for row in payload["per_lag"]:
+            assert row["within_band"] == (band[0] <= row["rejection_rate"] <= band[1])
 
     def test_jobs_do_not_change_calibration(self, tmp_path):
         payloads = []
@@ -739,25 +741,22 @@ class TestCalibrate:
         assert err.startswith("data error: --length: bad value 1: must be >= 2"), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, config, error", [
-        (["--band-lo", "nan", "--band-hi", 0.5], None, "--band-lo: bad value nan: must lie in"),
-        (["--band-lo", 0.9, "--band-hi", 0.1], None, "--band-hi: bad value 0.1: must be >= 0.9"),
-        (["--band-lo", -0.1], None, "--band-lo: bad value -0.1: must lie in"),
-        (["--band-hi", "inf"], None, "--band-hi: bad value inf: must lie in"),
-        ([], {"band-lo": float("nan")}, "--band-lo: bad value nan: must lie in"),
-        ([], {"band_lo": 0.5, "band-hi": 0.2}, "--band-hi: bad value 0.2: must be >= 0.5"),
-        (["--band-hi", 0.3], {"band-lo": 0.4}, "--band-hi: bad value 0.3: must be >= 0.4"),
-    ], ids=["nan", "reversed", "negative", "inf", "config-nan", "config-reversed",
-            "flag-below-config"])
-    def test_band_outside_zero_one_or_reversed_is_data_error_naming_the_flag(
-            self, tmp_path, capsys, flags, config, error):
-        if config is not None:
-            (tmp_path / "run.json").write_text(json.dumps(config))
-            flags = [*flags, "--config", tmp_path / "run.json"]
-        out = tmp_path / "cal"
-        assert run(["calibrate", "--replications", 1, "--length", 60, *flags, "--out", out]) == 2
+    def test_size_band_is_not_a_setting(self, tmp_path, capsys):
+        """The band is the acceptance criteria's: ``--band-lo`` is a usage
+        error and a config key ``band-lo`` a data error naming the key and
+        the file, each raised before --out exists."""
+        with pytest.raises(SystemExit):
+            run(["calibrate", "--help"])
+        assert "--band" not in capsys.readouterr().out
+        out, cfg = tmp_path / "cal", tmp_path / "run.json"
+        cfg.write_text(json.dumps({"band-lo": 0.1}))
+        fast = ["--replications", 1, "--length", 60, "--out", out]
+        assert run(["calibrate", "--band-lo", 0.1, *fast]) == 1
+        assert "unrecognized arguments: --band-lo" in capsys.readouterr().err
+        assert run(["calibrate", "--config", cfg, *fast]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {error}"), err
+        assert err.startswith(f"data error: config file {cfg}: 'band-lo' is not a flag of "
+                              "calibrate"), err
         assert not out.exists()
 
     def test_default_band_is_at_most_one(self, tmp_path):
@@ -773,6 +772,31 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith("data error: replication calib_00000: TrajectoryTooShortError")
         assert not (out / "calibration.json").exists()
+
+
+def test_pool_has_no_more_workers_than_items(tmp_path, monkeypatch):
+    """``test`` and ``calibrate`` each open one pool, of at most one worker
+    per file or replication and none at --jobs 1, and the bytes they write do
+    not depend on it."""
+    import concurrent.futures
+    pool, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+    def counted(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    corpus = tiny_corpus(tmp_path, 2)
+    fast = ["--kmax", 1, "--freqs", 4, "--bootstrap", 19]
+    for argv, output in ((["test", corpus], "results.json"),
+                         (["calibrate", "--replications", 2, "--length", 40], "calibration.json")):
+        written = []
+        for jobs, pools in ((1, []), (6, [2])):
+            sizes.clear()
+            out = tmp_path / f"{argv[0]}{jobs}"
+            assert run([*argv, *fast, "--jobs", jobs, "--out", out]) == 0
+            assert sizes == pools
+            written.append((out / output).read_bytes())
+        assert written[0] == written[1]
 
 
 class TestIngestCommand:
@@ -899,6 +923,18 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: --{flag}: ") and "Traceback" not in err
         assert f"must be finite, got {value}" in err
+
+    def test_negative_trim_is_data_error_naming_its_flag_alone(self, tmp_path, capsys):
+        raw = self.write_raw(tmp_path / "run.csv")
+        cfg, out = tmp_path / "run.json", tmp_path / "ing"
+        cfg.write_text(json.dumps({"trim-head": 1, "trim-tail": -1}))
+        for argv, flag in ((["--trim-head", -1, "--trim-tail", 1], "trim-head"),
+                           (["--config", cfg], "trim-tail")):
+            assert run(["ingest", raw, *argv, "--out", out]) == 2
+            field = flag.replace("-", "_")
+            assert capsys.readouterr().err == \
+                f"data error: --{flag}: {field} must be >= 0, got -1.0\n"
+        assert not out.exists()
 
 
 class TestReportCommand:
@@ -1184,13 +1220,12 @@ class TestConfigFile:
     def test_calibrate_reads_its_flags_from_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"replications": 2, "length": 60, "dim": 1, "kmax": 1,
-                                   "freqs": 4, "bootstrap": 19, "band-lo": 0.0,
-                                   "band_hi": 1.0}))
+                                   "freqs": 4, "bootstrap": 19, "alpha": 0.5}))
         assert run(["calibrate", "--config", cfg, "--out", tmp_path / "cal"]) == 0
         payload = json.loads((tmp_path / "cal" / "calibration.json").read_text())
         assert (payload["replications"], payload["length"]) == (2, 60)
-        assert payload["size_band"] == [0.0, 1.0]
-        assert payload["per_lag"][0]["n"] == 2 and payload["per_lag"][0]["within_band"]
+        assert (payload["alpha"], payload["size_band"]) == (0.5, [0.1, 1.0])
+        assert payload["per_lag"][0]["n"] == 2
         assert run(["calibrate", "--config", cfg, "--replications", 1,
                     "--out", tmp_path / "flag"]) == 0
         assert json.loads((tmp_path / "flag" / "calibration.json").read_text())[
@@ -1207,7 +1242,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("argv, config, flag", [
         (["calibrate"], {"replications": 1.5}, "--replications"),
-        (["calibrate"], {"band-hi": "high"}, "--band-hi"),
+        (["calibrate"], {"jobs": 0}, "--jobs"),
         (["calibrate"], {"spec": 5}, "--spec"),
         (["synth", "SPEC"], {"count": "two"}, "--count"),
         (["synth", "SPEC"], {"length": 40.5}, "--length"),
@@ -1215,7 +1250,6 @@ class TestConfigFile:
         (["calibrate"], {"kmax": True}, "--kmax"),
         (["calibrate"], {"dim": 0}, "--dim"),
         (["ingest", "RAW"], {"resample-dt": True}, "--resample-dt"),
-        (["calibrate"], {"band-lo": False}, "--band-lo"),
     ])
     def test_bad_config_value_is_data_error_naming_flag(self, tmp_path, capsys,
                                                         argv, config, flag):

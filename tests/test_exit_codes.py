@@ -70,8 +70,7 @@ def corpus(root: Path) -> Path:
        data=st.data())
 def test_config_field_of_the_wrong_type(command, data):
     keys = {"test": ["alpha", "kmax", "freqs", "bootstrap", "seed", "estimator", "jobs"],
-            "calibrate": ["replications", "length", "dim", "band-lo", "band_hi", "spec",
-                          "seed", "jobs"],
+            "calibrate": ["replications", "length", "dim", "spec", "seed", "jobs"],
             "synth": ["count", "length", "seed"],
             "ingest": ["resample-dt", "segment-len", "min-len", "segment-mode", "trim-head",
                        "trim-tail", "cohort", "scenario"],

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -597,25 +598,17 @@ class TestBatch:
             raise IndexError("slicing slip")
         monkeypatch.setattr(markov_mod, "estimate_order", broken)
         with pytest.raises(IndexError):
-            batch_test([iid_trajectory(80, 1, seed=21)], FAST, jobs=1)
-
-    def test_pool_has_no_more_workers_than_trajectories(self, monkeypatch):
-        import concurrent.futures
-        pool, sizes = concurrent.futures.ProcessPoolExecutor, []
-
-        def counted(max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            return pool(max_workers=max_workers, **kwargs)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-        trajs = [iid_trajectory(80, 1, seed=s) for s in (26, 27)]
-        assert batch_test(trajs, FAST, jobs=6) == batch_test(trajs, FAST, jobs=1)
-        assert sizes == [2]
+            batch_test([iid_trajectory(80, 1, seed=21)], FAST)
 
     def test_parallel_matches_serial(self):
         trajs = [iid_trajectory(80, 1, seed=s) for s in range(22, 26)]
-        serial = batch_test(trajs, FAST, jobs=1)
-        parallel = batch_test(trajs, FAST, jobs=2)
-        assert serial == parallel
+        trajs.append(Trajectory(np.ones((80, 1)) * 4.2, dt=1.0, id="flat"))
+        with ProcessPoolExecutor(2) as pool:
+            parallel = batch_test(trajs, FAST, pool=pool)
+            # the pool stays open for the next batch
+            assert batch_test(trajs[-2:], FAST, pool=pool) == parallel[-2:]
+        assert parallel == batch_test(trajs, FAST)
+        assert parallel[-1].error is not None
 
 
 def test_trajectory_rng_stable():
