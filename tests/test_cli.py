@@ -741,22 +741,44 @@ class TestCalibrate:
         assert err.startswith("data error: --length: bad value 1: must be >= 2"), err
         assert not out.exists()
 
-    def test_size_band_is_not_a_setting(self, tmp_path, capsys):
-        """The band is the acceptance criteria's: ``--band-lo`` is a usage
-        error and a config key ``band-lo`` a data error naming the key and
-        the file, each raised before --out exists."""
+    def test_size_band_is_not_a_setting(self, capsys):
+        """The band is the acceptance criteria's, so calibrate offers no
+        flag for it."""
         with pytest.raises(SystemExit):
             run(["calibrate", "--help"])
         assert "--band" not in capsys.readouterr().out
-        out, cfg = tmp_path / "cal", tmp_path / "run.json"
-        cfg.write_text(json.dumps({"band-lo": 0.1}))
-        fast = ["--replications", 1, "--length", 60, "--out", out]
-        assert run(["calibrate", "--band-lo", 0.1, *fast]) == 1
-        assert "unrecognized arguments: --band-lo" in capsys.readouterr().err
-        assert run(["calibrate", "--config", cfg, *fast]) == 2
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--band-lo", "nan", "--band-hi", 0.5], None),
+        (["--band-lo", 0.9, "--band-hi", 0.1], None),
+        (["--band-lo", -0.1], None),
+        (["--band-hi", "inf"], None),
+        ([], {"band-lo": float("nan")}),
+        ([], {"band_lo": 0.5, "band-hi": 0.2}),
+        (["--band-hi", 0.3], {"band-lo": 0.4}),
+    ], ids=["nan", "reversed", "negative", "inf", "config-nan", "config-reversed",
+            "flag-below-config"])
+    def test_band_outside_zero_one_or_reversed_is_data_error_naming_the_flag(
+            self, tmp_path, capsys, flags, config):
+        """No band value is taken, in or out of [0, 1]: a ``--band-*`` flag
+        is a usage error naming it, and a band key of a config file a data
+        error naming the key and the file; each is raised before --out
+        exists."""
+        cfg = tmp_path / "run.json"
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            flags = [*flags, "--config", cfg]
+        out = tmp_path / "cal"
+        code = run(["calibrate", "--replications", 1, "--length", 60, *flags, "--out", out])
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: config file {cfg}: 'band-lo' is not a flag of "
-                              "calibrate"), err
+        if flags and flags[0] != "--config":
+            assert code == 1
+            assert f"unrecognized arguments: {flags[0]}" in err, err
+        else:
+            assert code == 2
+            assert err.startswith(f"data error: config file {cfg}: "), err
+            assert all(repr(key) in err for key in config), err
+            assert "is not a flag of calibrate" in err, err
         assert not out.exists()
 
     def test_default_band_is_at_most_one(self, tmp_path):
