@@ -295,6 +295,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     written, failures = {}, []   # written: the input file of each id
+    inputs = {path.resolve(): path for path in files}
     for path in files:
         try:
             segments = ingest_file(path, cfg, metadata=dict(meta))
@@ -302,6 +303,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             if taken:   # the file would overwrite an earlier one's segments
                 raise DuplicateTrajectoryIdError(
                     f"{path}: trajectory id {taken[0]!r} already written from {written[taken[0]]}")
+            held = [(out_dir / f"{seg.id}.csv").resolve() for seg in segments]
+            held = [inputs[target] for target in held if target in inputs]
+            if held:   # ... or an input of this run
+                raise MarkovOrderError(f"{path}: a segment would overwrite input {held[0]}")
             while segments:   # no written segment stays alive while the next file is read
                 seg = segments.pop(0)
                 write_trajectory(seg, out_dir / f"{seg.id}.csv")

@@ -855,6 +855,24 @@ class TestIngestCommand:
             assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
         assert f"trajectory id 'x_seg000' already written from {first}" in caplog.text
 
+    def test_segment_over_an_input_fails_its_file_alone(self, tmp_path, caplog):
+        # --out is the input folder: min mode writes trip.csv's one segment as
+        # trip.csv, and fixed mode its first as trip_seg000.csv, another input
+        trip = self.write_raw(tmp_path / "trip.csv")
+        raw = trip.read_bytes()
+        assert run(["ingest", tmp_path, "--segment-mode", "min", "--out", tmp_path]) == 2
+        assert trip.read_bytes() == raw
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["trip.csv"]
+        assert f"{trip}: a segment would overwrite input {trip}" in caplog.text
+        other = self.write_raw(tmp_path / "trip_seg000.csv", n=130)
+        raws = [raw, other.read_bytes()]
+        assert run(["ingest", tmp_path, "--segment-len", 120, "--out", tmp_path]) == 0
+        assert [trip.read_bytes(), other.read_bytes()] == raws
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "trip.csv", "trip_seg000.csv", "trip_seg000_seg000.csv"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failed_inputs"] == [str(trip)]
+
     def test_empty_directory_ok(self, tmp_path):
         src = tmp_path / "emptydir"
         src.mkdir()
@@ -1225,6 +1243,7 @@ class TestConfigFile:
         (["test", "CORPUS"], {"shifts": 3}, "shifts"),
         (["test", "CORPUS"], {"min_effective": 20}, "min_effective"),
         (["calibrate", "--replications", 1], {"min-effective": 20}, "min-effective"),
+        (["test", "CORPUS"], {"min-effective": 20}, "min-effective"),
     ])
     def test_unknown_key_is_data_error_naming_it(self, corpus, tmp_path, capsys,
                                                  argv, config, key):
