@@ -414,7 +414,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # index: (id, 0 for a read error else 1, spool offset, length); an id is
     # tested once, so sorted it is the stable sort by id of (errors + tested)
-    seen, index, failed = {}, [], Counter()
+    seen, index, failed, lags_tested = {}, [], Counter(), 0
     with tempfile.TemporaryFile(dir=out_dir) as spool, _pool(jobs, len(files)) as pool:
         for first in range(0, len(files), _CHUNK):
             trajs, items = [], []
@@ -438,6 +438,8 @@ def cmd_test(args: argparse.Namespace) -> int:
                 spool.write(text.encode())   # ASCII: json.dumps escapes the rest
                 if item.error is not None:
                     failed[item.error.split(":", 1)[0]] += 1
+                else:
+                    lags_tested += len(item.estimate.per_lag)
         head, tail = json.dumps({"config": asdict(cfg), "results": []},
                                 indent=2, sort_keys=True).rsplit("[]", 1)
         with (out_dir / "results.json").open("wb") as fh:
@@ -452,6 +454,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         "n_trajectories": len(index),
         "n_failed": n_failed,
         "failures_by_class": {name: failed[name] for name in sorted(failed)},
+        "lags_tested": lags_tested,
     }, jobs=jobs, heap_kept=heap_kept)
     log.info("tested %d trajectories (%d failed) -> %s", len(index),
              n_failed, out_dir / "results.json")
@@ -523,7 +526,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     trajs = [gen(T, trajectory_rng(cfg.rng_seed, f"calib_{i:05d}_gen"), f"calib_{i:05d}")
              for i in range(reps)]
     with _pool(jobs, reps) as pool:
-        items = batch_test(trajs, cfg, pool=pool)
+        items = batch_test(trajs, cfg, pool=pool, every_lag=True)   # rates count every lag
     failed = next((it for it in items if it.error is not None), None)
     if failed is not None:
         raise MarkovOrderError(f"replication {failed.trajectory_id}: {failed.error}")

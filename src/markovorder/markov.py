@@ -43,7 +43,7 @@ precision buys nothing there.
 The multiplier bootstrap for maxima needs each lag's multipliers to be
 i.i.d. standard normal given the data, not independent of another lag's,
 so :func:`estimate_order` draws one multiplier matrix M per trajectory and
-every lag takes its multipliers from M's leading columns:
+every lag it tests takes its multipliers from M's leading columns:
 ``per_lag[k - 1]`` equals
 ``lag_test(traj, k, cfg, children[k - 1], multipliers=M)``.  p-values keep
 their law but not the bits of one draw per lag; ``lag_test`` without
@@ -68,7 +68,8 @@ dependent Markov series, so it carries no valid signal.
 
 The Markov order estimate is the first lag k at which the null is accepted
 (p > alpha); if no lag up to ``k_max`` is accepted the estimate is capped
-at ``k_max`` and flagged.
+at ``k_max`` and flagged.  As in Shi et al. (2020), the search stops at
+that lag; calibration, which needs every lag's rejection rate, tests them all.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class MarkovTestResult:
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """First accepted lag, with the full per-lag trace.
+    """First accepted lag, with the trace of the lags tested (see :func:`estimate_order`).
 
     ``capped`` is True when every lag in 1..k_max was rejected, in which
     case ``order == k_max``.  ``k_max`` records the effective search bound,
@@ -365,21 +366,24 @@ def lag_test(traj: Trajectory, k: int, cfg: TestConfig,
 
 
 def estimate_order(traj: Trajectory, cfg: TestConfig,
-                   rng: np.random.Generator | None = None) -> OrderEstimate:
+                   rng: np.random.Generator | None = None, *,
+                   every_lag: bool = False) -> OrderEstimate:
     """Estimate the Markov order as the first accepted lag in 1..k_max.
 
-    Every lag in the search range is tested so the full p-value trace is
-    available; the range ends below k_max where T - k would fall under
-    ``_MIN_EFFECTIVE_LENGTH`` or T - 2k, the summands of the lag's first
-    separation, under ``_MIN_CELL_LENGTH``.  Each lag draws its frequencies
-    from its own child of ``rng`` (``children = rng.spawn(k_max)``), and the
+    Lags are tested from 1 up to the first accepted one, so ``per_lag``
+    holds lags 1..order (every lag when capped); ``every_lag=True`` tests
+    every lag in the range, as calibration needs.  The range ends below
+    k_max where T - k would fall under ``_MIN_EFFECTIVE_LENGTH`` or T - 2k,
+    the summands of the lag's first separation, under ``_MIN_CELL_LENGTH``.
+    Lag k draws its frequencies from ``children[k - 1]`` of ``children =
+    rng.spawn(k_max)``, spawned one at a time as lags are tested, and the
     lags share one bootstrap multiplier matrix ``M``, the transpose of a
-    ``(width, B)`` standard normal draw from ``rng`` after the spawn,
-    rounded once to the float32 the replicates are computed in.  The
-    width is the most rows any lag's factor has (T - 2k while that is at
-    most 2p, else p), so every lag reads M.  A lag reads only M's first r
-    columns, the first r * B normals of that draw, so per-lag results do
-    not depend on alpha or on k_max.  The trajectory
+    ``(width, B)`` standard normal draw from ``rng``, rounded once to the
+    float32 the replicates are computed in.  The width is the most rows any
+    lag's factor in the range has (T - 2k while that is at most 2p, else
+    p), so every lag reads M.  A lag reads only M's first r columns, the
+    first r * B normals of that draw, so per-lag results depend on neither
+    alpha, k_max nor where the search stops.  The trajectory
     is standardized once and every lag tests the same standardized states,
     so ``per_lag[k - 1]`` equals
     ``lag_test(traj, k, cfg, children[k - 1], multipliers=M)``.  Sharing M
@@ -400,7 +404,6 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
         )
     if rng is None:
         rng = trajectory_rng(cfg.rng_seed, traj.id)
-    children = rng.spawn(k_eff)
     std = _Standardized(standardize(traj).states, traj.dt, id=traj.id)
     # a lag's table has T - 2k rows; drawn as (width, B), a factor's first r
     # columns are the first r * B normals of the stream whatever the width,
@@ -408,24 +411,28 @@ def estimate_order(traj: Trajectory, cfg: TestConfig,
     p = 2 * cfg.n_freqs * _N_SHIFTS
     width = max(_factor_rows(traj.length - 2 * k, p) for k in range(1, k_eff + 1))
     multipliers = _as_float32(rng.standard_normal((width, cfg.n_bootstrap)).T)
-    per_lag = tuple(lag_test(std, k, cfg, children[k - 1], multipliers=multipliers)
-                    for k in range(1, k_eff + 1))
+    per_lag = []
+    for k in range(1, k_eff + 1):   # spawning does not advance rng's stream
+        per_lag.append(lag_test(std, k, cfg, rng.spawn(1)[0], multipliers=multipliers))
+        if not (per_lag[-1].reject or every_lag):
+            break
     order = next((r.k for r in per_lag if not r.reject), None)
     capped = order is None
     return OrderEstimate(order=k_eff if capped else order, capped=capped,
-                         per_lag=per_lag, alpha=cfg.alpha, k_max=k_eff)
+                         per_lag=tuple(per_lag), alpha=cfg.alpha, k_max=k_eff)
 
 
-def _batch_worker(traj: Trajectory, cfg: TestConfig) -> BatchItem:
+def _batch_worker(traj: Trajectory, cfg: TestConfig, every_lag: bool) -> BatchItem:
     try:
-        est = estimate_order(traj, cfg)
+        est = estimate_order(traj, cfg, every_lag=every_lag)
         return BatchItem(trajectory_id=traj.id, estimate=est)
     except MarkovOrderError as exc:  # data errors are recorded per item
         return BatchItem(trajectory_id=traj.id, estimate=None,
                          error=f"{type(exc).__name__}: {exc}")
 
 
-def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig, pool=None) -> list[BatchItem]:
+def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig, pool=None, *,
+               every_lag: bool = False) -> list[BatchItem]:
     """Run :func:`estimate_order` over a list of trajectories.
 
     Per-trajectory seeds derive from ``(cfg.rng_seed, trajectory id)``, so
@@ -433,6 +440,8 @@ def batch_test(trajs: Sequence[Trajectory], cfg: TestConfig, pool=None) -> list[
     Data errors (:class:`MarkovOrderError`) are recorded in the returned
     items; any other exception is a program bug and propagates.  An open
     ``concurrent.futures`` executor as ``pool`` runs the batch and stays
-    open; without one the batch runs in this process.
+    open; without one the batch runs in this process.  ``every_lag`` goes
+    to :func:`estimate_order`.
     """
-    return list((map if pool is None else pool.map)(_batch_worker, trajs, repeat(cfg)))
+    return list((map if pool is None else pool.map)(_batch_worker, trajs, repeat(cfg),
+                                                    repeat(every_lag)))

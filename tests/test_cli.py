@@ -249,8 +249,11 @@ class TestTest:
         assert env["cpu_count"] >= 1 and isinstance(env["heap_kept"], bool)
         assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                             "MKL_NUM_THREADS"}
-        # the environment is run telemetry: none of it reaches results.json
-        assert "environment" not in (tmp_path / "m" / "results.json").read_text()
+        # the environment and the lag count are run telemetry: neither reaches results.json
+        results = (tmp_path / "m" / "results.json").read_text()
+        assert "environment" not in results and "lags_tested" not in results
+        assert manifest["lags_tested"] == sum(len(r["per_lag"])
+                                              for r in json.loads(results)["results"])
 
     def test_result_keys_are_record_fields(self, corpus, tmp_path):
         assert run(self.args(corpus, tmp_path / "k")) == 0
@@ -679,6 +682,17 @@ class TestCalibrate:
         for row in payload["per_lag"]:
             assert row["within_band"] == (band[0] <= row["rejection_rate"] <= band[1])
 
+    def test_every_lag_counts_every_replication(self, tmp_path):
+        # test stops at the first accepted lag; calibrate tests every lag, so
+        # each lag's rate is over all replications
+        out = tmp_path / "cal"
+        assert run(["calibrate", "--replications", 10, "--length", 80, "--dim", 1,
+                    "--kmax", 3, "--freqs", 4, "--bootstrap", 19, "--seed", 3,
+                    "--out", out]) == 0
+        payload = json.loads((out / "calibration.json").read_text())
+        assert [(row["k"], row["n"]) for row in payload["per_lag"]] == \
+               [(1, 10), (2, 10), (3, 10)]
+
     def test_jobs_do_not_change_calibration(self, tmp_path):
         payloads = []
         for jobs in (1, 2):
@@ -1106,7 +1120,7 @@ class TestExitCodes:
     def test_program_bug_is_internal_error(self, corpus, tmp_path, monkeypatch, capsys):
         from markovorder import markov
 
-        def broken(traj, cfg, rng=None):
+        def broken(traj, cfg, rng=None, *, every_lag=False):
             raise IndexError("slicing slip")
         monkeypatch.setattr(markov, "estimate_order", broken)
         assert run(["test", corpus, "--out", tmp_path / "o"]) == 3

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import ar1_trajectory, iid_trajectory, q_products, var1_trajectory
+from conftest import (ar1_trajectory, iid_trajectory, q_products, skip_order2_trajectory,
+                      var1_trajectory)
 
 from markovorder import (
     ChainSpec,
@@ -335,7 +336,7 @@ class TestFactorBootstrap:
     def test_chain_per_lag_equals_lag_test_with_the_matrix(self):
         traj = chain_trajectory(600, seed=4)
         cfg = TestConfig(rng_seed=1)
-        est = estimate_order(traj, cfg)
+        est = estimate_order(traj, cfg, every_lag=True)
         rng = trajectory_rng(cfg.rng_seed, traj.id)
         children = rng.spawn(cfg.k_max)
         multipliers = rng.standard_normal((192, cfg.n_bootstrap)).T
@@ -496,7 +497,7 @@ class TestEstimateOrder:
         # the trajectory's multiplier matrix (T - 2 = 88 <= 2p = 96: every
         # lag multiplies its table, the widest at lag 1)
         traj = var1_trajectory(VAR1_COEFFS, 90, seed=14)
-        est = estimate_order(traj, FAST)
+        est = estimate_order(traj, FAST, every_lag=True)
         rng = trajectory_rng(FAST.rng_seed, traj.id)
         children = rng.spawn(FAST.k_max)
         multipliers = rng.standard_normal((traj.length - 2, FAST.n_bootstrap)).T
@@ -510,12 +511,12 @@ class TestEstimateOrder:
     @pytest.mark.parametrize("T", [120, 390, 600])
     def test_per_lag_independent_of_kmax_and_alpha(self, T):
         traj = var1_trajectory(VAR1_COEFFS, T, seed=T + 1)
-        full = estimate_order(traj, TestConfig(k_max=8, rng_seed=3)).per_lag
+        full = estimate_order(traj, TestConfig(k_max=8, rng_seed=3), every_lag=True).per_lag
         for k_max in (1, 3):
-            assert estimate_order(traj, TestConfig(k_max=k_max, rng_seed=3)).per_lag \
-                == full[:k_max]
-        strict, loose = (estimate_order(traj, TestConfig(k_max=3, alpha=a, rng_seed=3))
-                         for a in (0.01, 0.10))
+            assert estimate_order(traj, TestConfig(k_max=k_max, rng_seed=3),
+                                  every_lag=True).per_lag == full[:k_max]
+        strict, loose = (estimate_order(traj, TestConfig(k_max=3, alpha=a, rng_seed=3),
+                                        every_lag=True) for a in (0.01, 0.10))
         assert [r.p_value for r in strict.per_lag] == [r.p_value for r in loose.per_lag]
         assert [r.sup_stat for r in strict.per_lag] == [r.sup_stat for r in loose.per_lag]
 
@@ -525,10 +526,38 @@ class TestEstimateOrder:
         cfg = TestConfig(k_max=2, alpha=0.05, rng_seed=7)
         reps, rejections = 400, np.zeros(2)
         for i in range(reps):
-            est = estimate_order(var1_trajectory(VAR1_COEFFS, 120, seed=40000 + i), cfg)
+            est = estimate_order(var1_trajectory(VAR1_COEFFS, 120, seed=40000 + i), cfg,
+                                 every_lag=True)
             rejections += [r.reject for r in est.per_lag]
         rates = rejections / reps
         assert ((0.01 <= rates) & (rates <= 0.12)).all(), rates
+
+    # one corpus per lag-test path: the table (T=120), the Cholesky factor
+    # (T=600), the float32 tiles (T=1,200), a chain's eigh factor, and MDN
+    @pytest.mark.parametrize("path", ["table", "cholesky", "float32", "chain", "mdn"])
+    def test_search_stops_at_the_order_with_every_answer(self, path):
+        trajs, cfg = {
+            "table": lambda: ([var1_trajectory(VAR1_COEFFS, 120, seed=s) for s in range(6)]
+                              + [skip_order2_trajectory(0.8, 120, seed=s) for s in range(2)],
+                              TestConfig(rng_seed=1)),
+            "cholesky": lambda: ([var1_trajectory(VAR1_COEFFS, 600, seed=s) for s in (1, 2)],
+                                 TestConfig(k_max=4, rng_seed=1)),
+            "float32": lambda: ([var1_trajectory(VAR1_COEFFS, 1200, seed=1)],
+                                TestConfig(k_max=2, rng_seed=1)),
+            "chain": lambda: ([chain_trajectory(300, seed=s) for s in range(3)],
+                              TestConfig(k_max=4, rng_seed=1)),
+            "mdn": lambda: ([var1_trajectory(VAR1_COEFFS, 120, seed=s) for s in (1, 2)],
+                            TestConfig(k_max=2, rng_seed=1, estimator="mdn")),
+        }[path]()
+        stopped = 0
+        for traj in trajs:
+            first, every = (estimate_order(traj, cfg, every_lag=e) for e in (False, True))
+            assert (first.order, first.capped, first.k_max) == \
+                   (every.order, every.capped, every.k_max)
+            assert len(every.per_lag) == every.k_max
+            assert first.per_lag == every.per_lag[:first.order]
+            stopped += first.order < first.k_max
+        assert stopped   # some search ended before k_max
 
     def test_first_acceptance_invariant(self):
         traj = ar1_trajectory(0.6, 400, seed=11)
@@ -542,7 +571,7 @@ class TestEstimateOrder:
     def test_kmax_reduced_for_short_trajectory(self):
         traj = iid_trajectory(35, 1, seed=12)
         est = estimate_order(traj, TestConfig(k_max=10, n_freqs=4,
-                                              n_bootstrap=19, rng_seed=1))
+                                              n_bootstrap=19, rng_seed=1), every_lag=True)
         assert est.k_max == 5
         assert len(est.per_lag) == 5
 
@@ -552,9 +581,10 @@ class TestEstimateOrder:
         # lags it shares with a k_max=26 run keep their results
         traj = var1_trajectory([[0.5, 0.1], [0.0, 0.4]], 60, seed=60)
         cfg = TestConfig(k_max=30, n_freqs=4, n_bootstrap=19)
-        est = estimate_order(traj, cfg)
+        est = estimate_order(traj, cfg, every_lag=True)
         assert (est.k_max, len(est.per_lag), est.order) == (28, 28, 1)
-        assert est.per_lag[:26] == estimate_order(traj, replace(cfg, k_max=26)).per_lag
+        assert est.per_lag[:26] == estimate_order(traj, replace(cfg, k_max=26),
+                                                  every_lag=True).per_lag
 
     def test_too_short_even_for_lag_one(self):
         traj = iid_trajectory(30, 1, seed=13)
@@ -594,7 +624,7 @@ class TestBatch:
         assert "Degenerate" in items[1].error
 
     def test_program_bug_propagates(self, monkeypatch):
-        def broken(traj, cfg, rng=None):
+        def broken(traj, cfg, rng=None, *, every_lag=False):
             raise IndexError("slicing slip")
         monkeypatch.setattr(markov_mod, "estimate_order", broken)
         with pytest.raises(IndexError):
